@@ -198,11 +198,11 @@ BM_KernelBatched_Mth4Lat100(benchmark::State &state)
 
 /**
  * The whole Figure 10 latency sweep through runAll() — the workload
- * the batched kernel exists for: on the batched engine the 7 family-
- * mates coalesce into one lockstep runBatch() call, on the event
- * engine they run one VectorSim each. The ratio of their
- * sim_cycles/s is the tentpole's headline number; CI ratchets it
- * with perf_gate.py --min-ratio.
+ * the batched kernel exists for: each of the 7 points is one engine
+ * task, run through the pre-decoded fast lane on the batched engine
+ * and through the event kernel on the event engine. The ratio of
+ * their sim_cycles/s is the fast lane's headline number; CI ratchets
+ * it with perf_gate.py --min-ratio.
  */
 void
 runFig10Sweep(benchmark::State &state, SimKernel kernel)

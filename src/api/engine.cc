@@ -4,7 +4,6 @@
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
-#include "src/core/batch_kernel.hh"
 #include "src/workload/suite.hh"
 
 namespace mtv
@@ -27,16 +26,8 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
     if (options.workers < 0)
         fatal("engine worker count must be >= 0, got %d",
               options.workers);
-    if (options.batchWidth < 1)
-        fatal("engine batch width must be >= 1, got %d",
-              options.batchWidth);
     memoize_ = options.memoize;
     kernel_ = options.kernel;
-    // Coalescing only pays on the lockstep kernel; other kernels run
-    // one spec per task regardless of the knob.
-    batchWidth_ = kernel_ == SimKernel::Batched
-                      ? static_cast<size_t>(options.batchWidth)
-                      : 1;
     backend_ = std::move(options.backend);
     maxCacheEntries_ = options.maxCacheEntries;
     canonicalSerializer_ = std::move(options.canonicalSerializer);
@@ -60,9 +51,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
     obsUncachedRuns_ = reg.counter("engine_uncached_runs_total");
     obsCancelledRuns_ = reg.counter("engine_cancelled_runs_total");
     obsDiscardedTasks_ = reg.counter("engine_discarded_tasks_total");
-    obsBatches_ = reg.counter("engine_batches_total");
-    obsBatchedPoints_ = reg.counter("engine_batched_points_total");
-    obsBatchWidth_ = reg.histogram("engine_batch_width");
 
     pool_.reserve(workers_);
     for (int i = 0; i < workers_; ++i)
@@ -147,7 +135,6 @@ ExperimentEngine::closeLane(LaneId lane)
     if (lane == defaultLane)
         fatal("the default engine lane cannot be closed");
     std::deque<std::function<void()>> dropped;
-    std::vector<std::deque<StagedSpec>> droppedStaged;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         auto it = lanes_.find(lane);
@@ -156,19 +143,6 @@ ExperimentEngine::closeLane(LaneId lane)
         dropped.swap(it->second.tasks);
         queuedTasks_ -= dropped.size();
         lanes_.erase(it);
-        // Specs staged for coalescing on this lane go with it; their
-        // promises break when droppedStaged dies below. The 1:1 drain
-        // tasks are in `dropped`, so the discard count stays right.
-        const std::string prefix = format(
-            "%llu|", static_cast<unsigned long long>(lane));
-        for (auto st = staged_.begin(); st != staged_.end();) {
-            if (st->first.compare(0, prefix.size(), prefix) == 0) {
-                droppedStaged.push_back(std::move(st->second));
-                st = staged_.erase(st);
-            } else {
-                ++st;
-            }
-        }
         const auto pos =
             std::find(laneOrder_.begin(), laneOrder_.end(), lane);
         const size_t index = pos - laneOrder_.begin();
@@ -192,28 +166,6 @@ ExperimentEngine::run(const RunSpec &spec)
     return execute(spec);
 }
 
-std::string
-ExperimentEngine::familySignature(const RunSpec &spec)
-{
-    // Machine parameters (and the fetch budget) are deliberately
-    // absent: they are exactly what varies across one sweep family,
-    // and the lockstep kernel takes them per point.
-    std::string sig =
-        format("%d|%.17g", static_cast<int>(spec.mode), spec.scale);
-    for (const auto &program : spec.programs) {
-        sig += '|';
-        sig += program;
-    }
-    return sig;
-}
-
-std::string
-ExperimentEngine::stageKey(LaneId lane, const RunSpec &spec)
-{
-    return format("%llu|", static_cast<unsigned long long>(lane)) +
-           familySignature(spec);
-}
-
 std::vector<RunResult>
 ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
 {
@@ -227,37 +179,12 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
         return results;
     }
 
-    // Coalescing (batched kernel): pre-group the batch into chunks of
-    // up to batchWidth_ specs sharing a sweep family, each chunk one
-    // task and one lockstep runBatch() call. Width 1 (or any other
-    // kernel) degenerates to the classic spec-per-task schedule.
-    std::vector<std::vector<size_t>> groups;
-    if (batchWidth_ > 1) {
-        std::unordered_map<std::string, size_t> open;
-        for (size_t i = 0; i < specs.size(); ++i) {
-            const std::string sig = familySignature(specs[i]);
-            auto it = open.find(sig);
-            if (it == open.end() ||
-                groups[it->second].size() >= batchWidth_) {
-                open[sig] = groups.size();
-                groups.push_back({i});
-            } else {
-                groups[it->second].push_back(i);
-            }
-        }
-    } else {
-        groups.reserve(specs.size());
-        for (size_t i = 0; i < specs.size(); ++i)
-            groups.push_back({i});
-    }
-
-    // Submission order is preserved by construction: the task for a
-    // group writes results[i] for its own indices, and each result is
-    // independent of scheduling (the cache changes whether a run
-    // recomputes, never its value). `remaining` is read and written
-    // only under doneMutex so the waiter cannot observe 0 (and unwind
-    // the stack these locals live on) while a worker still holds or
-    // is about to take the lock.
+    // Submission order is preserved by construction: task i writes
+    // results[i], and each result is independent of scheduling (the
+    // cache changes whether a run recomputes, never its value).
+    // `remaining` is read and written only under doneMutex so the
+    // waiter cannot observe 0 (and unwind the stack these locals live
+    // on) while a worker still holds or is about to take the lock.
     size_t remaining = specs.size();
     std::mutex doneMutex;
     std::condition_variable doneCv;
@@ -266,13 +193,12 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         Lane &lane = lanes_[defaultLane];
-        queuedTasks_ += groups.size();
-        obsQueueDepth_->add(static_cast<int64_t>(groups.size()));
-        for (auto &groupRef : groups) {
+        queuedTasks_ += specs.size();
+        obsQueueDepth_->add(static_cast<int64_t>(specs.size()));
+        for (size_t i = 0; i < specs.size(); ++i) {
             lane.tasks.emplace_back([this, &specs, &results,
                                      &remaining, &doneMutex, &doneCv,
-                                     &firstError, enqueuedUs,
-                                     group = std::move(groupRef)] {
+                                     &firstError, enqueuedUs, i] {
                 obsLaneWaitUs_->observe(
                     monotonicMicros() - enqueuedUs);
                 // An exception (SimError from a wedged run, or a
@@ -281,36 +207,15 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
                 // task still completes, so the batch locals stay
                 // alive until the last one reports in.
                 std::exception_ptr error;
-                if (group.size() == 1) {
-                    try {
-                        results[group[0]] = execute(specs[group[0]]);
-                    } catch (...) {
-                        error = std::current_exception();
-                    }
-                } else {
-                    std::vector<RunSpec> chunk;
-                    chunk.reserve(group.size());
-                    for (const size_t index : group)
-                        chunk.push_back(specs[index]);
-                    const std::vector<const CancelToken *> tokens(
-                        group.size(), nullptr);
-                    std::vector<BatchOutcome> outcomes =
-                        executeBatch(chunk, tokens);
-                    for (size_t j = 0; j < group.size(); ++j) {
-                        if (outcomes[j].error) {
-                            if (!error)
-                                error = outcomes[j].error;
-                        } else {
-                            results[group[j]] =
-                                std::move(outcomes[j].result);
-                        }
-                    }
+                try {
+                    results[i] = execute(specs[i]);
+                } catch (...) {
+                    error = std::current_exception();
                 }
                 std::lock_guard<std::mutex> doneLock(doneMutex);
                 if (error && !firstError)
                     firstError = error;
-                remaining -= group.size();
-                if (remaining == 0)
+                if (--remaining == 0)
                     doneCv.notify_all();
             });
         }
@@ -384,43 +289,6 @@ ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
         }
     }
 
-    if (batchWidth_ > 1 && !insideWorker) {
-        // Coalescing: park the spec with its family-mates and queue
-        // one drain task. Whichever drain runs first takes up to
-        // batchWidth_ staged specs with it; drains of an emptied
-        // bucket are no-ops, keeping the task/submit accounting 1:1
-        // (lane fairness and queue depth mean what they always did).
-        StagedSpec entry;
-        entry.spec = spec;
-        entry.hook = std::move(hook);
-        entry.token = std::move(token);
-        entry.promise = std::make_shared<std::promise<RunResult>>();
-        std::future<RunResult> future = entry.promise->get_future();
-        const std::string key = stageKey(laneId, spec);
-        {
-            std::lock_guard<std::mutex> lock(queueMutex_);
-            auto it = lanes_.find(laneId);
-            if (it == lanes_.end()) {
-                // Lane closed: abandon (entry's promise dies here,
-                // breaking the future) without queueing.
-                discardedTasks_.fetch_add(1);
-                obsDiscardedTasks_->inc();
-                return future;
-            }
-            staged_[key].push_back(std::move(entry));
-            const uint64_t enqueuedUs = monotonicMicros();
-            it->second.tasks.emplace_back([this, key, enqueuedUs] {
-                obsLaneWaitUs_->observe(
-                    monotonicMicros() - enqueuedUs);
-                drainStaged(key);
-            });
-            ++queuedTasks_;
-            obsQueueDepth_->add(1);
-        }
-        queueCv_.notify_one();
-        return future;
-    }
-
     auto task = std::make_shared<std::packaged_task<RunResult()>>(
         [this, spec, hook = std::move(hook),
          token = std::move(token)] {
@@ -471,8 +339,6 @@ size_t
 ExperimentEngine::discardQueued()
 {
     std::vector<std::deque<std::function<void()>>> dropped;
-    std::unordered_map<std::string, std::deque<StagedSpec>>
-        droppedStaged;
     size_t count = 0;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
@@ -484,9 +350,6 @@ ExperimentEngine::discardQueued()
             lane.second.tasks.clear();
         }
         queuedTasks_ = 0;
-        // Dropping the drain tasks above orphans every staged spec:
-        // drop the entries too (their promises break below).
-        droppedStaged.swap(staged_);
     }
     // Destroying the packaged tasks outside the lock breaks their
     // promises, failing the corresponding futures.
@@ -698,292 +561,6 @@ ExperimentEngine::execute(const RunSpec &spec,
     }
     obsPointsCompleted_->inc();
     return result;
-}
-
-std::vector<ExperimentEngine::BatchOutcome>
-ExperimentEngine::executeBatch(
-    const std::vector<RunSpec> &specs,
-    const std::vector<const CancelToken *> &tokens)
-{
-    MTV_ASSERT(specs.size() == tokens.size());
-    const size_t n = specs.size();
-    std::vector<BatchOutcome> out(n);
-
-    /** A spec that was served without simulating this batch. */
-    struct Served
-    {
-        size_t index;
-        CachedStats stats;
-        Origin origin;
-        /** Canonical bytes of a direct store hit (else null). */
-        std::shared_ptr<const std::string> blob;
-    };
-    /** A spec that must simulate: an in-flight owner, or uncached. */
-    struct Sim
-    {
-        size_t index;
-        std::string key;
-        bool cacheable = false;  ///< owner of an inflight_ entry
-        std::promise<CachedStats> promise;
-    };
-    std::vector<Served> served;
-    std::vector<Sim> sims;
-    std::vector<std::pair<size_t, std::shared_future<CachedStats>>>
-        waiters;
-
-    // Classify each point: the per-spec branches of cachedStats(),
-    // with "simulate now" deferred so the leftovers share one batch.
-    for (size_t i = 0; i < n; ++i) {
-        const RunSpec &spec = specs[i];
-        if (tokens[i] && tokens[i]->cancelled()) {
-            cancelledRuns_.fetch_add(1);
-            obsCancelledRuns_->inc();
-            out[i].error = std::make_exception_ptr(
-                CancelledError("batch cancelled before '" +
-                               spec.canonical() + "' ran"));
-            continue;
-        }
-        std::string key = spec.canonical();
-        if (!memoize_ || spec.maxInstructions != 0) {
-            uncachedRuns_.fetch_add(1);
-            obsUncachedRuns_->inc();
-            Sim sim;
-            sim.index = i;
-            sim.key = std::move(key);
-            sims.push_back(std::move(sim));
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-            it->second.lruPos = lru_.begin();
-            cacheHits_.fetch_add(1);
-            obsCacheHits_->inc();
-            served.push_back({i, it->second.stats, Origin::Cache});
-            continue;
-        }
-        auto pending = inflight_.find(key);
-        if (pending != inflight_.end()) {
-            cacheHits_.fetch_add(1);
-            obsCacheHits_->inc();
-            waiters.emplace_back(i, pending->second);
-            continue;
-        }
-        Sim sim;
-        sim.index = i;
-        sim.cacheable = true;
-        inflight_.emplace(key, sim.promise.get_future().share());
-        sim.key = std::move(key);
-        cacheMisses_.fetch_add(1);
-        obsCacheMisses_->inc();
-        sims.push_back(std::move(sim));
-    }
-
-    // Backend pass: a stored result spares its point the simulation
-    // (the loadOrSimulate() order — store before simulate — kept).
-    if (backend_) {
-        std::vector<Sim> misses;
-        misses.reserve(sims.size());
-        for (Sim &sim : sims) {
-            StoredRecord record = backend_->loadRecord(sim.key);
-            if (!record.stats) {
-                misses.push_back(std::move(sim));
-                continue;
-            }
-            storeHits_.fetch_add(1);
-            obsStoreHits_->inc();
-            if (sim.cacheable) {
-                {
-                    std::lock_guard<std::mutex> lock(cacheMutex_);
-                    insertCompleted(sim.key, record.stats);
-                    inflight_.erase(sim.key);
-                }
-                sim.promise.set_value(record.stats);
-            }
-            served.push_back({sim.index, std::move(record.stats),
-                              Origin::Store,
-                              std::move(record.blob)});
-        }
-        sims.swap(misses);
-    }
-
-    // The batch itself: every remaining point through one lockstep
-    // runBatch() call. Sources are rebuilt per point (cheap: the
-    // stream and decode caches make them shared handles).
-    if (!sims.empty()) {
-        std::vector<std::vector<std::unique_ptr<SyntheticProgram>>>
-            sources(sims.size());
-        std::vector<BatchPoint> points;
-        points.reserve(sims.size());
-        std::exception_ptr setupError;
-        try {
-            for (size_t j = 0; j < sims.size(); ++j) {
-                const RunSpec &spec = specs[sims[j].index];
-                BatchPoint point;
-                point.params = spec.effectiveParams();
-                point.maxInstructions = spec.maxInstructions;
-                switch (spec.mode) {
-                  case SpecMode::Single:
-                    point.kind = BatchPoint::Kind::Single;
-                    break;
-                  case SpecMode::Group:
-                    point.kind = BatchPoint::Kind::Group;
-                    break;
-                  case SpecMode::JobQueue:
-                    point.kind = BatchPoint::Kind::JobQueue;
-                    break;
-                }
-                for (const auto &name : spec.programs) {
-                    sources[j].push_back(
-                        makeProgram(name, spec.scale));
-                    point.sources.push_back(sources[j].back().get());
-                }
-                points.push_back(std::move(point));
-            }
-        } catch (...) {
-            setupError = std::current_exception();
-        }
-
-        std::vector<BatchResult> results;
-        if (!setupError) {
-            batchesExecuted_.fetch_add(1);
-            batchedPoints_.fetch_add(sims.size());
-            obsBatches_->inc();
-            obsBatchedPoints_->inc(sims.size());
-            obsBatchWidth_->observe(
-                static_cast<double>(sims.size()));
-            try {
-                results = runBatch(points);
-            } catch (...) {
-                // Malformed points fatal() wholesale; fail every
-                // point of the batch rather than hang its waiters.
-                setupError = std::current_exception();
-            }
-        }
-
-        for (size_t j = 0; j < sims.size(); ++j) {
-            Sim &sim = sims[j];
-            std::exception_ptr error = setupError;
-            if (!error)
-                error = results[j].error;
-            if (!error) {
-                try {
-                    auto stats = std::make_shared<SimStats>(
-                        std::move(results[j].stats));
-                    obsPointsSimulated_->inc();
-                    if (backend_)
-                        backend_->store(sim.key, *stats);
-                    if (sim.cacheable) {
-                        std::lock_guard<std::mutex> lock(cacheMutex_);
-                        insertCompleted(sim.key, stats);
-                        inflight_.erase(sim.key);
-                    }
-                    served.push_back(
-                        {sim.index, stats, Origin::Simulated});
-                } catch (...) {
-                    error = std::current_exception();
-                }
-            }
-            if (error) {
-                if (sim.cacheable) {
-                    {
-                        std::lock_guard<std::mutex> lock(cacheMutex_);
-                        inflight_.erase(sim.key);
-                    }
-                    sim.promise.set_exception(error);
-                }
-                out[sim.index].error = error;
-            } else if (sim.cacheable) {
-                sim.promise.set_value(served.back().stats);
-            }
-        }
-    }
-
-    // Waiters last: an owner in this very batch has already settled
-    // its promise above, so these get() calls cannot deadlock on
-    // ourselves.
-    for (auto &waiter : waiters) {
-        try {
-            served.push_back(
-                {waiter.first, waiter.second.get(), Origin::Cache});
-        } catch (...) {
-            out[waiter.first].error = std::current_exception();
-        }
-    }
-
-    // Split the batch back into per-spec results; group-mode specs
-    // pay their reference-term accounting here, exactly as execute()
-    // would have.
-    for (Served &sv : served) {
-        const RunSpec &spec = specs[sv.index];
-        RunResult &result = out[sv.index].result;
-        result.spec = spec;
-        result.stats = *sv.stats;
-        result.cached = sv.origin == Origin::Cache;
-        result.fromStore = sv.origin == Origin::Store;
-        result.blob = std::move(sv.blob);
-        try {
-            if (spec.mode == SpecMode::Group) {
-                const GroupMetrics m = groupMetrics(
-                    spec, result.stats, tokens[sv.index]);
-                result.speedup = m.speedup;
-                result.mthOccupation = m.mthOccupation;
-                result.refOccupation = m.refOccupation;
-                result.mthVopc = m.mthVopc;
-                result.refVopc = m.refVopc;
-            }
-            obsPointsCompleted_->inc();
-        } catch (...) {
-            out[sv.index].error = std::current_exception();
-        }
-    }
-    return out;
-}
-
-void
-ExperimentEngine::drainStaged(const std::string &key)
-{
-    std::vector<StagedSpec> chunk;
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        auto it = staged_.find(key);
-        if (it != staged_.end()) {
-            std::deque<StagedSpec> &bucket = it->second;
-            const size_t take = std::min(bucket.size(), batchWidth_);
-            chunk.reserve(take);
-            for (size_t i = 0; i < take; ++i) {
-                chunk.push_back(std::move(bucket.front()));
-                bucket.pop_front();
-            }
-            if (bucket.empty())
-                staged_.erase(it);
-        }
-    }
-    if (chunk.empty())
-        return;
-
-    std::vector<RunSpec> specs;
-    std::vector<const CancelToken *> tokens;
-    specs.reserve(chunk.size());
-    tokens.reserve(chunk.size());
-    for (const StagedSpec &entry : chunk) {
-        specs.push_back(entry.spec);
-        tokens.push_back(entry.token.get());
-    }
-    std::vector<BatchOutcome> outcomes = executeBatch(specs, tokens);
-    for (size_t i = 0; i < chunk.size(); ++i) {
-        if (outcomes[i].error) {
-            chunk[i].promise->set_exception(outcomes[i].error);
-        } else {
-            // The submit() contract: the hook fires right before the
-            // future becomes ready, on the completing worker.
-            if (chunk[i].hook)
-                chunk[i].hook(outcomes[i].result);
-            chunk[i].promise->set_value(
-                std::move(outcomes[i].result));
-        }
-    }
 }
 
 ExperimentEngine::GroupMetrics

@@ -34,14 +34,9 @@
  *    lane 0 serves runAll() and plain submit()) drained by weighted
  *    round-robin, so one tenant's 10k-point sweep cannot
  *    head-of-line-block another's interactive run.
- *  - Batched kernel coalescing: with EngineOptions::kernel ==
- *    SimKernel::Batched, queued specs sharing a sweep family
- *    (familySignature(): mode + scale + programs) coalesce into one
- *    lockstep runBatch() call of up to EngineOptions::batchWidth
- *    points — runAll() pre-groups its batch, submit() stages specs
- *    per (lane, family) with one drain task each. Results are split
- *    back per spec, so futures, hooks, cache keys, stored blobs and
- *    digests are exactly those of solo runs.
+ *  - Every spec is one task on every kernel. EngineOptions::kernel
+ *    only picks how that task simulates; SimKernel::Batched runs it
+ *    through the per-point fast lane (src/core/batch_kernel.hh).
  *  - Request lifecycle: submit() takes an optional CancelToken.
  *    Cancellation is cooperative — checked when a worker dequeues the
  *    task and between the reference-term runs of the group
@@ -125,11 +120,11 @@ struct EngineOptions
     int workers = 0;
     /**
      * Which simulation kernel executes the specs. The event-driven
-     * kernel (the default) and the cycle-stepped reference produce
-     * bit-identical SimStats (guarded by tests/test_golden.cc and
-     * the CI kernel-parity job), so this knob exists purely for A/B
-     * validation and for measuring the event kernel's speedup; it is
-     * deliberately *not* part of RunSpec keys — results from either
+     * kernel (the default), the batched fast lane and the
+     * cycle-stepped reference produce bit-identical SimStats (guarded
+     * by tests/test_golden.cc and the CI kernel-parity job), so this
+     * knob exists purely for A/B validation and speed measurement; it
+     * is deliberately *not* part of RunSpec keys — results from any
      * kernel are interchangeable in the cache and the result store.
      */
     SimKernel kernel = SimKernel::Event;
@@ -139,15 +134,6 @@ struct EngineOptions
      * measure a lookup instead of a simulation.
      */
     bool memoize = true;
-    /**
-     * With kernel == SimKernel::Batched: how many queued specs of one
-     * sweep family (same mode/scale/programs — see familySignature())
-     * may coalesce into a single lockstep runBatch() call. 1 disables
-     * coalescing; other kernels ignore the knob. Results are split
-     * back into individual RunResults bit-identical to solo runs, so
-     * cache keys, stored blobs and digests are unaffected.
-     */
-    int batchWidth = 16;
     /**
      * Optional persistent result store consulted on memory-cache
      * misses and written through on every simulation (including the
@@ -371,23 +357,6 @@ class ExperimentEngine
     /** Simulation kernel executing this engine's specs. */
     SimKernel kernel() const { return kernel_; }
 
-    /**
-     * The sweep-family key batching coalesces on: every spec with the
-     * same signature shares one decoded program set, differing only in
-     * machine parameters (and fetch budget) — exactly the shape one
-     * lockstep runBatch() call accepts.
-     */
-    static std::string familySignature(const RunSpec &spec);
-
-    /** Batch width this engine coalesces to (1 = no coalescing). */
-    size_t batchWidth() const { return batchWidth_; }
-
-    /** Lockstep batches this engine has executed. */
-    uint64_t batchesExecuted() const { return batchesExecuted_.load(); }
-
-    /** Points simulated inside those batches (not cache-served). */
-    uint64_t batchedPoints() const { return batchedPoints_.load(); }
-
     /** The persistent backend, when one is attached. */
     const std::shared_ptr<ResultBackend> &backend() const
     {
@@ -453,24 +422,6 @@ class ExperimentEngine
         int weight = 1;
     };
 
-    /** A submit() parked for coalescing (batched engines only). */
-    struct StagedSpec
-    {
-        RunSpec spec;
-        SubmitHook hook;
-        std::shared_ptr<CancelToken> token;
-        /** Dropping the promise (lane close / discard) breaks the
-         *  caller's future, like dropping a queued task does. */
-        std::shared_ptr<std::promise<RunResult>> promise;
-    };
-
-    /** Per-spec outcome of executeBatch(): exactly one side is set. */
-    struct BatchOutcome
-    {
-        RunResult result;
-        std::exception_ptr error;
-    };
-
     /** Run @p spec's simulation (no cache, no group accounting). */
     SimStats simulate(const RunSpec &spec) const;
 
@@ -503,30 +454,6 @@ class ExperimentEngine
                       const CancelToken *token = nullptr);
 
     /**
-     * Execute up to batchWidth_ specs of one sweep family as a single
-     * lockstep runBatch() call, splitting the results back into
-     * per-spec outcomes. Every per-spec concern of execute() —
-     * cancellation, cache/in-flight/backend lookups, write-through,
-     * group accounting — is honored point by point; only specs that
-     * would have simulated anyway enter the batch. Never throws:
-     * per-spec failures (CancelledError, a wedged machine's SimError)
-     * land in the outcome's error slot.
-     */
-    std::vector<BatchOutcome> executeBatch(
-        const std::vector<RunSpec> &specs,
-        const std::vector<const CancelToken *> &tokens);
-
-    /** Staging key of @p lane and @p spec's family. */
-    static std::string stageKey(LaneId lane, const RunSpec &spec);
-
-    /**
-     * Pop up to batchWidth_ staged specs for @p key and execute them
-     * as one batch, settling each one's promise (and hook). A no-op
-     * when an earlier drain already emptied the bucket.
-     */
-    void drainStaged(const std::string &key);
-
-    /**
      * Section 4.1 metrics of a group-mode run, memoized per spec so
      * a cache hit on the group stats does not re-pay the truncated
      * F_i reference simulations.
@@ -552,7 +479,6 @@ class ExperimentEngine
     int workers_ = 1;
     bool memoize_ = true;
     SimKernel kernel_ = SimKernel::Event;
-    size_t batchWidth_ = 1;
     std::shared_ptr<ResultBackend> backend_;
     size_t maxCacheEntries_ = 0;
     /** EngineOptions::canonicalSerializer (may be empty). */
@@ -569,16 +495,11 @@ class ExperimentEngine
     /** Tasks waiting across all lanes (workers wait on this). */
     size_t queuedTasks_ = 0;
     LaneId nextLaneId_ = 1;
-    /** Submits parked for coalescing, keyed by stageKey(). Guarded by
-     *  queueMutex_ (staging and task queueing commit together). */
-    std::unordered_map<std::string, std::deque<StagedSpec>> staged_;
     mutable std::mutex queueMutex_;
     std::condition_variable queueCv_;
     bool stopping_ = false;
     std::atomic<uint64_t> cancelledRuns_{0};
     std::atomic<uint64_t> discardedTasks_{0};
-    std::atomic<uint64_t> batchesExecuted_{0};
-    std::atomic<uint64_t> batchedPoints_{0};
 
     mutable std::mutex cacheMutex_;
     /** Completed runs; bounded by maxCacheEntries_ when set. */
@@ -619,9 +540,6 @@ class ExperimentEngine
     Counter *obsUncachedRuns_ = nullptr;
     Counter *obsCancelledRuns_ = nullptr;
     Counter *obsDiscardedTasks_ = nullptr;
-    Counter *obsBatches_ = nullptr;
-    Counter *obsBatchedPoints_ = nullptr;
-    Histogram *obsBatchWidth_ = nullptr;
 };
 
 } // namespace mtv

@@ -1,13 +1,13 @@
 /**
  * @file
- * The batched lockstep kernel. The fast lane below is a
- * transliteration of the event kernel — VectorSim::runEvent plus
+ * The batched kernel's per-point fast lane: a transliteration of
+ * the event kernel — VectorSim::runEvent plus
  * DispatchUnit::planDispatch/commit/considerWakeups — specialized to
  * the machine shape sweeps run (one decode slot, no decoupled slip,
  * so a one-deep fetch window), over pre-decoded programs. Every
  * check, charge and ready-time write below mirrors its original
  * check-for-check; the golden digests (tests/test_golden.cc) and the
- * CI kernel-parity job hold the two in lockstep. When you change
+ * CI kernel-parity job hold the two in agreement. When you change
  * dispatch semantics in src/core/dispatch.cc or run machinery in
  * src/core/sim.cc, change the mirror here.
  */
@@ -47,7 +47,7 @@ constexpr uint8_t kFlagStore = 1u << 4;
 /**
  * One pre-decoded instruction: the per-instruction work that depends
  * only on the stream — unit class, operand/bank indices, clamped
- * vector length, predicate flags — done once per family instead of
+ * vector length, predicate flags — done once per stream instead of
  * once per fetched instruction per point.
  */
 struct DecodedInst
@@ -62,7 +62,7 @@ struct DecodedInst
     int32_t stride;
 };
 
-/** A fully decoded program, shared by every lane of a family. */
+/** A fully decoded program, shared by every run over its stream. */
 struct DecodedProgram
 {
     std::string name;
@@ -131,19 +131,25 @@ decodeStream(const std::string &name,
 /**
  * Process-wide decode cache, keyed on the shared stream object (the
  * held `raw` pointer keeps the key address alive). Extends the
- * makeProgram() stream cache from shared bytes to shared decode: a
- * 16-lane family decodes each program once, as does every later
- * batch over the same cached stream.
+ * makeProgram() stream cache from shared bytes to shared decode:
+ * every run over the same cached stream decodes it once. Null when
+ * @p source holds no shared stream.
  */
 std::shared_ptr<const DecodedProgram>
 decodedProgram(const InstructionSource &source)
 {
     auto raw = source.sharedStream();
-    MTV_ASSERT(raw);
+    if (!raw)
+        return nullptr;
     static std::mutex mutex;
     static std::unordered_map<const void *,
                               std::shared_ptr<const DecodedProgram>>
         cache;
+    // Bounded like the makeProgram() stream cache: each entry pins
+    // its raw stream, so once that cache has dropped a stream only
+    // clearing here frees it. Runs in flight keep their decode alive
+    // through their own shared_ptr.
+    constexpr size_t maxCachedDecodes = 64;
     {
         std::lock_guard<std::mutex> lock(mutex);
         auto it = cache.find(raw.get());
@@ -154,6 +160,8 @@ decodedProgram(const InstructionSource &source)
     // a racing duplicate decode is identical, last insert wins.
     auto prog = decodeStream(source.name(), std::move(raw));
     std::lock_guard<std::mutex> lock(mutex);
+    if (cache.size() >= maxCachedDecodes)
+        cache.clear();
     return cache[prog->raw.get()] = prog;
 }
 
@@ -185,9 +193,9 @@ struct FastContext
 
 /** Machines the fast lane's specialization covers exactly. Bounded
  *  renaming (renameDepth > 0) is excluded like decoupling: both add
- *  per-context pool state the SoA lockstep loop does not model, so
- *  such points take the per-point generic (Event) fallback. Infinite-
- *  pool renaming and multi-port memory are handled natively. */
+ *  per-context pool state the flat context blocks do not model, so
+ *  such points take the event-kernel fallback. Infinite-pool
+ *  renaming and multi-port memory are handled natively. */
 bool
 fastLaneShape(const MachineParams &params)
 {
@@ -196,22 +204,20 @@ fastLaneShape(const MachineParams &params)
 }
 
 /**
- * One point's machine, advanced one event step at a time so the
- * lockstep driver can interleave K of them. Equivalent to
+ * One point's machine over pre-decoded programs. Equivalent to
  * VectorSim(params, SimKernel::Event) on the same point.
  */
 class FastLane
 {
   public:
-    FastLane(const BatchPoint &point,
+    FastLane(const MachineParams &params, FastLaneRun kind,
+             uint64_t maxInstructions,
              std::vector<std::shared_ptr<const DecodedProgram>> programs)
-        : params_(point.params), mem_(params_),
-          mode_(point.kind == BatchPoint::Kind::JobQueue
-                    ? RunMode::JobQueue
-                    : RunMode::UntilThreadZero),
-          maxInstructions_(point.kind == BatchPoint::Kind::Single
-                               ? point.maxInstructions
-                               : 0),
+        : params_(params), mem_(params_),
+          mode_(kind == FastLaneRun::JobQueue ? RunMode::JobQueue
+                                              : RunMode::UntilThreadZero),
+          maxInstructions_(kind == FastLaneRun::Single ? maxInstructions
+                                                       : 0),
           programs_(std::move(programs))
     {
         MTV_ASSERT(fastLaneShape(params_));
@@ -230,14 +236,14 @@ class FastLane
                   maxVectorLength * 8) +
             1000000;
 
-        switch (point.kind) {
-          case BatchPoint::Kind::Single: {
+        switch (kind) {
+          case FastLaneRun::Single: {
             FastContext &ctx0 = contexts_[0];
             ctx0.prog = programs_[0].get();
             ctx0.stats.program = ctx0.prog->name;
             break;
           }
-          case BatchPoint::Kind::Group:
+          case FastLaneRun::Group:
             for (size_t i = 0; i < programs_.size(); ++i) {
                 FastContext &ctx = contexts_[i];
                 ctx.prog = programs_[i].get();
@@ -245,7 +251,7 @@ class FastLane
                 ctx.stats.program = ctx.prog->name;
             }
             break;
-          case BatchPoint::Kind::JobQueue:
+          case FastLaneRun::JobQueue:
             for (const auto &job : programs_)
                 jobs_.push_back(job.get());
             for (auto &ctx : contexts_) {
@@ -268,30 +274,21 @@ class FastLane
         finished_ = done(now_);
     }
 
-    bool finished() const { return finished_; }
-    uint64_t now() const { return now_; }
-
-    /**
-     * Advance until the local clock passes @p stop (or the run ends).
-     * Always takes at least one step, so a caller that hands each
-     * lane the second-lowest clock in the batch keeps the lanes in
-     * approximate lockstep without paying the driver shell per step.
-     */
-    void
-    advanceUntil(uint64_t stop)
+    /** Simulate to completion; throws SimError on a wedged machine. */
+    SimStats
+    run()
     {
-        MTV_ASSERT(!finished_);
         if (contexts_.size() == 1) {
-            do {
+            while (!finished_)
                 advanceSingle();
-            } while (!finished_ && now_ <= stop);
         } else {
-            do {
+            while (!finished_)
                 advanceMulti();
-            } while (!finished_ && now_ <= stop);
         }
+        return takeStats();
     }
 
+  private:
     /** One iteration of the event-kernel loop (see runEvent()). */
     void
     advanceMulti()
@@ -410,7 +407,6 @@ class FastLane
         return stats;
     }
 
-  private:
     // --- the deferred joint-state histogram ---
 
     /** The ports serving @p d (the portsFor() split, pre-resolved). */
@@ -1261,174 +1257,41 @@ class FastLane
     std::vector<std::shared_ptr<const DecodedProgram>> programs_;
 };
 
-// ---------------------------------------------------------------------
-// Point validation and the generic fallback
-// ---------------------------------------------------------------------
+} // namespace
 
-/** The user-error checks of the VectorSim entry points. */
-void
-validatePoint(const BatchPoint &point)
-{
-    switch (point.kind) {
-      case BatchPoint::Kind::Single:
-        if (point.sources.size() != 1)
-            fatal("single-point batch entry needs exactly one source");
-        break;
-      case BatchPoint::Kind::Group:
-        if (static_cast<int>(point.sources.size()) !=
-            point.params.contexts) {
-            fatal("group run needs exactly %d programs, got %zu",
-                  point.params.contexts, point.sources.size());
-        }
-        for (size_t i = 0; i < point.sources.size(); ++i) {
-            for (size_t j = i + 1; j < point.sources.size(); ++j) {
-                if (point.sources[i] == point.sources[j]) {
-                    fatal("group run requires distinct source "
-                          "instances (program '%s' passed twice)",
-                          point.sources[i]->name().c_str());
-                }
-            }
-        }
-        break;
-      case BatchPoint::Kind::JobQueue:
-        if (point.sources.empty())
-            fatal("job-queue run needs at least one job");
-        break;
-    }
-    for (const InstructionSource *source : point.sources) {
-        if (!source)
-            fatal("batch point carries a null instruction source");
-    }
-}
-
-/** Points outside the fast lane simulate through the event kernel. */
 SimStats
-runGenericPoint(const BatchPoint &point)
+runFastLane(const MachineParams &params, FastLaneRun kind,
+            const std::vector<InstructionSource *> &sources,
+            uint64_t maxInstructions)
 {
-    VectorSim sim(point.params, SimKernel::Event);
-    switch (point.kind) {
-      case BatchPoint::Kind::Single:
-        return sim.runSingle(*point.sources[0], point.maxInstructions);
-      case BatchPoint::Kind::Group:
-        return sim.runGroup(point.sources);
-      case BatchPoint::Kind::JobQueue:
-        return sim.runJobQueue(point.sources);
-    }
-    fatal("unreachable batch point kind");
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// The lockstep driver
-// ---------------------------------------------------------------------
-
-namespace
-{
-/**
- * Minimum stride per lane pick, in simulated cycles. Event-step
- * interleaving is only a locality heuristic — lanes are independent —
- * and fine-grained switching costs more (cold branch-predictor and
- * cache state per switch) than marching together saves, so each lane
- * catches up in generous spans.
- */
-constexpr uint64_t kCatchUpSpan = 100000;
-} // namespace
-
-std::vector<BatchResult>
-runBatch(const std::vector<BatchPoint> &points)
-{
-    std::vector<BatchResult> results(points.size());
-    std::vector<std::unique_ptr<FastLane>> lanes(points.size());
-
-    // Partition: fast lanes for eligible points, the event kernel for
-    // the rest (also run here so a mixed batch stays one call).
-    std::vector<size_t> live;
-    for (size_t i = 0; i < points.size(); ++i) {
-        const BatchPoint &point = points[i];
-        point.params.validate();
-        validatePoint(point);
-        bool fast = fastLaneShape(point.params);
+    if (fastLaneShape(params)) {
         std::vector<std::shared_ptr<const DecodedProgram>> programs;
-        if (fast) {
-            programs.reserve(point.sources.size());
-            for (const InstructionSource *source : point.sources) {
-                if (!source->sharedStream()) {
-                    fast = false;
-                    break;
-                }
-                programs.push_back(decodedProgram(*source));
-            }
+        programs.reserve(sources.size());
+        for (const InstructionSource *source : sources) {
+            auto prog = decodedProgram(*source);
+            if (!prog)
+                break;
+            programs.push_back(std::move(prog));
         }
-        try {
-            if (fast) {
-                lanes[i] = std::make_unique<FastLane>(
-                    point, std::move(programs));
-                if (lanes[i]->finished())
-                    results[i].stats = lanes[i]->takeStats();
-                else
-                    live.push_back(i);
-            } else {
-                results[i].stats = runGenericPoint(point);
-            }
-        } catch (const SimError &) {
-            results[i].error = std::current_exception();
-        }
-        if (results[i].error || !lanes[i] || lanes[i]->finished())
-            lanes[i].reset();
-    }
-
-    // Lockstep: repeatedly pick the lane with the minimum local clock
-    // and advance it until it passes the second-lowest clock. Lanes
-    // share read-only decode state only, so each finishes
-    // bit-identical to a solo run; the min-reduction just orders the
-    // interleaving (and keeps the working set of the K machines
-    // marching through the same program region together), while the
-    // until-second-clock stride amortizes the reduction itself.
-    while (!live.empty()) {
-        size_t best = 0;
-        uint64_t bestNow = lanes[live[0]]->now();
-        uint64_t secondNow = UINT64_MAX;
-        for (size_t k = 1; k < live.size(); ++k) {
-            const uint64_t laneNow = lanes[live[k]]->now();
-            if (laneNow < bestNow) {
-                secondNow = bestNow;
-                bestNow = laneNow;
-                best = k;
-            } else {
-                secondNow = std::min(secondNow, laneNow);
-            }
-        }
-        const size_t index = live[best];
-        FastLane &lane = *lanes[index];
-        bool reap = false;
-        try {
-            lane.advanceUntil(
-                std::max(secondNow, lane.now() + kCatchUpSpan));
-            if (lane.finished()) {
-                results[index].stats = lane.takeStats();
-                reap = true;
-            }
-        } catch (const SimError &) {
-            results[index].error = std::current_exception();
-            reap = true;
-        }
-        if (reap) {
-            lanes[index].reset();
-            live[best] = live.back();
-            live.pop_back();
+        if (programs.size() == sources.size()) {
+            return FastLane(params, kind, maxInstructions,
+                            std::move(programs))
+                .run();
         }
     }
-    return results;
-}
 
-SimStats
-takeBatchResult(std::vector<BatchResult> results, size_t index)
-{
-    MTV_ASSERT(index < results.size());
-    if (results[index].error)
-        std::rethrow_exception(results[index].error);
-    return std::move(results[index].stats);
+    // Out-of-shape machines, and sources without a shared stream,
+    // simulate through the event kernel: slower, never wrong.
+    VectorSim sim(params, SimKernel::Event);
+    switch (kind) {
+      case FastLaneRun::Single:
+        return sim.runSingle(*sources[0], maxInstructions);
+      case FastLaneRun::Group:
+        return sim.runGroup(sources);
+      case FastLaneRun::JobQueue:
+        return sim.runJobQueue(sources);
+    }
+    panic("bad FastLaneRun %d", static_cast<int>(kind));
 }
 
 } // namespace mtv

@@ -1,44 +1,33 @@
 /**
  * @file
- * The batched lockstep kernel (SimKernel::Batched): run K sweep
- * points — near-identical machines over the same programs — in one
- * kernel instance, amortizing the per-point costs the event kernel
- * still pays K times.
+ * The batched kernel (SimKernel::Batched): a per-point fast lane that
+ * simulates one machine over pre-decoded programs, bit-identical to
+ * the event kernel and cheaper per point.
  *
- * Three layers (DESIGN.md section 1.3):
+ * Two layers (DESIGN.md section 1.3):
  *
  *  - DecodedProgram: the per-instruction work that depends only on
  *    the instruction stream — functional-unit class, operand/bank
  *    indices, clamped vector length, operand validation — hoisted out
- *    of the per-cycle loop and cached process-wide, so a family of K
- *    points decodes its programs exactly once (the makeProgram stream
- *    cache extended from shared bytes to shared decode).
+ *    of the per-cycle loop and cached process-wide (bounded like the
+ *    makeProgram stream cache), so a sweep decodes each program once
+ *    rather than once per point.
  *
- *  - A fast lane per point: a transliteration of the event kernel
+ *  - The fast lane: a transliteration of the event kernel
  *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
  *    specialized to the machines sweeps actually run — one decode
- *    slot, no decoupled slip window — with per-lane precomputed
- *    latencies. State is structure-of-arrays point-major: each lane
- *    owns flat context blocks (scoreboards, bank ports, blocked[]
- *    reasons) with no per-cycle allocation. Points outside the fast
- *    lane's shape (dual-scalar, decode width > 1, decoupled) fall
- *    back to a plain VectorSim(Event) inside the batch — slower,
- *    never wrong.
- *
- *  - The lockstep driver: all lanes advance through one loop that
- *    repeatedly picks the lane with the minimum local clock
- *    (min-reduction over the lane-now array) and advances it one
- *    event step; a lane whose next event is far away catches up in
- *    bulk through the PR 3 span machinery it inherits. Lanes share
- *    read-only decode state but no mutable state, so per-point
- *    results are bit-identical to single-point runs — the invariant
- *    the golden digests pin.
+ *    slot, no decoupled slip window, no bounded rename pool — with
+ *    precomputed latencies and flat per-context state (scoreboards,
+ *    bank ports, blocked[] reasons) with no per-cycle allocation.
+ *    Points outside that shape (dual-scalar, decode width > 1,
+ *    decoupled, bounded renaming) fall back to a plain
+ *    VectorSim(Event) — slower, never wrong.
  */
 
 #ifndef MTV_CORE_BATCH_KERNEL_HH
 #define MTV_CORE_BATCH_KERNEL_HH
 
-#include <exception>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/metrics.hh"
@@ -48,48 +37,24 @@
 namespace mtv
 {
 
-/** One sweep point of a batch: a machine plus its run request. */
-struct BatchPoint
+/** The VectorSim entry point a runFastLane() call stands in for. */
+enum class FastLaneRun : uint8_t
 {
-    MachineParams params;
-
-    /** Mirrors the three VectorSim entry points. */
-    enum class Kind : uint8_t
-    {
-        Single,   ///< sources = {program} on context 0
-        Group,    ///< sources = per-context programs (section 4.1)
-        JobQueue  ///< sources = the job list (section 7)
-    };
-    Kind kind = Kind::Single;
-
-    /** Per Kind above. Group requires distinct instances sized to
-     *  params.contexts; JobQueue requires at least one job. */
-    std::vector<InstructionSource *> sources;
-
-    /** Fetch budget for truncated reference runs (Kind::Single). */
-    uint64_t maxInstructions = 0;
+    Single,   ///< sources = {program} on context 0
+    Group,    ///< sources = per-context programs (section 4.1)
+    JobQueue  ///< sources = the job list (section 7)
 };
 
 /**
- * Outcome of one point. A wedged machine (SimError) fails only its
- * own point; batchmates complete normally.
+ * Simulate one point to completion, bit-identical to the same point
+ * run through SimKernel::Event. Throws SimError on a wedged machine,
+ * as VectorSim does. The caller (the VectorSim entry points) has
+ * already validated @p params and @p sources; @p maxInstructions is
+ * the fetch budget of a truncated FastLaneRun::Single run.
  */
-struct BatchResult
-{
-    SimStats stats;
-    std::exception_ptr error;  ///< non-null: stats is meaningless
-};
-
-/**
- * Simulate every point, lockstep where eligible. Results are indexed
- * like @p points and each is bit-identical to the same point run
- * through SimKernel::Event. fatal()s on malformed points (the same
- * user errors the VectorSim entry points reject).
- */
-std::vector<BatchResult> runBatch(const std::vector<BatchPoint> &points);
-
-/** Unwrap one point: rethrow its error or move its stats out. */
-SimStats takeBatchResult(std::vector<BatchResult> results, size_t index);
+SimStats runFastLane(const MachineParams &params, FastLaneRun kind,
+                     const std::vector<InstructionSource *> &sources,
+                     uint64_t maxInstructions = 0);
 
 } // namespace mtv
 

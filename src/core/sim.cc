@@ -50,12 +50,8 @@ SimStats
 VectorSim::runSingle(InstructionSource &source, uint64_t maxInstructions)
 {
     if (kernel_ == SimKernel::Batched) {
-        BatchPoint point;
-        point.params = params_;
-        point.kind = BatchPoint::Kind::Single;
-        point.sources = {&source};
-        point.maxInstructions = maxInstructions;
-        return takeBatchResult(runBatch({point}), 0);
+        return runFastLane(params_, FastLaneRun::Single, {&source},
+                           maxInstructions);
     }
     resetMachine(RunMode::UntilThreadZero);
     maxInstructions_ = maxInstructions;
@@ -82,11 +78,7 @@ VectorSim::runGroup(const std::vector<InstructionSource *> &programs)
         }
     }
     if (kernel_ == SimKernel::Batched) {
-        BatchPoint point;
-        point.params = params_;
-        point.kind = BatchPoint::Kind::Group;
-        point.sources = programs;
-        return takeBatchResult(runBatch({point}), 0);
+        return runFastLane(params_, FastLaneRun::Group, programs);
     }
     resetMachine(RunMode::UntilThreadZero);
     for (size_t i = 0; i < programs.size(); ++i) {
@@ -105,11 +97,7 @@ VectorSim::runJobQueue(const std::vector<InstructionSource *> &jobs)
     if (jobs.empty())
         fatal("job-queue run needs at least one job");
     if (kernel_ == SimKernel::Batched) {
-        BatchPoint point;
-        point.params = params_;
-        point.kind = BatchPoint::Kind::JobQueue;
-        point.sources = jobs;
-        return takeBatchResult(runBatch({point}), 0);
+        return runFastLane(params_, FastLaneRun::JobQueue, jobs);
     }
     resetMachine(RunMode::JobQueue);
     jobs_ = jobs;

@@ -89,11 +89,10 @@ enum class SimKernel : uint8_t
     /** Cycle-stepped: evaluate decode every cycle (the reference). */
     Stepped,
     /**
-     * Lockstep batch driver (src/core/batch_kernel.hh): runs K sweep
-     * points in one kernel instance over pre-decoded programs. On a
-     * VectorSim it simulates its single point through the same fast
-     * lane; the K-way win comes from ExperimentEngine coalescing.
-     * Bit-identical to Event/Stepped (tests/test_golden.cc).
+     * Per-point fast lane over pre-decoded programs
+     * (src/core/batch_kernel.hh), falling back to Event for machine
+     * shapes it does not cover. Bit-identical to Event/Stepped
+     * (tests/test_golden.cc).
      */
     Batched
 };

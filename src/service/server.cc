@@ -224,7 +224,6 @@ MtvService::MtvService(ServiceOptions options)
     engineOptions.backend = store_;
     engineOptions.maxCacheEntries = options.maxCacheEntries;
     engineOptions.kernel = options.kernel;
-    engineOptions.batchWidth = options.batchWidth;
     // Warm cache hits hand their canonical bytes straight to the
     // wire (see RunResult::blob) instead of re-serializing per
     // stream.

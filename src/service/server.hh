@@ -79,12 +79,8 @@ struct ServiceOptions
     /** Engine memory-cache entry cap; 0 = unbounded. */
     size_t maxCacheEntries = 0;
     /** Simulation kernel the engine runs (mtvd --kernel). All three
-     *  produce bit-identical results; Batched additionally coalesces
-     *  queued family-mates into lockstep runs. */
+     *  produce bit-identical results. */
     SimKernel kernel = SimKernel::Event;
-    /** Coalescing width for the batched kernel (mtvd --batch-width;
-     *  ignored by the other kernels, 1 disables coalescing). */
-    int batchWidth = 16;
 };
 
 /** The mtvd daemon core (socket server around an engine + store). */

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the batched-kernel coalescing layer (src/api/engine.cc
- * with EngineOptions::kernel == SimKernel::Batched): family-signature
- * grouping, runAll()/submit() coalescing into lockstep runBatch()
- * calls, per-point cancellation splitting, and the bit-identity of
- * coalesced results against single-point and event-kernel runs (the
- * invariant tests/test_golden.cc pins with digests; here pinned
- * field-for-field with the stats codec).
+ * Tests for the batched kernel's per-point fast lane
+ * (src/core/batch_kernel.hh) behind the engine: runAll() and submit()
+ * on a SimKernel::Batched engine match the event kernel field for
+ * field (the invariant tests/test_golden.cc pins with digests; here
+ * pinned with the stats codec), cancellation fails only its own
+ * point, and the decode cache releases streams it no longer needs.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "src/api/engine.hh"
+#include "src/core/sim.hh"
 #include "src/store/stats_codec.hh"
 #include "src/workload/suite.hh"
 
@@ -36,11 +36,10 @@ floAtLatency(int latency, uint64_t maxInstructions = 0)
 }
 
 EngineOptions
-batchedOptions(int workers = 1, int width = 16)
+batchedOptions()
 {
-    EngineOptions options(workers);
+    EngineOptions options(1);
     options.kernel = SimKernel::Batched;
-    options.batchWidth = width;
     return options;
 }
 
@@ -52,46 +51,14 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
 }
 
 // ---------------------------------------------------------------------
-// Family signatures
-// ---------------------------------------------------------------------
-
-TEST(BatchEngine, FamilySignatureGroupsSweepFamilies)
-{
-    // Machine parameters and the fetch budget vary *within* a sweep
-    // family, so the signature must ignore them...
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(floAtLatency(100)));
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(floAtLatency(1, 500)));
-    MachineParams dual = MachineParams::fujitsuDualScalar();
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("flo52", dual, testScale)));
-
-    // ...while program, scale, and mode all split families.
-    const MachineParams ref = MachineParams::reference();
-    EXPECT_NE(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("dyfesm", ref, testScale)));
-    EXPECT_NE(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("flo52", ref, 2 * testScale)));
-    EXPECT_NE(
-        ExperimentEngine::familySignature(floAtLatency(1)),
-        ExperimentEngine::familySignature(RunSpec::jobQueue(
-            {"flo52"}, MachineParams::crayStyle(2), testScale)));
-}
-
-// ---------------------------------------------------------------------
-// runAll coalescing
+// runAll
 // ---------------------------------------------------------------------
 
 TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
 {
-    // Two interleaved families plus the awkward members: a
-    // fetch-truncated point (cache-exempt but still batchable) and a
-    // dual-scalar machine (outside the lockstep fast lane, simulated
-    // through the in-batch fallback).
+    // Two interleaved program families plus the awkward members: a
+    // fetch-truncated point (cache-exempt) and a dual-scalar machine
+    // (outside the fast lane, simulated through the event fallback).
     MachineParams dyf1 = MachineParams::reference();
     dyf1.memLatency = 1;
     MachineParams dyf20 = MachineParams::reference();
@@ -110,10 +77,6 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
 
     ExperimentEngine batched(batchedOptions());
     const auto results = batched.runAll(specs);
-    // flo52 family: 6 points in one batch; dyfesm family: 2 in
-    // another.
-    EXPECT_EQ(batched.batchesExecuted(), 2u);
-    EXPECT_EQ(batched.batchedPoints(), 8u);
 
     ExperimentEngine reference;  // event kernel, spec at a time
     ASSERT_EQ(results.size(), specs.size());
@@ -124,50 +87,14 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
     }
 }
 
-TEST(BatchEngine, RunAllBatchWidthIsDeterministic)
-{
-    std::vector<RunSpec> specs;
-    for (int i = 0; i < 16; ++i)
-        specs.push_back(floAtLatency(1 + i));
-
-    ExperimentEngine wide(batchedOptions());
-    wide.runAll(specs);
-    EXPECT_EQ(wide.batchesExecuted(), 1u);
-    EXPECT_EQ(wide.batchedPoints(), 16u);
-    EXPECT_EQ(wide.batchWidth(), 16u);
-
-    // Width 1 disables coalescing entirely: every point runs as its
-    // own single-point batch through execute().
-    ExperimentEngine narrow(batchedOptions(1, 1));
-    narrow.runAll(specs);
-    EXPECT_EQ(narrow.batchesExecuted(), 0u);
-    EXPECT_EQ(narrow.batchedPoints(), 0u);
-    EXPECT_EQ(narrow.batchWidth(), 1u);
-}
-
-TEST(BatchEngine, CoalescedStatsBitIdenticalToSinglePointRuns)
-{
-    std::vector<RunSpec> specs;
-    for (const int latency : {1, 20, 40, 50, 60, 80, 100})
-        specs.push_back(floAtLatency(latency));
-
-    ExperimentEngine wide(batchedOptions(4, 16));
-    ExperimentEngine narrow(batchedOptions(1, 1));
-    const auto a = wide.runAll(specs);
-    const auto b = narrow.runAll(specs);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        expectIdenticalStats(a[i].stats, b[i].stats);
-}
-
 // ---------------------------------------------------------------------
-// submit() coalescing and per-point cancellation
+// submit() and per-point cancellation
 // ---------------------------------------------------------------------
 
 /**
  * Parks a 1-worker engine behind a spec whose completion hook blocks
- * until release(), so everything submitted afterwards is staged
- * together (the test_api.cc WorkerGate, on the batched engine).
+ * until release(), so everything submitted afterwards queues behind
+ * it (the test_api.cc WorkerGate, on the batched engine).
  */
 class BatchWorkerGate
 {
@@ -200,9 +127,8 @@ TEST(BatchEngine, SubmitCoalescesFamilyAndSplitsCancellation)
     ExperimentEngine engine(batchedOptions());
     BatchWorkerGate gate(engine);
 
-    // One pre-cancelled point staged between two live family-mates:
-    // the drain must batch all three, fail only the cancelled one,
-    // and serve the survivors from the shared lockstep run.
+    // One pre-cancelled point queued between two live points:
+    // it alone fails, and the survivors simulate normally.
     auto token = std::make_shared<CancelToken>();
     token->cancel();
     auto live = engine.submit(floAtLatency(1));
@@ -212,16 +138,37 @@ TEST(BatchEngine, SubmitCoalescesFamilyAndSplitsCancellation)
 
     EXPECT_THROW(cancelled.get(), CancelledError);
     EXPECT_EQ(engine.cancelledRuns(), 1u);
-    // The gate spec simulated alone; the two survivors shared one
-    // batch (the cancelled point never reached the kernel).
-    EXPECT_EQ(engine.batchesExecuted(), 2u);
-    EXPECT_EQ(engine.batchedPoints(), 3u);
 
     ExperimentEngine reference;
     expectIdenticalStats(live.get().stats,
                          reference.run(floAtLatency(1)).stats);
     expectIdenticalStats(alsoLive.get().stats,
                          reference.run(floAtLatency(40)).stats);
+}
+
+// ---------------------------------------------------------------------
+// The decode cache
+// ---------------------------------------------------------------------
+
+TEST(BatchKernel, DecodeCacheReleasesDroppedStreams)
+{
+    // The decode cache pins each entry's raw stream. Once the
+    // makeProgram() stream cache has dropped a stream, the decode
+    // cache must let it go too, or a daemon fed many (program,
+    // scale) pairs grows without bound.
+    const MachineParams params = MachineParams::reference();
+    const auto runAt = [&params](double scale) {
+        auto source = makeProgram("flo52", scale);
+        VectorSim(params, SimKernel::Batched).runSingle(*source);
+        return std::weak_ptr<const std::vector<Instruction>>(
+            source->sharedStream());
+    };
+    const auto first = runAt(1e-6);
+    ASSERT_FALSE(first.expired());  // still in the stream cache
+    // More distinct scales than either cache holds (64 entries).
+    for (int i = 1; i <= 70; ++i)
+        runAt(1e-6 * (1 + i / 128.0));
+    EXPECT_TRUE(first.expired());
 }
 
 } // namespace

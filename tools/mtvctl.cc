@@ -163,7 +163,7 @@ negotiateWire(LineChannel &channel)
 }
 
 /** Outcome of one streamed batch (run or sweep) from the daemon. */
-struct BatchOutcome
+struct StreamOutcome
 {
     std::vector<RunResult> results;  ///< submission order
     uint64_t simulated = 0;
@@ -223,11 +223,11 @@ using PointHook =
  * and @p hook invoked per point. @p expected is the point count from
  * the request (run) or the ack (sweep).
  */
-BatchOutcome
+StreamOutcome
 consumeStream(LineChannel &channel, uint64_t id, size_t expected,
               const PointHook &hook)
 {
-    BatchOutcome outcome;
+    StreamOutcome outcome;
     outcome.digest = 0xcbf29ce484222325ull;
     outcome.results.reserve(expected);
     bool sawBlobs = false;
@@ -553,7 +553,7 @@ cmdSweep(const Endpoint &endpoint, const SweepRequest &request,
         slices.push_back(sliceFromJson(slice));
 
     const auto start = std::chrono::steady_clock::now();
-    const BatchOutcome outcome = consumeStream(
+    const StreamOutcome outcome = consumeStream(
         channel, id, count,
         [follow, count](const RunResult &r, size_t seq) {
             if (follow)
@@ -670,7 +670,7 @@ cmdRun(const Endpoint &endpoint, const std::string &program,
     request.set("specs", std::move(specArray));
     if (!channel.writeLine(request.dump()))
         fatal("cannot send request (daemon gone?)");
-    const BatchOutcome outcome =
+    const StreamOutcome outcome =
         consumeStream(channel, 1, 1, nullptr);
     if (outcome.cancelled) {
         std::fprintf(stderr, "mtvctl: run cancelled by the daemon\n");

@@ -8,7 +8,7 @@
  * Usage:
  *   mtvd [--socket PATH] [--tcp HOST:PORT] [--store DIR] [--shards N]
  *        [--workers N] [--cache-cap N]
- *        [--kernel stepped|event|batched] [--batch-width N] [--quiet]
+ *        [--kernel stepped|event|batched] [--quiet]
  *   mtvd --route EP1,EP2,... [--socket PATH] [--tcp HOST:PORT]
  *        [--quiet]
  *
@@ -16,12 +16,12 @@
  * the fleet transport). --tcp-ephemeral HOST binds a kernel-chosen
  * port instead — tests and the fleet smoke script read it back from
  * the startup line. --kernel selects the simulation kernel (all
- * three are bit-identical; batched additionally coalesces queued
- * family-mates into lockstep runs, --batch-width points at a time).
+ * three are bit-identical; batched runs each point through the
+ * pre-decoded fast lane).
  * --route turns this mtvd into a thin fleet router over the listed
  * node endpoints ("HOST:PORT" or socket paths): it owns no engine,
  * so the engine flags (--store, --shards, --workers, --cache-cap,
- * --kernel, --batch-width) are rejected in route mode.
+ * --kernel) are rejected in route mode.
  *
  * Defaults: socket $MTV_SOCKET or /tmp/mtvd.sock; no store (results
  * die with the daemon — pass --store to persist; --shards sets the
@@ -64,7 +64,7 @@ usage()
                  "usage: mtvd [--socket PATH] [--tcp HOST:PORT] "
                  "[--store DIR] [--shards N] [--workers N] "
                  "[--cache-cap N] [--kernel stepped|event|batched] "
-                 "[--batch-width N] [--quiet]\n"
+                 "[--quiet]\n"
                  "       mtvd --route EP1,EP2,... [--socket PATH] "
                  "[--tcp HOST:PORT] [--quiet]\n");
     return 2;
@@ -144,10 +144,6 @@ main(int argc, char **argv)
                 fatal("--kernel wants stepped|event|batched, got "
                       "'%s'", name.c_str());
             engineFlagSeen = true;
-        } else if (arg == "--batch-width") {
-            options.batchWidth = static_cast<int>(
-                parseIntFlag(value(), "--batch-width", 1, 4096));
-            engineFlagSeen = true;
         } else if (arg == "--quiet") {
             setLogLevel(LogLevel::Quiet);
         } else if (arg == "--help" || arg == "-h") {
@@ -163,8 +159,8 @@ main(int argc, char **argv)
     if (!routeNodes.empty()) {
         if (engineFlagSeen) {
             fatal("--route owns no engine: --store/--shards/"
-                  "--workers/--cache-cap/--kernel/--batch-width do "
-                  "not apply (set them on the nodes)");
+                  "--workers/--cache-cap/--kernel do not apply (set "
+                  "them on the nodes)");
         }
         FleetServiceOptions fleetOptions;
         fleetOptions.socketPath = options.socketPath;
