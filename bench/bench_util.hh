@@ -56,11 +56,11 @@ benchWorkers()
 }
 
 /**
- * Simulation kernel for a bench: the event-driven kernel by default,
- * overridable with MTV_KERNEL=stepped|event|batched. All three
- * kernels produce bit-identical figures (the CI kernel-parity job
- * diffs a bench's output under each), so this knob exists for A/B
- * validation and speedup measurement only.
+ * Simulation kernel for a bench: the engine default (the batched
+ * fast lane), overridable with MTV_KERNEL=stepped|event|batched.
+ * All three kernels produce bit-identical figures (the CI
+ * kernel-parity job diffs a bench's output under each), so this
+ * knob exists for A/B validation and speedup measurement only.
  */
 inline SimKernel
 benchKernel()
@@ -80,7 +80,7 @@ benchKernel()
                          env);
         }
     }
-    return SimKernel::Event;
+    return EngineOptions{}.kernel;
 }
 
 /**

@@ -230,7 +230,7 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
 }
 
 std::future<RunResult>
-ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
+ExperimentEngine::submit(RunSpec spec, SubmitHook hook,
                          std::shared_ptr<CancelToken> token,
                          LaneId laneId)
 {
@@ -274,7 +274,7 @@ ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
                     it->second.blob = blob;
             }
             RunResult result;
-            result.spec = spec;
+            result.spec = std::move(spec);
             result.stats = *stats;
             result.cached = true;
             result.blob = std::move(blob);
@@ -290,7 +290,7 @@ ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
     }
 
     auto task = std::make_shared<std::packaged_task<RunResult()>>(
-        [this, spec, hook = std::move(hook),
+        [this, spec = std::move(spec), hook = std::move(hook),
          token = std::move(token)] {
             // The cooperative cancellation point: a task dequeued
             // after its batch was cancelled never simulates and never
@@ -412,11 +412,20 @@ void
 ExperimentEngine::insertCompleted(const std::string &key,
                                   const CachedStats &stats)
 {
-    lru_.push_front(key);
-    cache_[key] = CacheEntry{stats, lru_.begin()};
+    auto [it, inserted] = cache_.try_emplace(key);
+    if (inserted) {
+        lru_.push_front(&it->first);
+    } else {
+        // A re-insert replaces the entry and touches its LRU slot.
+        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+    }
+    it->second = CacheEntry{stats, lru_.begin()};
     while (maxCacheEntries_ != 0 && cache_.size() > maxCacheEntries_) {
-        cache_.erase(lru_.back());
+        // Find the victim before popping its list slot: the slot's
+        // pointer is into the node being erased.
+        const auto victim = cache_.find(*lru_.back());
         lru_.pop_back();
+        cache_.erase(victim);
         cacheEvictions_.fetch_add(1);
         obsCacheEvictions_->inc();
     }

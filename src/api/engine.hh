@@ -119,15 +119,15 @@ struct EngineOptions
     /** Worker threads; 0 = one per hardware thread (min 1). */
     int workers = 0;
     /**
-     * Which simulation kernel executes the specs. The event-driven
-     * kernel (the default), the batched fast lane and the
+     * Which simulation kernel executes the specs. The batched fast
+     * lane (the default), the event-driven kernel and the
      * cycle-stepped reference produce bit-identical SimStats (guarded
      * by tests/test_golden.cc and the CI kernel-parity job), so this
      * knob exists purely for A/B validation and speed measurement; it
      * is deliberately *not* part of RunSpec keys — results from any
      * kernel are interchangeable in the cache and the result store.
      */
-    SimKernel kernel = SimKernel::Event;
+    SimKernel kernel = SimKernel::Batched;
     /**
      * Memoize finished runs in the shared cache (the default).
      * Disable for throughput benchmarking, where a cache hit would
@@ -255,10 +255,12 @@ class ExperimentEngine
      * reference-term runs. @p lane routes the task to a scheduling
      * lane from openLane(); submitting to a lane that was already
      * closed abandons the task (broken_promise), since a closed lane
-     * means its tenant is gone.
+     * means its tenant is gone. @p spec is taken by value and moved
+     * into the task, so a caller done with its spec can move it in
+     * and a queued point holds exactly one copy.
      */
     std::future<RunResult> submit(
-        const RunSpec &spec, SubmitHook hook = nullptr,
+        RunSpec spec, SubmitHook hook = nullptr,
         std::shared_ptr<CancelToken> token = nullptr,
         LaneId lane = defaultLane);
 
@@ -398,7 +400,7 @@ class ExperimentEngine
     struct CacheEntry
     {
         CachedStats stats;
-        std::list<std::string>::iterator lruPos;
+        std::list<const std::string *>::iterator lruPos;
         /** Canonical serializeSimStats() bytes of stats, memoized by
          *  the submit() fast path on first streamed hit (null until
          *  then, or when no canonicalSerializer is configured). */
@@ -478,7 +480,7 @@ class ExperimentEngine
 
     int workers_ = 1;
     bool memoize_ = true;
-    SimKernel kernel_ = SimKernel::Event;
+    SimKernel kernel_ = SimKernel::Batched;
     std::shared_ptr<ResultBackend> backend_;
     size_t maxCacheEntries_ = 0;
     /** EngineOptions::canonicalSerializer (may be empty). */
@@ -504,8 +506,10 @@ class ExperimentEngine
     mutable std::mutex cacheMutex_;
     /** Completed runs; bounded by maxCacheEntries_ when set. */
     std::unordered_map<std::string, CacheEntry> cache_;
-    /** LRU order of cache_ keys; front = most recently used. */
-    std::list<std::string> lru_;
+    /** LRU order of cache_ entries, each pointing at its node's own
+     *  key (map nodes never move, so the key is stored once);
+     *  front = most recently used. */
+    std::list<const std::string *> lru_;
     /** Pending runs, for coalescing concurrent identical requests. */
     std::unordered_map<std::string, std::shared_future<CachedStats>>
         inflight_;

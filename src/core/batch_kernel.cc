@@ -16,8 +16,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <string>
 
 #include "src/common/logging.hh"
 #include "src/core/context.hh"
@@ -33,137 +32,13 @@ namespace mtv
 namespace
 {
 
-// ---------------------------------------------------------------------
-// Shared decode
-// ---------------------------------------------------------------------
-
-/** Predicate bits resolved at decode time. */
-constexpr uint8_t kFlagMem = 1u << 0;
-constexpr uint8_t kFlagLoad = 1u << 1;
-constexpr uint8_t kFlagVector = 1u << 2;
-constexpr uint8_t kFlagBranch = 1u << 3;
-constexpr uint8_t kFlagStore = 1u << 4;
-
-/**
- * One pre-decoded instruction: the per-instruction work that depends
- * only on the stream — unit class, operand/bank indices, clamped
- * vector length, predicate flags — done once per stream instead of
- * once per fetched instruction per point.
- */
-struct DecodedInst
-{
-    Opcode op;
-    FuClass fu;
-    uint8_t flags;
-    uint8_t dst;
-    uint8_t srcA;
-    uint8_t srcB;
-    uint16_t vl;      ///< pre-clamped: max(raw vl, 1)
-    int32_t stride;
-};
-
-/** A fully decoded program, shared by every run over its stream. */
-struct DecodedProgram
+/** One program a lane runs: its name and the packed stream (held for
+ *  the lane's lifetime) whose decoded records it walks. */
+struct LaneProgram
 {
     std::string name;
-    /** The raw stream, retained so the cache key (its address) can
-     *  never alias a recycled allocation; also the disasm source for
-     *  wedged-machine errors. */
-    std::shared_ptr<const std::vector<Instruction>> raw;
-    std::vector<DecodedInst> code;
+    std::shared_ptr<const PackedStream> stream;
 };
-
-/**
- * Mirror of VectorSim::checkOperands: validate register indices and
- * vector lengths once at decode instead of once per fetch.
- */
-void
-checkOperands(const Instruction &inst)
-{
-    const auto checkReg = [&inst](uint8_t reg, RegSpace space) {
-        if (reg == noReg || space == RegSpace::None)
-            return;
-        const int limit = space == RegSpace::V ? numVRegs
-                                               : numSRegs + numARegs;
-        if (reg >= limit) {
-            fatal("instruction '%s' references out-of-range register "
-                  "%u (space holds %d)",
-                  inst.disasm().c_str(), reg, limit);
-        }
-    };
-    checkReg(inst.dst, inst.dstSpace());
-    checkReg(inst.srcA, inst.srcSpace());
-    checkReg(inst.srcB, inst.srcSpace());
-    if (isVector(inst.op) && inst.vl > maxVectorLength)
-        fatal("instruction '%s' exceeds the maximum vector length %d",
-              inst.disasm().c_str(), maxVectorLength);
-}
-
-std::shared_ptr<const DecodedProgram>
-decodeStream(const std::string &name,
-             std::shared_ptr<const std::vector<Instruction>> raw)
-{
-    auto prog = std::make_shared<DecodedProgram>();
-    prog->name = name;
-    prog->raw = std::move(raw);
-    prog->code.reserve(prog->raw->size());
-    for (const Instruction &inst : *prog->raw) {
-        checkOperands(inst);
-        DecodedInst d;
-        d.op = inst.op;
-        d.fu = fuClass(inst.op);
-        d.flags = static_cast<uint8_t>(
-            (isMemory(inst.op) ? kFlagMem : 0) |
-            (isLoad(inst.op) ? kFlagLoad : 0) |
-            (isVector(inst.op) ? kFlagVector : 0) |
-            (inst.op == Opcode::SBranch ? kFlagBranch : 0) |
-            (isStore(inst.op) ? kFlagStore : 0));
-        d.dst = inst.dst;
-        d.srcA = inst.srcA;
-        d.srcB = inst.srcB;
-        d.vl = std::max<uint16_t>(inst.vl, 1);
-        d.stride = inst.stride;
-        prog->code.push_back(d);
-    }
-    return prog;
-}
-
-/**
- * Process-wide decode cache, keyed on the shared stream object (the
- * held `raw` pointer keeps the key address alive). Extends the
- * makeProgram() stream cache from shared bytes to shared decode:
- * every run over the same cached stream decodes it once. Null when
- * @p source holds no shared stream.
- */
-std::shared_ptr<const DecodedProgram>
-decodedProgram(const InstructionSource &source)
-{
-    auto raw = source.sharedStream();
-    if (!raw)
-        return nullptr;
-    static std::mutex mutex;
-    static std::unordered_map<const void *,
-                              std::shared_ptr<const DecodedProgram>>
-        cache;
-    // Bounded like the makeProgram() stream cache: each entry pins
-    // its raw stream, so once that cache has dropped a stream only
-    // clearing here frees it. Runs in flight keep their decode alive
-    // through their own shared_ptr.
-    constexpr size_t maxCachedDecodes = 64;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(raw.get());
-        if (it != cache.end())
-            return it->second;
-    }
-    // Decode outside the lock (streams run to ~100k instructions);
-    // a racing duplicate decode is identical, last insert wins.
-    auto prog = decodeStream(source.name(), std::move(raw));
-    std::lock_guard<std::mutex> lock(mutex);
-    if (cache.size() >= maxCachedDecodes)
-        cache.clear();
-    return cache[prog->raw.get()] = prog;
-}
 
 // ---------------------------------------------------------------------
 // The fast lane
@@ -176,7 +51,7 @@ decodedProgram(const InstructionSource &source)
  */
 struct FastContext
 {
-    const DecodedProgram *prog = nullptr;  ///< null: empty context
+    const LaneProgram *prog = nullptr;     ///< null: empty context
     size_t pos = 0;                        ///< fetch cursor
     const DecodedInst *head = nullptr;     ///< the 1-deep window
     bool finished = false;
@@ -212,7 +87,7 @@ class FastLane
   public:
     FastLane(const MachineParams &params, FastLaneRun kind,
              uint64_t maxInstructions,
-             std::vector<std::shared_ptr<const DecodedProgram>> programs)
+             std::vector<LaneProgram> programs)
         : params_(params), mem_(params_),
           mode_(kind == FastLaneRun::JobQueue ? RunMode::JobQueue
                                               : RunMode::UntilThreadZero),
@@ -239,21 +114,21 @@ class FastLane
         switch (kind) {
           case FastLaneRun::Single: {
             FastContext &ctx0 = contexts_[0];
-            ctx0.prog = programs_[0].get();
+            ctx0.prog = &programs_[0];
             ctx0.stats.program = ctx0.prog->name;
             break;
           }
           case FastLaneRun::Group:
             for (size_t i = 0; i < programs_.size(); ++i) {
                 FastContext &ctx = contexts_[i];
-                ctx.prog = programs_[i].get();
+                ctx.prog = &programs_[i];
                 ctx.restartable = i != 0;
                 ctx.stats.program = ctx.prog->name;
             }
             break;
           case FastLaneRun::JobQueue:
             for (const auto &job : programs_)
-                jobs_.push_back(job.get());
+                jobs_.push_back(&job);
             for (auto &ctx : contexts_) {
                 if (nextJob_ >= jobs_.size()) {
                     ctx.finished = true;
@@ -544,8 +419,9 @@ class FastLane
                 break;
             }
 
-            if (ctx.pos < ctx.prog->code.size()) {
-                ctx.head = &ctx.prog->code[ctx.pos++];
+            const std::vector<DecodedInst> &code = ctx.prog->stream->code();
+            if (ctx.pos < code.size()) {
+                ctx.head = &code[ctx.pos++];
                 break;  // window full (depth 1)
             }
 
@@ -1206,9 +1082,10 @@ class FastLane
             b.reason = scanWhy_[c];
             b.windowDepth = ctx.head ? 1 : 0;
             if (ctx.head) {
+                const PackedStream &stream = *ctx.prog->stream;
                 const size_t idx = static_cast<size_t>(
-                    ctx.head - ctx.prog->code.data());
-                b.windowHead = (*ctx.prog->raw)[idx].disasm();
+                    ctx.head - stream.code().data());
+                b.windowHead = stream.at(idx).disasm();
             }
             blocked.push_back(std::move(b));
         }
@@ -1232,7 +1109,7 @@ class FastLane
 
     // --- run bookkeeping ---
     RunMode mode_;
-    std::vector<const DecodedProgram *> jobs_;
+    std::vector<const LaneProgram *> jobs_;
     size_t nextJob_ = 0;
     uint64_t maxInstructions_;
     uint64_t lastDispatchCycle_ = 0;
@@ -1253,8 +1130,8 @@ class FastLane
     std::array<uint64_t, numFuStates> stateHist_{};
     std::vector<JobRecord> jobRecords_;
 
-    /** Keeps the shared decode alive for the lane's lifetime. */
-    std::vector<std::shared_ptr<const DecodedProgram>> programs_;
+    /** The lane's programs; their streams live as long as it does. */
+    std::vector<LaneProgram> programs_;
 };
 
 } // namespace
@@ -1265,13 +1142,13 @@ runFastLane(const MachineParams &params, FastLaneRun kind,
             uint64_t maxInstructions)
 {
     if (fastLaneShape(params)) {
-        std::vector<std::shared_ptr<const DecodedProgram>> programs;
+        std::vector<LaneProgram> programs;
         programs.reserve(sources.size());
         for (const InstructionSource *source : sources) {
-            auto prog = decodedProgram(*source);
-            if (!prog)
+            auto stream = source->sharedStream();
+            if (!stream)
                 break;
-            programs.push_back(std::move(prog));
+            programs.push_back({source->name(), std::move(stream)});
         }
         if (programs.size() == sources.size()) {
             return FastLane(params, kind, maxInstructions,
@@ -1280,7 +1157,7 @@ runFastLane(const MachineParams &params, FastLaneRun kind,
         }
     }
 
-    // Out-of-shape machines, and sources without a shared stream,
+    // Out-of-shape machines, and sources without a packed stream,
     // simulate through the event kernel: slower, never wrong.
     VectorSim sim(params, SimKernel::Event);
     switch (kind) {

@@ -6,12 +6,13 @@
  *
  * Two layers (DESIGN.md section 1.3):
  *
- *  - DecodedProgram: the per-instruction work that depends only on
- *    the instruction stream — functional-unit class, operand/bank
- *    indices, clamped vector length, operand validation — hoisted out
- *    of the per-cycle loop and cached process-wide (bounded like the
- *    makeProgram stream cache), so a sweep decodes each program once
- *    rather than once per point.
+ *  - The packed stream (src/isa/packed_stream.hh): the
+ *    per-instruction work that depends only on the instruction
+ *    stream — functional-unit class, operand/bank indices, clamped
+ *    vector length, operand validation — done once, when a synthetic
+ *    program is generated. That stream is the program's only stored
+ *    form, so a sweep decodes each program once and holds no second
+ *    copy of it.
  *
  *  - The fast lane: a transliteration of the event kernel
  *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
@@ -20,8 +21,12 @@
  *    precomputed latencies and flat per-context state (scoreboards,
  *    bank ports, blocked[] reasons) with no per-cycle allocation.
  *    Points outside that shape (dual-scalar, decode width > 1,
- *    decoupled, bounded renaming) fall back to a plain
+ *    decoupled, bounded renaming), and sources with no packed stream
+ *    (trace files, in-memory vectors), fall back to a plain
  *    VectorSim(Event) — slower, never wrong.
+ *
+ * SimKernel::Batched is the default kernel of EngineOptions and
+ * ServiceOptions, so the daemon and `mtvctl --local` run this lane.
  */
 
 #ifndef MTV_CORE_BATCH_KERNEL_HH

@@ -490,28 +490,6 @@ VectorSim::primeFetch(uint64_t t)
     }
 }
 
-void
-VectorSim::checkOperands(const Instruction &inst) const
-{
-    const auto checkReg = [&inst](uint8_t reg, RegSpace space) {
-        if (reg == noReg || space == RegSpace::None)
-            return;
-        const int limit = space == RegSpace::V ? numVRegs
-                                               : numSRegs + numARegs;
-        if (reg >= limit) {
-            fatal("instruction '%s' references out-of-range register "
-                  "%u (space holds %d)",
-                  inst.disasm().c_str(), reg, limit);
-        }
-    };
-    checkReg(inst.dst, inst.dstSpace());
-    checkReg(inst.srcA, inst.srcSpace());
-    checkReg(inst.srcB, inst.srcSpace());
-    if (isVector(inst.op) && inst.vl > maxVectorLength)
-        fatal("instruction '%s' exceeds the maximum vector length %d",
-              inst.disasm().c_str(), maxVectorLength);
-}
-
 bool
 VectorSim::ensureWindow(Context &ctx, uint64_t now, BlockReason &why)
 {

@@ -26,7 +26,9 @@
  *
  *  - SimKernel::Stepped evaluates decode every cycle (the historical
  *    loop, kept as the executable specification);
- *  - SimKernel::Event (the default) runs the same per-cycle code
+ *  - SimKernel::Event (VectorSim's default; engines and the daemon
+ *    default to the SimKernel::Batched fast lane, which falls back
+ *    to this kernel) runs the same per-cycle code
  *    while anything can dispatch, but when every context is blocked
  *    it jumps `now` straight to the earliest pending ready-time and
  *    integrates the per-cycle accounting over the skipped span.
@@ -194,13 +196,6 @@ class VectorSim
      * @return true when at least one instruction is waiting.
      */
     bool ensureWindow(Context &ctx, uint64_t now, BlockReason &why);
-
-    /**
-     * Validate a fetched instruction's register indices against the
-     * scoreboard/register-file sizes, so a corrupt trace or a buggy
-     * generator fails loudly instead of indexing out of bounds.
-     */
-    void checkOperands(const Instruction &inst) const;
 
     /** Window capacity for this machine. */
     size_t

@@ -77,6 +77,14 @@ struct Instruction
     std::string disasm() const;
 };
 
+/**
+ * Validate @p inst's register indices against the scoreboard and
+ * register-file sizes and its vector length against maxVectorLength,
+ * so a corrupt trace or a buggy generator fails loudly (fatal())
+ * instead of indexing out of bounds.
+ */
+void checkOperands(const Instruction &inst);
+
 /** Construct a scalar ALU instruction. */
 Instruction makeScalar(Opcode op, uint8_t dst, uint8_t srcA = noReg,
                        uint8_t srcB = noReg);

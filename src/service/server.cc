@@ -963,16 +963,19 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // queued points and other connections are never head-of-line
     // blocked. The progress hook feeds the daemon-wide completion
     // counter the moment a point finishes, seq order or not.
+    // Each spec moves into its task, and the emptied vector is
+    // released, so a queued point's spec exists exactly once.
     std::vector<std::future<RunResult>> futures;
     futures.reserve(specs.size());
-    for (const RunSpec &spec : specs) {
+    for (RunSpec &spec : specs) {
         futures.push_back(engine_->submit(
-            spec,
+            std::move(spec),
             [this](const RunResult &) {
                 completedPoints_.fetch_add(1);
             },
             token, client.lane));
     }
+    std::vector<RunSpec>().swap(specs);
 
     uint64_t simulated = 0;
     uint64_t cacheServed = 0;

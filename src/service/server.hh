@@ -78,9 +78,10 @@ struct ServiceOptions
     int workers = 0;
     /** Engine memory-cache entry cap; 0 = unbounded. */
     size_t maxCacheEntries = 0;
-    /** Simulation kernel the engine runs (mtvd --kernel). All three
-     *  produce bit-identical results. */
-    SimKernel kernel = SimKernel::Event;
+    /** Simulation kernel the engine runs (mtvd --kernel; the batched
+     *  fast lane by default). All three produce bit-identical
+     *  results. */
+    SimKernel kernel = SimKernel::Batched;
 };
 
 /** The mtvd daemon core (socket server around an engine + store). */

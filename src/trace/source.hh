@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/isa/instruction.hh"
+#include "src/isa/packed_stream.hh"
 
 namespace mtv
 {
@@ -43,15 +44,14 @@ class InstructionSource
     virtual const std::string &name() const = 0;
 
     /**
-     * The whole run as one immutable shared vector, when the source
+     * The whole run as one immutable packed stream, when the source
      * holds it in memory anyway (synthetic programs do; file readers
-     * return nullptr). The batched kernel fast-lanes such sources:
-     * it keys its decoded-program cache on the vector object and
-     * retains this pointer, so cache entries never alias a recycled
-     * address. Sources without a shared stream simulate through the
-     * generic per-point path instead — slower, never wrong.
+     * return nullptr). The batched kernel's fast lane walks such a
+     * stream's pre-decoded records directly and retains this pointer
+     * for the run. Sources without a packed stream simulate through
+     * the event kernel instead — slower, never wrong.
      */
-    virtual std::shared_ptr<const std::vector<Instruction>>
+    virtual std::shared_ptr<const PackedStream>
     sharedStream() const
     {
         return nullptr;

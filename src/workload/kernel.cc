@@ -88,7 +88,7 @@ slotToVReg(int slot)
 
 void
 emitKernel(const KernelSpec &kernel, uint64_t &addrCursor, Rng &rng,
-           std::vector<Instruction> &out)
+           PackedStream &out)
 {
     const uint32_t strips = kernel.strips();
 
@@ -150,7 +150,7 @@ emitKernel(const KernelSpec &kernel, uint64_t &addrCursor, Rng &rng,
 
 int
 emitScalarIteration(uint64_t iteration, uint64_t &addrCursor,
-                    std::vector<Instruction> &out)
+                    PackedStream &out)
 {
     // Rotate the load destination over three registers so consecutive
     // iterations' loads can overlap up to the WAW distance; the

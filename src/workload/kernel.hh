@@ -23,6 +23,7 @@
 
 #include "src/common/random.hh"
 #include "src/isa/instruction.hh"
+#include "src/isa/packed_stream.hh"
 
 namespace mtv
 {
@@ -134,10 +135,10 @@ uint8_t slotToVReg(int slot);
  * @param addrCursor  Monotonic per-program data cursor; advanced past
  *                    the touched region.
  * @param rng         Drives gather/scatter selection only.
- * @param out         Destination instruction buffer.
+ * @param out         Destination stream (validates each instruction).
  */
 void emitKernel(const KernelSpec &kernel, uint64_t &addrCursor, Rng &rng,
-                std::vector<Instruction> &out);
+                PackedStream &out);
 
 /**
  * Emit one iteration of the canonical non-vectorized scalar loop
@@ -146,11 +147,11 @@ void emitKernel(const KernelSpec &kernel, uint64_t &addrCursor, Rng &rng,
  *
  * @param iteration   Loop iteration index (rotates load registers).
  * @param addrCursor  Data cursor, advanced by the accesses.
- * @param out         Destination instruction buffer.
+ * @param out         Destination stream (validates each instruction).
  * @return The number of instructions emitted.
  */
 int emitScalarIteration(uint64_t iteration, uint64_t &addrCursor,
-                        std::vector<Instruction> &out);
+                        PackedStream &out);
 
 /** Instructions per scalar-loop iteration (for budget planning). */
 constexpr int scalarIterationLength = 7;

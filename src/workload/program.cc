@@ -72,8 +72,9 @@ SyntheticProgram::SyntheticProgram(const ProgramSpec &spec, double scale,
     uint64_t scalarIter = 0;
     size_t kIdx = 0;
 
-    // Built locally, then published as the immutable shared stream.
-    std::vector<Instruction> instructions;
+    // Packed as it is emitted, then published as the immutable
+    // shared stream.
+    PackedStream instructions;
     // Reserve an estimate to avoid repeated growth.
     instructions.reserve(vTarget + sTarget + 1024);
 
@@ -104,7 +105,7 @@ SyntheticProgram::SyntheticProgram(const ProgramSpec &spec, double scale,
                                         instructions);
     }
 
-    stream_ = std::make_shared<const std::vector<Instruction>>(
+    stream_ = std::make_shared<const PackedStream>(
         std::move(instructions));
 }
 
@@ -113,7 +114,7 @@ SyntheticProgram::next(Instruction &out)
 {
     if (pos_ >= stream_->size())
         return false;
-    out = (*stream_)[pos_++];
+    out = stream_->at(pos_++);
     return true;
 }
 

@@ -49,11 +49,17 @@ struct ProgramSpec
  * the identical stream, which the restart-based speedup methodology
  * of the paper (section 4.1) relies on.
  *
- * The materialized stream is immutable and held by shared_ptr, so
- * copying a SyntheticProgram is cheap: copies share the stream and
- * carry their own cursor. makeProgram() exploits this with a
- * process-wide stream cache — a sweep's thousandth uncached run of
- * "flo52" costs a pointer copy, not a re-generation.
+ * The stream is stored once, packed (src/isa/packed_stream.hh):
+ * the generator validates and decodes each instruction as it emits
+ * it, so the batched kernel's fast lane walks the records directly,
+ * while next() rebuilds every Instruction bit for bit for the other
+ * kernels and for trace writers.
+ *
+ * The packed stream is immutable and held by shared_ptr, so copying
+ * a SyntheticProgram is cheap: copies share the stream and carry
+ * their own cursor. makeProgram() exploits this with a process-wide
+ * stream cache — a sweep's thousandth uncached run of "flo52" costs
+ * a pointer copy, not a re-generation.
  */
 class SyntheticProgram : public InstructionSource
 {
@@ -77,15 +83,9 @@ class SyntheticProgram : public InstructionSource
     /** Total instructions in one run of this program. */
     uint64_t count() const { return stream_->size(); }
 
-    /** Direct access for analysis without re-streaming. */
-    const std::vector<Instruction> &instructions() const
-    {
-        return *stream_;
-    }
-
-    /** The shared stream itself: batched-kernel fast-lane eligibility
-     *  (see InstructionSource::sharedStream). */
-    std::shared_ptr<const std::vector<Instruction>>
+    /** The packed stream itself: batched-kernel fast-lane
+     *  eligibility (see InstructionSource::sharedStream). */
+    std::shared_ptr<const PackedStream>
     sharedStream() const override
     {
         return stream_;
@@ -94,7 +94,7 @@ class SyntheticProgram : public InstructionSource
   private:
     std::string name_;
     /** Immutable generated stream, shared between copies. */
-    std::shared_ptr<const std::vector<Instruction>> stream_;
+    std::shared_ptr<const PackedStream> stream_;
     size_t pos_ = 0;
 };
 

@@ -16,6 +16,7 @@
 #include "src/api/engine.hh"
 #include "src/api/sweep.hh"
 #include "src/driver/experiments.hh"
+#include "src/service/server.hh"
 #include "src/workload/suite.hh"
 
 namespace mtv
@@ -277,12 +278,27 @@ TEST(Engine, KernelSelectionIsBitIdentical)
     event.kernel = SimKernel::Event;
     ExperimentEngine a(stepped);
     ExperimentEngine b(event);
+    ExperimentEngine c(1);
     EXPECT_EQ(a.kernel(), SimKernel::Stepped);
     EXPECT_EQ(b.kernel(), SimKernel::Event);
+    EXPECT_EQ(c.kernel(), SimKernel::Batched);
     for (const RunSpec &spec : specs) {
         SCOPED_TRACE(spec.canonical());
-        expectSameStats(a.run(spec).stats, b.run(spec).stats);
+        const SimStats reference = a.run(spec).stats;
+        expectSameStats(reference, b.run(spec).stats);
+        expectSameStats(reference, c.run(spec).stats);
     }
+}
+
+TEST(Engine, BatchedKernelIsTheDefaultEverywhere)
+{
+    // In-process engines (mtvctl --local, the benches) and the daemon
+    // (ServiceOptions) all run the batched fast lane unless a caller
+    // picks another kernel.
+    EXPECT_EQ(EngineOptions{}.kernel, SimKernel::Batched);
+    EXPECT_EQ(EngineOptions(2).kernel, SimKernel::Batched);
+    EXPECT_EQ(ServiceOptions{}.kernel, SimKernel::Batched);
+    EXPECT_EQ(ExperimentEngine().kernel(), SimKernel::Batched);
 }
 
 // ---------------------------------------------------------------------
@@ -512,6 +528,50 @@ TEST(Engine, CacheCapEvictsLeastRecentlyUsed)
     // Eviction changes cost, never results.
     const RunResult r0Again = engine.run(specs[0]);
     expectSameStats(r0Again.stats, r0.stats);
+}
+
+TEST(Engine, CacheLruKeysSurviveTouchReinsertAndClear)
+{
+    // The LRU list points at each cache entry's own key, so every
+    // touch, eviction, re-insert and clear() must keep list and map
+    // in step (a dangling key shows up under ASan).
+    EngineOptions options;
+    options.workers = 1;
+    options.maxCacheEntries = 2;
+    ExperimentEngine engine(options);
+    const auto specs = distinctSpecs(4);
+    const RunResult r1 = engine.run(specs[1]);
+
+    // Touch through submit()'s fast path: spec 1 becomes the victim.
+    engine.run(specs[0]);
+    EXPECT_TRUE(engine.submit(specs[1]).get().cached);
+    EXPECT_TRUE(engine.submit(specs[0]).get().cached);
+    engine.run(specs[2]);
+    EXPECT_EQ(engine.cacheEvictions(), 1u);
+
+    // Re-inserting the evicted key evicts the new LRU entry (0).
+    const RunResult r1Again = engine.run(specs[1]);
+    EXPECT_FALSE(r1Again.cached);
+    expectSameStats(r1Again.stats, r1.stats);
+    EXPECT_EQ(engine.cacheEvictions(), 2u);
+    EXPECT_TRUE(engine.run(specs[2]).cached);
+    EXPECT_FALSE(engine.run(specs[0]).cached);  // evicts 1
+    EXPECT_EQ(engine.cacheEvictions(), 3u);
+    EXPECT_TRUE(engine.run(specs[2]).cached);
+
+    // clear() drops every entry and its LRU slot; the cap and the
+    // order work as before on reuse.
+    engine.clear();
+    EXPECT_EQ(engine.cacheSize(), 0u);
+    EXPECT_FALSE(engine.run(specs[3]).cached);
+    EXPECT_FALSE(engine.run(specs[0]).cached);
+    EXPECT_TRUE(engine.run(specs[3]).cached);
+    EXPECT_FALSE(engine.run(specs[1]).cached);  // evicts 0
+    EXPECT_EQ(engine.cacheSize(), 2u);
+    EXPECT_EQ(engine.cacheEvictions(), 4u);
+    EXPECT_TRUE(engine.run(specs[3]).cached);
+    EXPECT_TRUE(engine.run(specs[1]).cached);
+    EXPECT_FALSE(engine.run(specs[0]).cached);
 }
 
 TEST(Engine, ClearDropsEntriesButNotDeterminism)

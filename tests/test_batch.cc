@@ -5,7 +5,7 @@
  * on a SimKernel::Batched engine match the event kernel field for
  * field (the invariant tests/test_golden.cc pins with digests; here
  * pinned with the stats codec), cancellation fails only its own
- * point, and the decode cache releases streams it no longer needs.
+ * point, and the fast lane pins no program stream it no longer runs.
  */
 
 #include <gtest/gtest.h>
@@ -147,25 +147,24 @@ TEST(BatchEngine, SubmitCoalescesFamilyAndSplitsCancellation)
 }
 
 // ---------------------------------------------------------------------
-// The decode cache
+// Stream lifetime
 // ---------------------------------------------------------------------
 
 TEST(BatchKernel, DecodeCacheReleasesDroppedStreams)
 {
-    // The decode cache pins each entry's raw stream. Once the
-    // makeProgram() stream cache has dropped a stream, the decode
-    // cache must let it go too, or a daemon fed many (program,
-    // scale) pairs grows without bound.
+    // The fast lane walks each program's packed stream directly and
+    // holds it only while a run is in flight. Once the makeProgram()
+    // stream cache has dropped a stream, nothing may pin it, or a
+    // daemon fed many (program, scale) pairs grows without bound.
     const MachineParams params = MachineParams::reference();
     const auto runAt = [&params](double scale) {
         auto source = makeProgram("flo52", scale);
         VectorSim(params, SimKernel::Batched).runSingle(*source);
-        return std::weak_ptr<const std::vector<Instruction>>(
-            source->sharedStream());
+        return std::weak_ptr<const PackedStream>(source->sharedStream());
     };
     const auto first = runAt(1e-6);
     ASSERT_FALSE(first.expired());  // still in the stream cache
-    // More distinct scales than either cache holds (64 entries).
+    // More distinct scales than the stream cache holds (64 entries).
     for (int i = 1; i <= 70; ++i)
         runAt(1e-6 * (1 + i / 128.0));
     EXPECT_TRUE(first.expired());

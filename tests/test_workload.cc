@@ -18,6 +18,16 @@ namespace mtv
 namespace
 {
 
+/** Every instruction of @p stream, rebuilt. */
+std::vector<Instruction>
+unpack(const PackedStream &stream)
+{
+    std::vector<Instruction> out;
+    for (size_t i = 0; i < stream.size(); ++i)
+        out.push_back(stream.at(i));
+    return out;
+}
+
 KernelSpec
 tinyKernel(uint32_t trip = 300)
 {
@@ -92,8 +102,9 @@ TEST(Kernel, EmitProducesExpectedCounts)
     const KernelSpec k = tinyKernel(300);
     uint64_t cursor = 0x1000;
     Rng rng(1);
-    std::vector<Instruction> out;
-    emitKernel(k, cursor, rng, out);
+    PackedStream packed;
+    emitKernel(k, cursor, rng, packed);
+    const std::vector<Instruction> out = unpack(packed);
 
     TraceStats stats;
     for (const auto &inst : out)
@@ -109,8 +120,9 @@ TEST(Kernel, EmitStripVectorLengthsSumToTrip)
     const KernelSpec k = tinyKernel(300);
     uint64_t cursor = 0;
     Rng rng(1);
-    std::vector<Instruction> out;
-    emitKernel(k, cursor, rng, out);
+    PackedStream packed;
+    emitKernel(k, cursor, rng, packed);
+    const std::vector<Instruction> out = unpack(packed);
     // Sum the VL of one body step (the loads at body position 0).
     uint64_t sum = 0;
     for (const auto &inst : out) {
@@ -126,8 +138,9 @@ TEST(Kernel, IndexedFractionEmitsGathers)
     k.indexedFraction = 1.0;
     uint64_t cursor = 0;
     Rng rng(1);
-    std::vector<Instruction> out;
-    emitKernel(k, cursor, rng, out);
+    PackedStream packed;
+    emitKernel(k, cursor, rng, packed);
+    const std::vector<Instruction> out = unpack(packed);
     int gathers = 0;
     int plainLoads = 0;
     for (const auto &inst : out) {
@@ -141,8 +154,9 @@ TEST(Kernel, IndexedFractionEmitsGathers)
 TEST(Kernel, ScalarIterationShape)
 {
     uint64_t cursor = 0x100;
-    std::vector<Instruction> out;
-    const int n = emitScalarIteration(0, cursor, out);
+    PackedStream packed;
+    const int n = emitScalarIteration(0, cursor, packed);
+    const std::vector<Instruction> out = unpack(packed);
     EXPECT_EQ(n, scalarIterationLength);
     ASSERT_EQ(out.size(), static_cast<size_t>(scalarIterationLength));
     // The canonical scalar loop has exactly 2 memory transactions and
@@ -170,9 +184,11 @@ TEST(Program, GenerationIsDeterministic)
     SyntheticProgram a(spec, 1e-5);
     SyntheticProgram b(spec, 1e-5);
     ASSERT_EQ(a.count(), b.count());
-    for (size_t i = 0; i < a.instructions().size(); ++i) {
-        EXPECT_EQ(a.instructions()[i].op, b.instructions()[i].op);
-        EXPECT_EQ(a.instructions()[i].addr, b.instructions()[i].addr);
+    const std::vector<Instruction> as = materialize(a);
+    const std::vector<Instruction> bs = materialize(b);
+    for (size_t i = 0; i < as.size(); ++i) {
+        EXPECT_EQ(as[i].op, bs[i].op);
+        EXPECT_EQ(as[i].addr, bs[i].addr);
     }
 }
 
@@ -184,6 +200,100 @@ TEST(Program, ScaleControlsSize)
     const double ratio = static_cast<double>(large.count()) /
                          static_cast<double>(small.count());
     EXPECT_NEAR(ratio, 4.0, 0.8);
+}
+
+/** FNV-1a over every Instruction field, little-endian, in order. */
+uint64_t
+streamDigest(const std::vector<Instruction> &stream)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (value >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const Instruction &inst : stream) {
+        mix(static_cast<uint8_t>(inst.op), 1);
+        mix(inst.dst, 1);
+        mix(inst.srcA, 1);
+        mix(inst.srcB, 1);
+        mix(inst.vl, 2);
+        mix(static_cast<uint32_t>(inst.stride), 4);
+        mix(inst.addr, 8);
+    }
+    return h;
+}
+
+TEST(Program, StreamBytesArePinned)
+{
+    // Digests of every field every kernel and trace writer sees,
+    // recorded when programs were still stored as raw Instruction
+    // vectors: packing the stream must not change a single byte.
+    struct Pin
+    {
+        const char *name;
+        size_t count;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"swm256", 968, 0x9d44e5dffeefaa55ull},
+        {"hydro2d", 851, 0xb8771da3e7811dc6ull},
+        {"arc2d", 1088, 0x6968a6ef0d20aa2full},
+        {"flo52", 606, 0x408e112087884dd4ull},
+        {"nasa7", 2204, 0x6e9a9ac870a5ec49ull},
+        {"su2cor", 1796, 0xc79a2e3ed11a89edull},
+        {"tomcatv", 1352, 0xba2a843649be3f8aull},
+        {"bdna", 2607, 0xcee7b3250ba8e794ull},
+        {"trfd", 4022, 0x3ff56c28e226dca1ull},
+        {"dyfesm", 2690, 0xd1f32b0f41dbc835ull},
+    };
+    const auto &suite = benchmarkSuite();
+    ASSERT_EQ(suite.size(), std::size(pins));
+    for (size_t i = 0; i < suite.size(); ++i) {
+        ASSERT_EQ(suite[i].name, pins[i].name);
+        const std::vector<Instruction> stream =
+            materialize(*makeProgram(suite[i].name, 1e-5));
+        EXPECT_EQ(stream.size(), pins[i].count) << pins[i].name;
+        EXPECT_EQ(streamDigest(stream), pins[i].digest) << pins[i].name;
+    }
+}
+
+TEST(PackedStream, RoundTripsEveryField)
+{
+    Instruction zeroVl = makeVectorArith(Opcode::VAdd, 1, 2, 3, 1);
+    zeroVl.vl = 0;
+    const Instruction wide = makeVectorMem(Opcode::VGather, 7, 128,
+                                     0xfedcba9876543210ull, -3);
+    const std::vector<Instruction> input = {
+        zeroVl,
+        wide,
+        makeVectorMem(Opcode::VStore, 4, 1, 0x1000, -1),
+        makeScalar(Opcode::SAddInt, 0, 1, 2),
+        makeScalar(Opcode::SBranch, noReg, 7),
+        makeScalarMem(Opcode::SLoad, 3, 0xffffffffffffffffull),
+    };
+    PackedStream packed;
+    for (const Instruction &inst : input)
+        packed.push_back(inst);
+    ASSERT_EQ(packed.size(), input.size());
+    const std::vector<Instruction> output = unpack(packed);
+    EXPECT_EQ(streamDigest(output), streamDigest(input));
+    EXPECT_EQ(output[0].vl, 0u);
+    EXPECT_EQ(packed.code()[0].vl, 1u);  // the fast lane's clamp
+    EXPECT_EQ(output[1].stride, -3);
+    EXPECT_EQ(output[1].addr, 0xfedcba9876543210ull);
+    EXPECT_EQ(packed.code()[1].fu, FuClass::VecLoad);
+    EXPECT_EQ(output[3].vl, 0u);
+}
+
+TEST(PackedStreamDeath, RejectsOutOfRangeOperandsWhenBuilt)
+{
+    Instruction bad = makeVectorArith(Opcode::VAdd, 1, 2, 3, 64);
+    bad.dst = numVRegs;
+    PackedStream packed;
+    EXPECT_EXIT(packed.push_back(bad), testing::ExitedWithCode(1),
+                "out-of-range register");
 }
 
 TEST(Suite, HasTenProgramsInTableOrder)

@@ -20,8 +20,9 @@
 set -euo pipefail
 
 BUILD_DIR=${1:?usage: fleet_smoke.sh <build-dir> [kill-scale]}
-# The mid-kill sweep must run long enough (~3s) for the kill to land
-# mid-stream; the plain digest checks use a faster scale.
+# The mid-kill sweep must run long enough for the kill, polled on
+# node 1's progress, to land mid-stream; the plain digest checks use
+# a faster scale.
 KILL_SCALE=${2:-1e-4}
 QUICK_SCALE=1e-5
 WORK=$(mktemp -d /tmp/mtv_fleet_smoke.XXXXXX)
@@ -155,11 +156,33 @@ kill -9 "$ROUTER_PID" 2>/dev/null || true
 ROUTER_PID=""
 
 echo "== SIGKILL node 1 mid-sweep: the fleet must finish anyway =="
+node1_completed() {
+    "$BUILD_DIR/mtvctl" --tcp "$EP1" stats \
+        | grep -oE '"completedPoints":[0-9]+' | cut -d: -f2
+}
+BEFORE_KILL=$(node1_completed)
 "$BUILD_DIR/mtvctl" --fleet "$FLEET" sweep --scale "$KILL_SCALE" \
     > "$WORK/killed_sweep.out" 2>&1 &
 SWEEP_PID=$!
-sleep 1.5
-kill -9 "${NODE_PIDS[1]}"
+# Kill node 1 as soon as it has completed a point of this sweep, so
+# the kill lands mid-stream however fast the host simulates.
+KILLED=0
+for _ in $(seq 1 600); do
+    kill -0 "$SWEEP_PID" 2>/dev/null || break
+    NOW=$(node1_completed) || NOW=$BEFORE_KILL
+    if [ "${NOW:-0}" -gt "$BEFORE_KILL" ]; then
+        kill -9 "${NODE_PIDS[1]}"
+        KILLED=1
+        break
+    fi
+    sleep 0.05
+done
+if [ "$KILLED" != 1 ]; then
+    echo "FAIL: the sweep ended (or stalled) before node 1 completed \
+a point of it (raise kill-scale?)"
+    cat "$WORK/killed_sweep.out"
+    exit 1
+fi
 if ! wait "$SWEEP_PID"; then
     echo "FAIL: fleet sweep died with a node kill mid-flight"
     cat "$WORK/killed_sweep.out"

@@ -2,7 +2,7 @@
 # Loadgen smoke test: interactive latency stays bounded under load —
 # the ISSUE-7 acceptance scenario.
 #
-#   1. start one mtvd (batched kernel) on a unix socket;
+#   1. start one mtvd (default kernel: batched) on a unix socket;
 #   2. mtvloadgen drives 200 closed-loop clients of single-point
 #      interactive runs WHILE a quiet 10k-point background sweep
 #      streams on its own connection (the weighted-lane scheduling
@@ -38,9 +38,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== start one mtvd (batched kernel) =="
-"$BUILD_DIR/mtvd" --socket "$WORK/mtvd.sock" --kernel batched \
-    > "$WORK/mtvd.log" 2>&1 &
+echo "== start one mtvd (default kernel) =="
+"$BUILD_DIR/mtvd" --socket "$WORK/mtvd.sock" > "$WORK/mtvd.log" 2>&1 &
 DAEMON_PID=$!
 disown "$DAEMON_PID"
 for _ in $(seq 1 50); do

@@ -16,8 +16,8 @@
  * the fleet transport). --tcp-ephemeral HOST binds a kernel-chosen
  * port instead — tests and the fleet smoke script read it back from
  * the startup line. --kernel selects the simulation kernel (all
- * three are bit-identical; batched runs each point through the
- * pre-decoded fast lane).
+ * three are bit-identical; the default, batched, runs each point
+ * through the pre-decoded fast lane).
  * --route turns this mtvd into a thin fleet router over the listed
  * node endpoints ("HOST:PORT" or socket paths): it owns no engine,
  * so the engine flags (--store, --shards, --workers, --cache-cap,
@@ -26,7 +26,8 @@
  * Defaults: socket $MTV_SOCKET or /tmp/mtvd.sock; no store (results
  * die with the daemon — pass --store to persist; --shards sets the
  * hash-partition count of a *fresh* store, existing stores keep
- * theirs); one worker per hardware thread; unbounded memory cache.
+ * theirs); one worker per hardware thread; unbounded memory cache;
+ * the batched kernel.
  * Runs in the foreground (use your service manager or `&` to
  * daemonize); SIGINT/SIGTERM shut it down cleanly.
  */
@@ -65,6 +66,7 @@ usage()
                  "[--store DIR] [--shards N] [--workers N] "
                  "[--cache-cap N] [--kernel stepped|event|batched] "
                  "[--quiet]\n"
+                 "       (--kernel defaults to batched)\n"
                  "       mtvd --route EP1,EP2,... [--socket PATH] "
                  "[--tcp HOST:PORT] [--quiet]\n");
     return 2;

@@ -77,6 +77,15 @@ COLD_SIM=$(echo "$COLD_OUT" | grep '^served:' | field simulated)
 COLD_STORE=$(echo "$COLD_OUT" | grep '^served:' | field store)
 echo "recovered run: simulated=$COLD_SIM store=$COLD_STORE digest=$COLD_DIGEST"
 
+# A daemon started without --kernel ships the batched fast lane.
+KERNEL=$("$BUILD_DIR/mtvctl" --socket "$SOCKET" status \
+    | grep '^kernel:' | awk '{print $2}')
+if [ "$KERNEL" != batched ]; then
+    echo "FAIL: default daemon kernel is '$KERNEL', want batched"
+    exit 1
+fi
+echo "default kernel: $KERNEL"
+
 echo "== SIGKILL the idle daemon, restart, sweep must be store-served =="
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
