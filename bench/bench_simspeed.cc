@@ -15,6 +15,12 @@
  * memory latency 100 on the reference machine — where the stepped
  * kernel spends almost every cycle discovering that nothing can
  * dispatch.
+ *
+ * The BM_Shape{Event,Batched}/<shape> pairs run one machine shape each under the event
+ * kernel and the batched fast lane: dual-scalar decode, decode width
+ * 2, the decoupled slip window, the bounded rename pool (each a
+ * 4-context job queue) and a 4-context group run (the suite-grouping
+ * shape). CI ratchets every batched/event ratio at >= 1.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,18 +47,18 @@ uncached(SimKernel kernel = SimKernel::Event)
     return options;
 }
 
+const std::vector<std::string> &
+speedJobs()
+{
+    static const std::vector<std::string> jobs = {"flo52", "tomcatv",
+                                                  "trfd", "dyfesm"};
+    return jobs;
+}
+
 void
-runMachine(benchmark::State &state, const MachineParams &params,
-           SimKernel kernel = SimKernel::Event,
-           double scale = speedScale)
+runSpec(benchmark::State &state, const RunSpec &spec, SimKernel kernel)
 {
     ExperimentEngine engine(uncached(kernel));
-    const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
-                                           "dyfesm"};
-    const RunSpec spec =
-        params.contexts == 1
-            ? RunSpec::single("flo52", params, scale)
-            : RunSpec::jobQueue(jobs, params, scale);
     uint64_t cycles = 0;
     uint64_t instrs = 0;
     for (auto _ : state) {
@@ -65,6 +71,18 @@ runMachine(benchmark::State &state, const MachineParams &params,
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
     state.counters["sim_instrs/s"] = benchmark::Counter(
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
+}
+
+void
+runMachine(benchmark::State &state, const MachineParams &params,
+           SimKernel kernel = SimKernel::Event,
+           double scale = speedScale)
+{
+    runSpec(state,
+            params.contexts == 1
+                ? RunSpec::single("flo52", params, scale)
+                : RunSpec::jobQueue(speedJobs(), params, scale),
+            kernel);
 }
 
 /** Figure 10's latency-100 reference point (the stepped worst case). */
@@ -246,6 +264,44 @@ BM_KernelBatched_Fig10Sweep(benchmark::State &state)
     runFig10Sweep(state, SimKernel::Batched);
 }
 
+// ----- event vs batched per machine shape -----
+
+RunSpec
+shapeSpec(const std::string &shape)
+{
+    if (shape == "Group4") {
+        return RunSpec::group({"hydro2d", "swm256", "su2cor", "bdna"},
+                              MachineParams::multithreaded(4),
+                              kernelScale);
+    }
+    if (shape == "DualScalar") {
+        return RunSpec::jobQueue(speedJobs(),
+                                 MachineParams::fujitsuDualScalar(),
+                                 kernelScale);
+    }
+    MachineParams p = MachineParams::multithreaded(4);
+    if (shape == "Mth4Decode2")
+        p.decodeWidth = 2;
+    const RunSpec spec = RunSpec::jobQueue(speedJobs(), p, kernelScale);
+    if (shape == "Mth4Decouple4")
+        return spec.withExtensions(0, 0, 4);
+    if (shape == "Mth4Rename4")
+        return spec.withExtensions(0, 4, 0);
+    return spec;
+}
+
+void
+BM_ShapeEvent(benchmark::State &state, const std::string &shape)
+{
+    runSpec(state, shapeSpec(shape), SimKernel::Event);
+}
+
+void
+BM_ShapeBatched(benchmark::State &state, const std::string &shape)
+{
+    runSpec(state, shapeSpec(shape), SimKernel::Batched);
+}
+
 BENCHMARK(BM_Reference);
 BENCHMARK(BM_Multithreaded)->Arg(2)->Arg(3)->Arg(4);
 BENCHMARK(BM_DualScalar);
@@ -259,6 +315,20 @@ BENCHMARK(BM_KernelEvent_Mth4Lat100);
 BENCHMARK(BM_KernelBatched_Mth4Lat100);
 BENCHMARK(BM_KernelEvent_Fig10Sweep)->UseManualTime();
 BENCHMARK(BM_KernelBatched_Fig10Sweep)->UseManualTime();
+BENCHMARK_CAPTURE(BM_ShapeEvent, DualScalar, std::string("DualScalar"));
+BENCHMARK_CAPTURE(BM_ShapeBatched, DualScalar, std::string("DualScalar"));
+BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Decode2, std::string("Mth4Decode2"));
+BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Decode2,
+                  std::string("Mth4Decode2"));
+BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Decouple4,
+                  std::string("Mth4Decouple4"));
+BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Decouple4,
+                  std::string("Mth4Decouple4"));
+BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Rename4, std::string("Mth4Rename4"));
+BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Rename4,
+                  std::string("Mth4Rename4"));
+BENCHMARK_CAPTURE(BM_ShapeEvent, Group4, std::string("Group4"));
+BENCHMARK_CAPTURE(BM_ShapeBatched, Group4, std::string("Group4"));
 
 } // namespace
 

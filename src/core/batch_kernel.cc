@@ -2,14 +2,23 @@
  * @file
  * The batched kernel's per-point fast lane: a transliteration of
  * the event kernel — VectorSim::runEvent plus
- * DispatchUnit::planDispatch/commit/considerWakeups — specialized to
- * the machine shape sweeps run (one decode slot, no decoupled slip,
- * so a one-deep fetch window), over pre-decoded programs. Every
- * check, charge and ready-time write below mirrors its original
- * check-for-check; the golden digests (tests/test_golden.cc) and the
- * CI kernel-parity job hold the two in agreement. When you change
- * dispatch semantics in src/core/dispatch.cc or run machinery in
- * src/core/sim.cc, change the mirror here.
+ * DispatchUnit::planAny/planDispatch/commit — over pre-decoded
+ * programs, for every machine shape: one or several decode slots,
+ * dual-scalar decode, the decoupled slip window and the bounded
+ * rename pool. Every check, charge and ready-time write below mirrors
+ * its original check-for-check; the golden digests
+ * (tests/test_golden.cc), the differential test
+ * (tests/test_kernel_diff.cc) and the CI kernel-parity job hold the
+ * two in agreement. When you change dispatch semantics in
+ * src/core/dispatch.cc or run machinery in src/core/sim.cc, change
+ * the mirror here.
+ *
+ * The one deliberate difference is how a fully blocked machine finds
+ * its next cycle. The event kernel folds every pending ready-time of
+ * every context into one wakeup (Scheduler::nextWakeup). The fast
+ * lane jumps to the minimum over contexts of each context's own
+ * threshold — the cycle its first failing dispatch check can pass —
+ * which every failed plan already computes (DESIGN.md section 1.3).
  */
 
 #include "src/core/batch_kernel.hh"
@@ -40,48 +49,103 @@ struct LaneProgram
     std::shared_ptr<const PackedStream> stream;
 };
 
+/** Fetch-window capacity bound: 1 + the validated decoupleDepth max. */
+constexpr int maxWindow = 17;
+
 // ---------------------------------------------------------------------
 // The fast lane
 // ---------------------------------------------------------------------
 
 /**
- * Per-context state, flat. Mirrors mtv::Context with the one-deep
- * window collapsed to a single decoded-instruction pointer and the
- * source cursor inlined (no virtual next(), no Instruction copies).
+ * Per-context state, flat. Mirrors mtv::Context with the fetch window
+ * held as pointers into the packed stream and the source cursor
+ * inlined (no virtual next(), no Instruction copies).
  */
 struct FastContext
 {
     const LaneProgram *prog = nullptr;     ///< null: empty context
     size_t pos = 0;                        ///< fetch cursor
-    const DecodedInst *head = nullptr;     ///< the 1-deep window
+    /** Fetched-but-not-dispatched instructions, program order. */
+    const DecodedInst *window[maxWindow] = {};
+    int windowSize = 0;
     bool finished = false;
     bool restartable = false;
     uint64_t fetchReadyAt = 0;
     uint64_t scalarReady[numSRegs + numARegs] = {};
     VRegTiming vregs[numVRegs] = {};
     BankPorts banks[numVRegs / 2] = {};
+    /** Bounded rename pool (Context::renameSlots). */
+    uint64_t renameSlots[8] = {};
     ThreadStats stats;
     int jobIndex = -1;
 
-    bool hasWork() const { return !finished || head; }
+    bool hasWork() const { return !finished || windowSize; }
+
+    uint64_t
+    minRenameSlot(int depth) const
+    {
+        uint64_t best = renameSlots[0];
+        for (int i = 1; i < depth; ++i)
+            best = std::min(best, renameSlots[i]);
+        return best;
+    }
 };
 
-/** Machines the fast lane's specialization covers exactly. Bounded
- *  renaming (renameDepth > 0) is excluded like decoupling: both add
- *  per-context pool state the flat context blocks do not model, so
- *  such points take the event-kernel fallback. Infinite-pool
- *  renaming and multi-port memory are handled natively. */
-bool
-fastLaneShape(const MachineParams &params)
+/** Vector registers @p d reads (dispatch.cc's vregReadMask). */
+uint8_t
+vregReads(const DecodedInst &d)
 {
-    return params.decodeWidth == 1 && !params.dualScalar &&
-           params.decoupleDepth == 0 && params.renameDepth == 0;
+    if (d.fu == FuClass::VecStore)
+        return static_cast<uint8_t>(1u << d.srcA);
+    uint8_t mask = 0;
+    if (d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) {
+        if (d.srcA != noReg)
+            mask |= 1u << d.srcA;
+        if (d.srcB != noReg)
+            mask |= 1u << d.srcB;
+    }
+    return mask;
+}
+
+/** Vector registers @p d writes (dispatch.cc's vregWriteMask). */
+uint8_t
+vregWrites(const DecodedInst &d)
+{
+    const bool writes =
+        d.fu == FuClass::VecLoad ||
+        ((d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) &&
+         d.op != Opcode::VReduce);
+    return writes && d.dst != noReg
+               ? static_cast<uint8_t>(1u << d.dst)
+               : 0;
+}
+
+/** May vector memory instruction @p cand dispatch ahead of the
+ *  not-yet-dispatched @p prior? (dispatch.cc's canSlipPast.) */
+bool
+canSlipPast(const DecodedInst &cand, const DecodedInst &prior)
+{
+    if (prior.flags & kFlagBranch)
+        return false;
+    if ((cand.flags & kFlagMem) && (prior.flags & kFlagMem))
+        return false;
+    const uint8_t priorWrites = vregWrites(prior);
+    if (priorWrites & (vregReads(cand) | vregWrites(cand)))
+        return false;  // RAW or WAW
+    return !(vregReads(prior) & vregWrites(cand));  // WAR
 }
 
 /**
  * One point's machine over pre-decoded programs. Equivalent to
  * VectorSim(params, SimKernel::Event) on the same point.
+ *
+ * @tparam Slip  The machine decouples (decoupleDepth > 0): the fetch
+ *               window is deeper than one and vector memory
+ *               instructions may slip past a blocked head. Without
+ *               it the window is a single slot and the slip search
+ *               compiles away — the shape every figure sweep runs.
  */
+template <bool Slip>
 class FastLane
 {
   public:
@@ -89,13 +153,17 @@ class FastLane
              uint64_t maxInstructions,
              std::vector<LaneProgram> programs)
         : params_(params), mem_(params_),
+          depth_(1 + params_.decoupleDepth),
+          multiSlot_(params_.dualScalar || params_.decodeWidth > 1),
+          slotWidth_(params_.dualScalar ? params_.contexts
+                                        : params_.decodeWidth),
           mode_(kind == FastLaneRun::JobQueue ? RunMode::JobQueue
                                               : RunMode::UntilThreadZero),
           maxInstructions_(kind == FastLaneRun::Single ? maxInstructions
                                                        : 0),
           programs_(std::move(programs))
     {
-        MTV_ASSERT(fastLaneShape(params_));
+        MTV_ASSERT(depth_ <= maxWindow);
         contexts_.resize(params_.contexts);
         lastSelected_.assign(params_.contexts, 0);
         scanWhy_.assign(params_.contexts, BlockReason::NoWork);
@@ -164,11 +232,17 @@ class FastLane
     }
 
   private:
-    /** One iteration of the event-kernel loop (see runEvent()). */
+    /**
+     * One iteration of the event-kernel loop (see runEvent()), with
+     * the fully-blocked jump taken to the earliest per-context
+     * threshold the decode cycle gathered in wake_.
+     */
     void
     advanceMulti()
     {
-        const bool dispatched = decodeCycle(now_);
+        wake_ = EventMin(now_);
+        const bool dispatched =
+            multiSlot_ ? decodeMultiSlot(now_) : decodeCycle(now_);
         bool anyReady = false;
         if (!dispatched) {
             for (int c = 0; c < params_.contexts; ++c)
@@ -183,19 +257,22 @@ class FastLane
                 histPending_ = now_ + 1;
             }
             ++now_;
-            primeFetch(now_);
-            checkWatchdog(now_);
         } else {
+            // Every context blocked, each on a check that cannot pass
+            // before its own threshold (nothing commits meanwhile), so
+            // no reason, fetch or termination test changes before the
+            // earliest one: the event kernel's wakeups inside the span
+            // would re-block identically.
             const uint64_t watchdogAt =
                 lastDispatchCycle_ + stallLimit_ + 1;
-            uint64_t wake = nextWakeup(now_);
+            uint64_t wake = wake_.next;
             if (wake == 0 || wake > watchdogAt)
                 wake = watchdogAt;
             accountIdleSpan(now_, wake);
             now_ = wake;
-            primeFetch(now_);
-            checkWatchdog(now_);
         }
+        primeFetch(now_);
+        checkWatchdog(now_);
         finished_ = done(now_);
     }
 
@@ -210,16 +287,15 @@ class FastLane
     {
         FastContext &ctx = contexts_[0];
         BlockReason why = BlockReason::NoWork;
-        if (ctx.head || refillWindow(ctx, now_, why)) {
+        if (ensureWindow(ctx, now_, why)) {
             DispatchPlan plan{};
-            if (planHead(ctx, *ctx.head, now_, plan, why)) {
-                commit(ctx, *ctx.head, plan, now_);
+            if (planAny(ctx, now_, plan, why)) {
+                commit(ctx, plan, now_);
                 lastDispatchCycle_ = now_;
                 ++stateHist_[static_cast<size_t>(stateBits(now_))];
                 histPending_ = now_ + 1;
                 ++now_;
-                if (!ctx.head)
-                    refillWindow(ctx, now_, why);
+                ensureWindow(ctx, now_, why);
                 checkWatchdog(now_);
                 finished_ = done(now_);
                 return;
@@ -227,34 +303,44 @@ class FastLane
         }
         // Blocked: one reason covers the whole span (nothing commits
         // while blocked), so the cycle-by-cycle charges of the multi-
-        // context path collapse to one add. With a head, the span end
-        // comes straight from the failed plan: every dispatch predicate
-        // is monotone until the next commit, so the first-failing check
-        // (= the reason) cannot change before its own threshold, and
-        // intermediate wakeups the event kernel takes inside the span
-        // replan to the same reason. Jumping over them charges the same
-        // totals without enumerating every resource's next event.
-        scanWhy_[0] = why;
+        // context path collapse to one add. (A one-deep window that
+        // holds work is full, so its fetch gate has already passed.)
         const uint64_t watchdogAt = lastDispatchCycle_ + stallLimit_ + 1;
-        uint64_t wake;
-        if (ctx.head) {
-            wake = unblockAt_;
-        } else {
-            EventMin em(now_);
-            em.consider(ctx.fetchReadyAt);
-            em.consider(ctx.stats.lastCompletion);
-            wake = em.next;
-        }
-        if (wake <= now_ || wake > watchdogAt)
+        uint64_t wake =
+            !Slip && ctx.windowSize ? unblockAt_ : threshold(ctx);
+        if (wake == 0 || wake > watchdogAt)
             wake = watchdogAt;
         const uint64_t span = wake - now_;
         decodeIdle_ += span;
         ctx.stats.blocked[static_cast<size_t>(why)] += span;
         now_ = wake;
-        if (!ctx.head)
-            refillWindow(ctx, now_, why);
+        ensureWindow(ctx, now_, why);
         checkWatchdog(now_);
         finished_ = done(now_);
+    }
+
+    /**
+     * A blocked context's threshold (0 = none): the threshold of its
+     * failed plan (unblockAt_, just computed) when its window holds
+     * work, else the completion horizon the termination test compares
+     * against; or the fetch gate, which refills a window that is not
+     * full, when that comes first.
+     */
+    uint64_t
+    threshold(const FastContext &ctx) const
+    {
+        EventMin em(now_);
+        em.consider(ctx.fetchReadyAt);
+        em.consider(ctx.windowSize ? unblockAt_
+                                   : ctx.stats.lastCompletion);
+        return em.next;
+    }
+
+    /** Fold a blocked context's threshold into wake_. */
+    void
+    noteBlocked(const FastContext &ctx)
+    {
+        wake_.consider(threshold(ctx));
     }
 
     SimStats
@@ -272,7 +358,7 @@ class FastLane
         stats.vecOpsFu2 = vecOpsFu2_;
         stats.dispatches = dispatches_;
         stats.decodeIdle = decodeIdle_;
-        stats.decoupledSlips = 0;
+        stats.decoupledSlips = decoupledSlips_;
         stats.fu1BusyCycles = pipes_.fu1().busyCycles();
         stats.fu2BusyCycles = pipes_.fu2().busyCycles();
         stats.stateHist = stateHist_;
@@ -391,12 +477,12 @@ class FastLane
         }
     }
 
-    // --- fetch (mirrors VectorSim::ensureWindow at window depth 1) ---
+    // --- fetch (mirrors VectorSim::ensureWindow) ---
 
     bool
     ensureWindow(FastContext &ctx, uint64_t now, BlockReason &why)
     {
-        if (ctx.head)
+        if (ctx.windowSize >= depth())
             return true;
         return refillWindow(ctx, now, why);
     }
@@ -405,65 +491,89 @@ class FastLane
     refillWindow(FastContext &ctx, uint64_t now, BlockReason &why)
     {
         bool fetchStalled = false;
-        while (!ctx.finished && ctx.prog && !ctx.head) {
+        while (!ctx.finished && ctx.prog && ctx.windowSize < depth()) {
             if (ctx.fetchReadyAt > now) {
                 fetchStalled = true;
                 break;
             }
-            // (The never-fetch-past-a-branch guard is unreachable at
-            // depth 1: the loop only runs with an empty window.)
+            // Never fetch past an unresolved branch.
+            if (Slip && ctx.windowSize &&
+                (ctx.window[ctx.windowSize - 1]->flags & kFlagBranch)) {
+                break;
+            }
+            // Truncated reference runs: stop fetching at the budget.
             if (maxInstructions_ &&
-                ctx.stats.instructions >= maxInstructions_) {
-                ctx.finished = true;
-                ctx.stats.runsCompleted = 0;
+                ctx.stats.instructions +
+                        static_cast<uint64_t>(Slip ? ctx.windowSize : 0) >=
+                    maxInstructions_) {
+                if (!ctx.windowSize) {
+                    ctx.finished = true;
+                    ctx.stats.runsCompleted = 0;
+                }
                 break;
             }
 
             const std::vector<DecodedInst> &code = ctx.prog->stream->code();
             if (ctx.pos < code.size()) {
-                ctx.head = &code[ctx.pos++];
-                break;  // window full (depth 1)
-            }
-
-            // End of the current run.
-            if (mode_ == RunMode::JobQueue) {
-                if (ctx.jobIndex >= 0) {
-                    jobRecords_[ctx.jobIndex].endCycle =
-                        ctx.stats.lastCompletion;
-                    ctx.jobIndex = -1;
-                }
-                ++ctx.stats.runsCompleted;
-                if (nextJob_ < jobs_.size()) {
-                    ctx.prog = jobs_[nextJob_++];
-                    ctx.pos = 0;
-                    ctx.stats.instructionsThisRun = 0;
-                    ctx.jobIndex = static_cast<int>(jobRecords_.size());
-                    jobRecords_.push_back(
-                        {ctx.prog->name,
-                         static_cast<int>(&ctx - contexts_.data()), now,
-                         0});
-                    continue;
-                }
-                ctx.finished = true;
-                break;
-            }
-
-            if (ctx.restartable) {
-                ++ctx.stats.runsCompleted;
-                ctx.stats.instructionsThisRun = 0;
-                ctx.pos = 0;
+                ctx.window[ctx.windowSize++] = &code[ctx.pos++];
+                if (!Slip)
+                    break;  // the one-deep window is full
                 continue;
             }
 
-            ctx.finished = true;
-            ctx.stats.runsCompleted = 1;
-            break;
+            // End of the current run: drain the window before
+            // restarting or taking the next job.
+            if ((Slip && ctx.windowSize) || !nextRun(ctx, now))
+                break;
         }
 
-        if (ctx.head)
+        if (ctx.windowSize)
             return true;
         why = fetchStalled ? BlockReason::FetchStall
                            : BlockReason::NoWork;
+        return false;
+    }
+
+    /**
+     * @p ctx's program ran out: restart it (group companions), take
+     * the next job (job queues), or finish. Returns true when the
+     * context has a program to fetch from again. Kept out of
+     * refillWindow() so the per-instruction fetch stays small enough
+     * to inline.
+     */
+    bool
+    nextRun(FastContext &ctx, uint64_t now)
+    {
+        if (mode_ == RunMode::JobQueue) {
+            if (ctx.jobIndex >= 0) {
+                jobRecords_[ctx.jobIndex].endCycle =
+                    ctx.stats.lastCompletion;
+                ctx.jobIndex = -1;
+            }
+            ++ctx.stats.runsCompleted;
+            if (nextJob_ < jobs_.size()) {
+                ctx.prog = jobs_[nextJob_++];
+                ctx.pos = 0;
+                ctx.stats.instructionsThisRun = 0;
+                ctx.jobIndex = static_cast<int>(jobRecords_.size());
+                jobRecords_.push_back(
+                    {ctx.prog->name,
+                     static_cast<int>(&ctx - contexts_.data()), now, 0});
+                return true;
+            }
+            ctx.finished = true;
+            return false;
+        }
+
+        if (ctx.restartable) {
+            ++ctx.stats.runsCompleted;
+            ctx.stats.instructionsThisRun = 0;
+            ctx.pos = 0;
+            return true;
+        }
+
+        ctx.finished = true;
+        ctx.stats.runsCompleted = 1;
         return false;
     }
 
@@ -476,7 +586,47 @@ class FastLane
         }
     }
 
-    // --- dispatch (mirrors DispatchUnit::planDispatch/commit) ---
+    // --- dispatch (mirrors DispatchUnit::planAny/planDispatch/commit) ---
+
+    /**
+     * The head, or — when decoupled — a vector memory instruction
+     * behind it that conflicts with none of the skipped entries. On
+     * failure @p why holds the head's reason and unblockAt_ the
+     * earliest threshold of the head and every slip candidate.
+     */
+    bool
+    planAny(const FastContext &ctx, uint64_t now, DispatchPlan &plan,
+            BlockReason &why)
+    {
+        if (!Slip)
+            return planHead(ctx, *ctx.window[0], now, plan, why);
+        if (planHead(ctx, *ctx.window[0], now, plan, why))
+            return true;
+        if (ctx.windowSize == 1)
+            return false;
+        EventMin threshold(now);
+        threshold.consider(unblockAt_);
+        for (int k = 1; k < ctx.windowSize; ++k) {
+            const DecodedInst &cand = *ctx.window[k];
+            if (!(cand.flags & kFlagVector) || !(cand.flags & kFlagMem))
+                continue;
+            bool clear = true;
+            for (int j = 0; j < k && clear; ++j)
+                clear = canSlipPast(cand, *ctx.window[j]);
+            if (!clear)
+                continue;
+            DispatchPlan slipped{};
+            BlockReason slipWhy = BlockReason::NoWork;
+            if (planHead(ctx, cand, now, slipped, slipWhy)) {
+                slipped.windowIndex = static_cast<size_t>(k);
+                plan = slipped;
+                return true;
+            }
+            threshold.consider(unblockAt_);
+        }
+        unblockAt_ = threshold.next;
+        return false;
+    }
 
     /** Earliest pipe/bus state change on the ports serving @p d. */
     uint64_t
@@ -486,6 +636,33 @@ class FastLane
         for (const MemPort *port : portsForInst(d))
             em.consider(port->nextEventAfter(now));
         return em.next;
+    }
+
+    /**
+     * The destination hazard check of a vector write (WAW/WAR): the
+     * baseline blocks on a busy register, infinite renaming never
+     * does, and the bounded pool renames while a slot is free.
+     */
+    bool
+    destFree(const FastContext &ctx, const VRegTiming &dst, uint64_t now,
+             DispatchPlan &plan, BlockReason &why)
+    {
+        if (params_.renaming || dst.idleAt(now))
+            return true;
+        if (params_.renameDepth > 0) {
+            const uint64_t slot = ctx.minRenameSlot(params_.renameDepth);
+            if (slot <= now) {
+                plan.renamed = true;
+                return true;
+            }
+            why = BlockReason::DestBusy;
+            unblockAt_ = std::min(std::max(dst.writeDone, dst.readBusy),
+                                  slot);
+            return false;
+        }
+        why = BlockReason::DestBusy;
+        unblockAt_ = std::max(dst.writeDone, dst.readBusy);
+        return false;
     }
 
     bool
@@ -534,6 +711,7 @@ class FastLane
         }
 
         const uint16_t vl = d.vl;
+        const bool renamingOn = params_.renamingEnabled();
 
         if (d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) {
             if (d.fu == FuClass::VecFu2) {
@@ -575,12 +753,8 @@ class FastLane
 
             const bool isReduce = d.op == Opcode::VReduce;
             if (!isReduce) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
-                if (!params_.renaming && !dst.idleAt(now)) {
-                    why = BlockReason::DestBusy;
-                    unblockAt_ = std::max(dst.writeDone, dst.readBusy);
+                if (!destFree(ctx, ctx.vregs[d.dst], now, plan, why))
                     return false;
-                }
             } else if (d.dst != noReg && ctx.scalarReady[d.dst] > now) {
                 why = BlockReason::ScalarDep;
                 unblockAt_ = ctx.scalarReady[d.dst];
@@ -604,7 +778,7 @@ class FastLane
                         return false;
                     }
                 }
-                if (!isReduce && !params_.renaming &&
+                if (!isReduce && !renamingOn &&
                     !ctx.banks[vregBank(d.dst)].writeFreeAt(now)) {
                     why = BlockReason::BankPortBusy;
                     unblockAt_ = ctx.banks[vregBank(d.dst)].writeUntil;
@@ -630,34 +804,32 @@ class FastLane
             return true;
         }
 
+        // Vector memory: a port whose pipe and address bus are both
+        // free. The pipe/port reason can flip mid-wait, so a blocked
+        // plan stops at the next port event and replans rather than
+        // jumping to the final dispatch time in one span.
+        plan.port = nullptr;
+        bool anyPipeFree = false;
+        for (MemPort *port : portsForInst(d)) {
+            if (!port->pipe.freeAt(now))
+                continue;
+            anyPipeFree = true;
+            if (port->bus.freeAt(now)) {
+                plan.port = port;
+                break;
+            }
+        }
+        if (!plan.port) {
+            why = anyPipeFree ? BlockReason::MemPortBusy
+                              : BlockReason::MemPipeBusy;
+            unblockAt_ = nextPortEvent(d, now);
+            return false;
+        }
+
         if (d.fu == FuClass::VecLoad) {
-            plan.port = nullptr;
-            bool anyPipeFree = false;
-            for (MemPort *port : portsForInst(d)) {
-                if (!port->pipe.freeAt(now))
-                    continue;
-                anyPipeFree = true;
-                if (port->bus.freeAt(now)) {
-                    plan.port = port;
-                    break;
-                }
-            }
-            if (!plan.port) {
-                why = anyPipeFree ? BlockReason::MemPortBusy
-                                  : BlockReason::MemPipeBusy;
-                // The pipe/port reason can flip mid-wait, so stop at
-                // the next port event and replan rather than jumping
-                // to the final dispatch time in one span.
-                unblockAt_ = nextPortEvent(d, now);
+            if (!destFree(ctx, ctx.vregs[d.dst], now, plan, why))
                 return false;
-            }
-            const VRegTiming &dst = ctx.vregs[d.dst];
-            if (!params_.renaming && !dst.idleAt(now)) {
-                why = BlockReason::DestBusy;
-                unblockAt_ = std::max(dst.writeDone, dst.readBusy);
-                return false;
-            }
-            if (params_.modelBankPorts && !params_.renaming &&
+            if (params_.modelBankPorts && !renamingOn &&
                 !ctx.banks[vregBank(d.dst)].writeFreeAt(now)) {
                 why = BlockReason::BankPortBusy;
                 unblockAt_ = ctx.banks[vregBank(d.dst)].writeUntil;
@@ -681,23 +853,6 @@ class FastLane
         }
 
         MTV_ASSERT(d.fu == FuClass::VecStore);
-        plan.port = nullptr;
-        bool anyPipeFree = false;
-        for (MemPort *port : portsForInst(d)) {
-            if (!port->pipe.freeAt(now))
-                continue;
-            anyPipeFree = true;
-            if (port->bus.freeAt(now)) {
-                plan.port = port;
-                break;
-            }
-        }
-        if (!plan.port) {
-            why = anyPipeFree ? BlockReason::MemPortBusy
-                              : BlockReason::MemPipeBusy;
-            unblockAt_ = nextPortEvent(d, now);
-            return false;
-        }
         const VRegTiming &src = ctx.vregs[d.srcA];
         uint64_t chainStart = 0;
         if (!src.completeAt(now)) {
@@ -725,13 +880,27 @@ class FastLane
         return true;
     }
 
+    /** Claim the earliest-retiring rename slot for the register
+     *  @p dst displaces (dispatch.cc's takeRenameSlot). */
     void
-    commit(FastContext &ctx, const DecodedInst &d,
-           const DispatchPlan &plan, uint64_t now)
+    takeRenameSlot(FastContext &ctx, const VRegTiming &dst) const
+    {
+        int best = 0;
+        for (int i = 1; i < params_.renameDepth; ++i) {
+            if (ctx.renameSlots[i] < ctx.renameSlots[best])
+                best = i;
+        }
+        ctx.renameSlots[best] = std::max(dst.writeDone, dst.readBusy);
+    }
+
+    void
+    commit(FastContext &ctx, const DispatchPlan &plan, uint64_t now)
     {
         // The occupations below invalidate the frozen intervals the
         // deferred histogram relies on: integrate up to here first.
         flushHist(now);
+        const size_t slot = Slip ? plan.windowIndex : 0;
+        const DecodedInst &d = *ctx.window[slot];
         const uint16_t vl = d.vl;
 
         switch (plan.unit) {
@@ -771,6 +940,8 @@ class FastLane
                     ctx.scalarReady[d.dst] = plan.scalarReady;
             } else {
                 VRegTiming &dst = ctx.vregs[d.dst];
+                if (plan.renamed)
+                    takeRenameSlot(ctx, dst);
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
@@ -784,6 +955,8 @@ class FastLane
             plan.port->bus.reserve(plan.start, vl);
             if (d.flags & kFlagLoad) {
                 VRegTiming &dst = ctx.vregs[d.dst];
+                if (plan.renamed)
+                    takeRenameSlot(ctx, dst);
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
@@ -807,7 +980,15 @@ class FastLane
             ++ctx.stats.scalarInstructions;
         ctx.stats.lastCompletion =
             std::max(ctx.stats.lastCompletion, plan.completion);
-        ctx.head = nullptr;
+        if (!Slip) {
+            ctx.windowSize = 0;
+            return;
+        }
+        if (slot > 0)
+            ++decoupledSlips_;
+        for (int k = static_cast<int>(slot) + 1; k < ctx.windowSize; ++k)
+            ctx.window[k - 1] = ctx.window[k];
+        --ctx.windowSize;
     }
 
     // --- the decode cycle (mirrors VectorSim::decodeSingleSlot) ---
@@ -821,13 +1002,14 @@ class FastLane
         bool dispatched = false;
         if (ensureWindow(held, now, heldWhy)) {
             DispatchPlan plan{};
-            if (planHead(held, *held.head, now, plan, heldWhy)) {
-                commit(held, *held.head, plan, now);
+            if (planAny(held, now, plan, heldWhy)) {
+                commit(held, plan, now);
                 lastDispatchCycle_ = now;
                 dispatched = true;
             }
         }
         if (!dispatched) {
+            noteBlocked(held);
             scanWhy_[currentThread_] = heldWhy;
             scanContexts(now);
             for (int c = 0; c < params_.contexts; ++c) {
@@ -844,21 +1026,70 @@ class FastLane
         return dispatched;
     }
 
+    /** Every context but the slot holder: its reason at @p now. */
     void
     scanContexts(uint64_t now)
     {
         for (int c = 0; c < params_.contexts; ++c) {
             if (c == currentThread_)
                 continue;  // the dispatch attempt already recorded it
+            scanWhy_[c] = reasonAt(contexts_[c], now);
+        }
+    }
+
+    /** @p ctx's block reason at @p now (None: it could dispatch);
+     *  a blocked context's threshold goes into wake_. */
+    BlockReason
+    reasonAt(FastContext &ctx, uint64_t now)
+    {
+        BlockReason why = BlockReason::NoWork;
+        if (ensureWindow(ctx, now, why)) {
+            DispatchPlan plan{};
+            if (planAny(ctx, now, plan, why))
+                return BlockReason::None;
+        }
+        noteBlocked(ctx);
+        return why;
+    }
+
+    // --- multi-slot decode (mirrors VectorSim::decodeMultiSlot) ---
+
+    bool
+    decodeMultiSlot(uint64_t now)
+    {
+        int issued = 0;
+        bool scalarUsed = false;
+        for (int c = 0; c < params_.contexts && issued < slotWidth_; ++c) {
             FastContext &ctx = contexts_[c];
             BlockReason why = BlockReason::NoWork;
-            if (ensureWindow(ctx, now, why)) {
-                DispatchPlan plan{};
-                if (planHead(ctx, *ctx.head, now, plan, why))
-                    why = BlockReason::None;
+            DispatchPlan plan{};
+            if (!ensureWindow(ctx, now, why) ||
+                !planAny(ctx, now, plan, why)) {
+                noteBlocked(ctx);
+                ctx.stats.blocked[static_cast<size_t>(why)]++;
+                scanWhy_[c] = why;
+                continue;
             }
-            scanWhy_[c] = why;
+            const bool isScalar =
+                plan.unit == DispatchPlan::Unit::Scalar;
+            if (isScalar && scalarUsed && !params_.dualScalar) {
+                // One shared scalar unit: the second scalar
+                // instruction of this cycle loses its slot.
+                ctx.stats.blocked[static_cast<size_t>(
+                    BlockReason::ScalarDep)]++;
+                scanWhy_[c] = BlockReason::ScalarDep;
+                continue;
+            }
+            commit(ctx, plan, now);
+            lastDispatchCycle_ = now;
+            ++issued;
+            scanWhy_[c] = BlockReason::None;
+            if (isScalar)
+                scalarUsed = true;
         }
+        if (!issued)
+            ++decodeIdle_;
+        return issued > 0;
     }
 
     void
@@ -920,7 +1151,7 @@ class FastLane
             contexts_[c].stats.blocked[static_cast<size_t>(
                 scanWhy_[c])] += skipped;
         }
-        if (params_.sched == SchedPolicy::RoundRobin)
+        if (!multiSlot_ && params_.sched == SchedPolicy::RoundRobin)
             advanceRoundRobin(skipped);
     }
 
@@ -945,92 +1176,6 @@ class FastLane
             active[(p0 + (steps - 1)) % static_cast<uint64_t>(m)];
     }
 
-    // --- wakeups (mirrors Scheduler::nextWakeup + considerWakeups) ---
-
-    void
-    considerWakeups(const FastContext &ctx, EventMin &em) const
-    {
-        if (!ctx.head)
-            return;
-        const DecodedInst &d = *ctx.head;
-
-        if (d.fu == FuClass::Scalar) {
-            for (const uint8_t reg : {d.srcA, d.srcB, d.dst}) {
-                if (reg != noReg)
-                    em.consider(ctx.scalarReady[reg]);
-            }
-            if (d.flags & kFlagMem) {
-                for (const MemPort *port : portsForInst(d))
-                    em.consider(port->bus.freeCycle());
-            }
-            return;
-        }
-
-        if (d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) {
-            em.consider(pipes_.fu2().freeCycle());
-            if (d.fu == FuClass::VecAny)
-                em.consider(pipes_.fu1().freeCycle());
-            for (const uint8_t src : {d.srcA, d.srcB}) {
-                if (src == noReg)
-                    continue;
-                const VRegTiming &reg = ctx.vregs[src];
-                if (!reg.chainable)
-                    em.consider(reg.writeDone);
-                if (params_.modelBankPorts) {
-                    em.consider(ctx.banks[vregBank(src)].nextEventAfter(
-                        em.now));
-                }
-            }
-            if (d.op == Opcode::VReduce) {
-                if (d.dst != noReg)
-                    em.consider(ctx.scalarReady[d.dst]);
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(d.dst)].writeUntil);
-                }
-            }
-            return;
-        }
-
-        for (const MemPort *port : portsForInst(d))
-            em.consider(port->nextEventAfter(em.now));
-        if (d.fu == FuClass::VecLoad) {
-            if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(d.dst)].writeUntil);
-                }
-            }
-        } else {
-            const VRegTiming &src = ctx.vregs[d.srcA];
-            if (!src.chainable)
-                em.consider(src.writeDone);
-            if (params_.modelBankPorts) {
-                em.consider(ctx.banks[vregBank(d.srcA)].nextEventAfter(
-                    em.now));
-            }
-        }
-    }
-
-    uint64_t
-    nextWakeup(uint64_t now) const
-    {
-        EventMin em(now);
-        for (const auto &ctx : contexts_) {
-            em.consider(ctx.fetchReadyAt);
-            em.consider(ctx.stats.lastCompletion);
-            considerWakeups(ctx, em);
-        }
-        return em.next;
-    }
-
     // --- termination and the watchdog ---
 
     bool
@@ -1038,12 +1183,12 @@ class FastLane
     {
         if (mode_ == RunMode::UntilThreadZero) {
             const FastContext &ctx0 = contexts_[0];
-            return ctx0.finished && !ctx0.head &&
+            return ctx0.finished && !ctx0.windowSize &&
                    now >= ctx0.stats.lastCompletion;
         }
         uint64_t maxCompletion = 0;
         for (const auto &ctx : contexts_) {
-            if (!ctx.finished || ctx.head)
+            if (!ctx.finished || ctx.windowSize)
                 return false;
             maxCompletion =
                 std::max(maxCompletion, ctx.stats.lastCompletion);
@@ -1061,30 +1206,19 @@ class FastLane
     [[noreturn]] void
     throwWedged(uint64_t now)
     {
-        scanContexts(now);
-        {
-            FastContext &held = contexts_[currentThread_];
-            BlockReason why = BlockReason::NoWork;
-            if (ensureWindow(held, now, why)) {
-                DispatchPlan plan{};
-                if (planHead(held, *held.head, now, plan, why))
-                    why = BlockReason::None;
-            }
-            scanWhy_[currentThread_] = why;
-        }
         std::vector<BlockedContext> blocked;
         blocked.reserve(contexts_.size());
         for (int c = 0; c < params_.contexts; ++c) {
-            const FastContext &ctx = contexts_[c];
+            FastContext &ctx = contexts_[c];
             BlockedContext b;
             b.context = c;
             b.program = ctx.stats.program;
-            b.reason = scanWhy_[c];
-            b.windowDepth = ctx.head ? 1 : 0;
-            if (ctx.head) {
+            b.reason = reasonAt(ctx, now);
+            b.windowDepth = static_cast<size_t>(ctx.windowSize);
+            if (ctx.windowSize) {
                 const PackedStream &stream = *ctx.prog->stream;
                 const size_t idx = static_cast<size_t>(
-                    ctx.head - stream.code().data());
+                    ctx.window[0] - stream.code().data());
                 b.windowHead = stream.at(idx).disasm();
             }
             blocked.push_back(std::move(b));
@@ -1100,6 +1234,12 @@ class FastLane
     int latByOp_[static_cast<size_t>(Opcode::NumOpcodes)] = {};
     const std::vector<MemPort *> *loadPorts_ = nullptr;
     const std::vector<MemPort *> *storePorts_ = nullptr;
+    /** Fetch-window capacity: 1 + decoupleDepth. */
+    int depth_;
+    int depth() const { return Slip ? depth_ : 1; }
+    /** Several dispatch slots per cycle (dual-scalar or width > 1)? */
+    bool multiSlot_;
+    int slotWidth_;
 
     // --- machine state ---
     std::vector<FastContext> contexts_;
@@ -1118,15 +1258,20 @@ class FastLane
     bool finished_ = false;
     /** Start of the cycle region not yet in stateHist_. */
     uint64_t histPending_ = 0;
-    /** Threshold of the last failed planHead() predicate: the first
-     *  cycle at which that plan's blocking check can pass. */
+    /** Threshold of the last failed planAny(): the first cycle at
+     *  which that plan's blocking check (or a slip candidate's) can
+     *  pass. */
     uint64_t unblockAt_ = 0;
+    /** The current decode cycle's earliest blocked-context threshold:
+     *  where a fully blocked machine jumps. */
+    EventMin wake_{0};
 
     // --- statistics ---
     uint64_t dispatches_ = 0;
     uint64_t vecOpsFu1_ = 0;
     uint64_t vecOpsFu2_ = 0;
     uint64_t decodeIdle_ = 0;
+    uint64_t decoupledSlips_ = 0;
     std::array<uint64_t, numFuStates> stateHist_{};
     std::vector<JobRecord> jobRecords_;
 
@@ -1141,24 +1286,27 @@ runFastLane(const MachineParams &params, FastLaneRun kind,
             const std::vector<InstructionSource *> &sources,
             uint64_t maxInstructions)
 {
-    if (fastLaneShape(params)) {
-        std::vector<LaneProgram> programs;
-        programs.reserve(sources.size());
-        for (const InstructionSource *source : sources) {
-            auto stream = source->sharedStream();
-            if (!stream)
-                break;
-            programs.push_back({source->name(), std::move(stream)});
-        }
-        if (programs.size() == sources.size()) {
-            return FastLane(params, kind, maxInstructions,
-                            std::move(programs))
+    std::vector<LaneProgram> programs;
+    programs.reserve(sources.size());
+    for (const InstructionSource *source : sources) {
+        auto stream = source->sharedStream();
+        if (!stream)
+            break;
+        programs.push_back({source->name(), std::move(stream)});
+    }
+    if (programs.size() == sources.size()) {
+        if (params.decoupleDepth > 0) {
+            return FastLane<true>(params, kind, maxInstructions,
+                                  std::move(programs))
                 .run();
         }
+        return FastLane<false>(params, kind, maxInstructions,
+                               std::move(programs))
+            .run();
     }
 
-    // Out-of-shape machines, and sources without a packed stream,
-    // simulate through the event kernel: slower, never wrong.
+    // Sources without a packed stream (trace files, in-memory
+    // vectors) simulate through the event kernel: slower, never wrong.
     VectorSim sim(params, SimKernel::Event);
     switch (kind) {
       case FastLaneRun::Single:

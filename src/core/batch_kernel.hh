@@ -15,15 +15,17 @@
  *    copy of it.
  *
  *  - The fast lane: a transliteration of the event kernel
- *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
- *    specialized to the machines sweeps actually run — one decode
- *    slot, no decoupled slip window, no bounded rename pool — with
- *    precomputed latencies and flat per-context state (scoreboards,
- *    bank ports, blocked[] reasons) with no per-cycle allocation.
- *    Points outside that shape (dual-scalar, decode width > 1,
- *    decoupled, bounded renaming), and sources with no packed stream
- *    (trace files, in-memory vectors), fall back to a plain
- *    VectorSim(Event) — slower, never wrong.
+ *    (VectorSim::runEvent + DispatchUnit plan/commit) for every
+ *    machine shape — one decode slot or several (decode width > 1,
+ *    dual-scalar decode), the decoupled slip window, the bounded
+ *    rename pool — with precomputed latencies and flat per-context
+ *    state (fetch window, scoreboards, bank ports, rename slots,
+ *    blocked[] reasons) and no per-cycle allocation. A fully blocked
+ *    machine jumps to the earliest per-context threshold: the cycle
+ *    each context's first failing dispatch check can pass, which its
+ *    failed plan computes anyway (DESIGN.md section 1.3). Only
+ *    sources with no packed stream (trace files, in-memory vectors)
+ *    fall back to a plain VectorSim(Event) — slower, never wrong.
  *
  * SimKernel::Batched is the default kernel of EngineOptions and
  * ServiceOptions, so the daemon and `mtvctl --local` run this lane.

@@ -28,7 +28,8 @@
  *    loop, kept as the executable specification);
  *  - SimKernel::Event (VectorSim's default; engines and the daemon
  *    default to the SimKernel::Batched fast lane, which falls back
- *    to this kernel) runs the same per-cycle code
+ *    to this kernel only for sources without a packed stream) runs
+ *    the same per-cycle code
  *    while anything can dispatch, but when every context is blocked
  *    it jumps `now` straight to the earliest pending ready-time and
  *    integrates the per-cycle accounting over the skipped span.
@@ -92,9 +93,10 @@ enum class SimKernel : uint8_t
     Stepped,
     /**
      * Per-point fast lane over pre-decoded programs
-     * (src/core/batch_kernel.hh), falling back to Event for machine
-     * shapes it does not cover. Bit-identical to Event/Stepped
-     * (tests/test_golden.cc).
+     * (src/core/batch_kernel.hh), for every machine shape; falls back
+     * to Event only for sources without a packed stream.
+     * Bit-identical to Event/Stepped (tests/test_golden.cc,
+     * tests/test_kernel_diff.cc).
      */
     Batched
 };

@@ -576,7 +576,6 @@ storeStatsToJson(const ResultStore &store)
     j.set("badSegments", static_cast<uint64_t>(s.badSegments));
     j.set("loadedRecords", s.loadedRecords);
     j.set("droppedRecords", s.droppedRecords);
-    j.set("migratedRecords", s.migratedRecords);
     j.set("appends", s.appends);
     j.set("hits", s.hits);
     j.set("misses", s.misses);

@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "src/common/endian.hh"
@@ -33,12 +34,20 @@ constexpr uint32_t maxBlobLen = 64u * 1024 * 1024;
 constexpr size_t segmentHeaderBytes = 16;
 constexpr size_t recordHeaderBytes = 16;
 
-/** Checksum of one record's key + blob. */
+/** The key's 64-bit hash: its shard, its index slot, and the seed
+ *  of its record checksum. */
 uint64_t
-recordChecksum(const std::string &key, const std::string &blob)
+keyHashOf(const std::string &key)
 {
-    return fnv1a64(blob.data(), blob.size(),
-                   fnv1a64(key.data(), key.size()));
+    return fnv1a64(key.data(), key.size());
+}
+
+/** Checksum of one record's key + blob, continued from the key's
+ *  hash. */
+uint64_t
+recordChecksum(uint64_t keyHash, const std::string &blob)
+{
+    return fnv1a64(blob.data(), blob.size(), keyHash);
 }
 
 bool
@@ -176,7 +185,15 @@ ResultStore::ResultStore(const std::string &dir, int shards)
             thread.join();
     }
 
-    migrateLegacySegments();
+    // The pre-shard layout kept its segments at the root. Their
+    // records are never read: a store of that age was written under
+    // an older schema hash, so it could only be rejected anyway.
+    const size_t stray = listDir(dir_, isSegmentName).size();
+    if (stray > 0) {
+        warn("store: '%s' holds %zu root-level segment(s) of the "
+             "pre-shard layout; ignoring them",
+             dir_.c_str(), stray);
+    }
 
     // Recovery observability: what the open scan found, per shard.
     for (size_t i = 0; i < shards_.size(); ++i) {
@@ -196,9 +213,9 @@ ResultStore::~ResultStore()
         bool removeEmpty = false;
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            for (std::FILE *handle : shard.readHandles) {
-                if (handle)
-                    std::fclose(handle);
+            for (const int fd : shard.readFds) {
+                if (fd >= 0)
+                    ::close(fd);
             }
             if (shard.segment) {
                 std::fclose(shard.segment);
@@ -216,20 +233,19 @@ ResultStore::~ResultStore()
 }
 
 ResultStore::Shard &
-ResultStore::shardFor(const std::string &key)
+ResultStore::shardFor(uint64_t keyHash)
 {
-    const uint64_t hash = fnv1a64(key.data(), key.size());
-    return *shards_[hash % shards_.size()];
+    return *shards_[keyHash % shards_.size()];
 }
 
 ResultStore::SegmentVerdict
 ResultStore::scanSegment(
     const std::string &path, uint64_t *dropped,
-    const std::function<void(std::string &&, std::string &&, long)>
-        &record) const
+    const std::function<void(const std::string &, uint64_t,
+                             const RecordLocation &)> &record) const
 {
-    // Verify every record's checksum once, here; callers decide what
-    // to retain (an index location on load, the blob on migration).
+    // Verify every record's checksum once, here; the index keeps only
+    // each record's hash and location.
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
         warn("store: cannot open segment '%s': %s — skipping",
@@ -256,6 +272,8 @@ ResultStore::scanSegment(
         return SegmentVerdict::Stale;
     }
 
+    std::string key;
+    std::string blob;
     for (;;) {
         uint8_t rec[recordHeaderBytes];
         const size_t got = std::fread(rec, 1, sizeof(rec), f);
@@ -278,8 +296,8 @@ ResultStore::scanSegment(
             ++*dropped;
             break;
         }
-        std::string key(keyLen, '\0');
-        std::string blob(blobLen, '\0');
+        key.resize(keyLen);
+        blob.resize(blobLen);
         if (std::fread(key.data(), 1, keyLen, f) != keyLen ||
             std::fread(blob.data(), 1, blobLen, f) != blobLen) {
             warn("store: '%s' ends in a truncated record — dropping "
@@ -288,7 +306,8 @@ ResultStore::scanSegment(
             ++*dropped;
             break;
         }
-        if (recordChecksum(key, blob) != checksum) {
+        const uint64_t keyHash = keyHashOf(key);
+        if (recordChecksum(keyHash, blob) != checksum) {
             warn("store: '%s' has a checksum-failing record — "
                  "dropping the tail",
                  path.c_str());
@@ -298,8 +317,11 @@ ResultStore::scanSegment(
         const long end = std::ftell(f);
         if (end < 0)
             fatal("cannot tell position in '%s'", path.c_str());
-        record(std::move(key), std::move(blob),
-               end - static_cast<long>(blobLen));
+        RecordLocation location;
+        location.offset = static_cast<uint64_t>(end) - blobLen - keyLen;
+        location.keyLength = keyLen;
+        location.blobLength = blobLen;
+        record(key, keyHash, location);
     }
     std::fclose(f);
     return SegmentVerdict::Scanned;
@@ -314,31 +336,38 @@ ResultStore::loadShard(Shard &shard)
     for (const auto &name : listDir(shard.dir, isSegmentName)) {
         const std::string path = shard.dir + "/" + name;
         ++shard.segments;
+        // Listed before the scan, so a duplicate key within this
+        // segment can be read back for verification.
+        const auto segment =
+            static_cast<uint32_t>(shard.segmentPaths.size());
+        shard.segmentPaths.push_back(path);
+        shard.readFds.push_back(-1);
         const SegmentVerdict verdict = scanSegment(
             path, &shard.droppedRecords,
-            [&shard](std::string &&key, std::string &&blob,
-                     long blobOffset) {
-                RecordLocation location;
-                location.segment =
-                    static_cast<uint32_t>(shard.segmentPaths.size());
-                location.offset = blobOffset;
-                location.length = static_cast<uint32_t>(blob.size());
-                // Later segments override earlier ones.
-                shard.index[std::move(key)] = location;
+            [&](const std::string &key, uint64_t keyHash,
+                const RecordLocation &scanned) {
+                RecordLocation location = scanned;
+                location.segment = segment;
+                // Later copies of a key override earlier ones.
+                if (RecordLocation *existing =
+                        findLocked(shard, keyHash, key)) {
+                    *existing = location;
+                } else {
+                    shard.index.add(keyHash, location);
+                }
                 ++shard.loadedRecords;
             });
-        switch (verdict) {
-          case SegmentVerdict::Scanned:
-            shard.segmentPaths.push_back(path);
-            shard.readHandles.push_back(nullptr);
-            break;
-          case SegmentVerdict::Stale:
+        if (verdict == SegmentVerdict::Scanned)
+            continue;
+        // Rejected wholesale at the header: no record was indexed.
+        if (shard.readFds.back() >= 0)
+            ::close(shard.readFds.back());
+        shard.segmentPaths.pop_back();
+        shard.readFds.pop_back();
+        if (verdict == SegmentVerdict::Stale)
             ++shard.staleSegments;
-            break;
-          case SegmentVerdict::Bad:
+        else
             ++shard.badSegments;
-            break;
-        }
     }
     openSessionSegment(shard);
 }
@@ -373,12 +402,12 @@ ResultStore::openSessionSegment(Shard &shard)
     }
     std::fflush(shard.segment);
     shard.segmentPaths.push_back(shard.segmentPath);
-    shard.readHandles.push_back(nullptr);
+    shard.readFds.push_back(-1);
 }
 
 void
 ResultStore::appendLocked(Shard &shard, const std::string &key,
-                          const std::string &blob)
+                          uint64_t keyHash, const std::string &blob)
 {
     const long recordStart = std::ftell(shard.segment);
     if (recordStart < 0)
@@ -387,7 +416,7 @@ ResultStore::appendLocked(Shard &shard, const std::string &key,
     uint8_t rec[recordHeaderBytes];
     writeLe32(rec, static_cast<uint32_t>(key.size()));
     writeLe32(rec + 4, static_cast<uint32_t>(blob.size()));
-    writeLe64(rec + 8, recordChecksum(key, blob));
+    writeLe64(rec + 8, recordChecksum(keyHash, blob));
     if (std::fwrite(rec, 1, sizeof(rec), shard.segment) !=
             sizeof(rec) ||
         std::fwrite(key.data(), 1, key.size(), shard.segment) !=
@@ -404,73 +433,58 @@ ResultStore::appendLocked(Shard &shard, const std::string &key,
     RecordLocation location;
     location.segment =
         static_cast<uint32_t>(shard.segmentPaths.size() - 1);
-    location.offset = recordStart +
-                      static_cast<long>(recordHeaderBytes) +
-                      static_cast<long>(key.size());
-    location.length = static_cast<uint32_t>(blob.size());
-    shard.index[key] = location;
+    location.offset =
+        static_cast<uint64_t>(recordStart) + recordHeaderBytes;
+    location.keyLength = static_cast<uint32_t>(key.size());
+    location.blobLength = static_cast<uint32_t>(blob.size());
+    shard.index.add(keyHash, location);
     ++shard.appends;
     shard.obsAppends->inc();
 }
 
 void
-ResultStore::migrateLegacySegments()
+ResultStore::readRecord(Shard &shard, const RecordLocation &location,
+                        std::string &key, std::string *blob)
 {
-    // Pre-shard stores kept their segments at the directory root.
-    // Re-home every intact record into its shard, then delete the
-    // legacy file — only after its records are flushed, so a crash
-    // mid-migration re-migrates (and the key dedup makes that a
-    // no-op for records already re-homed).
-    const std::vector<std::string> names =
-        listDir(dir_, isSegmentName);
-    for (const auto &name : names) {
-        const std::string path = dir_ + "/" + name;
-        ++legacySegments_;
-        const SegmentVerdict verdict = scanSegment(
-            path, &legacyDropped_,
-            [this](std::string &&key, std::string &&blob, long) {
-                Shard &shard = shardFor(key);
-                if (shard.index.count(key))
-                    return;  // already re-homed (or re-written since)
-                appendLocked(shard, key, blob);
-                ++migratedRecords_;
-            });
-        switch (verdict) {
-          case SegmentVerdict::Scanned:
-            ::unlink(path.c_str());
-            break;
-          case SegmentVerdict::Stale:
-            // Left in place (their data is not ours to destroy), and
-            // rejected again on every open.
-            ++legacyStale_;
-            break;
-          case SegmentVerdict::Bad:
-            ++legacyBad_;
-            break;
-        }
-    }
-    if (migratedRecords_ > 0) {
-        inform("store: migrated %llu records from %zu legacy "
-               "segments into %zu shards",
-               static_cast<unsigned long long>(migratedRecords_),
-               legacySegments_, shards_.size());
-    }
-}
-
-std::FILE *
-ResultStore::readHandle(Shard &shard, uint32_t segment)
-{
-    MTV_ASSERT(segment < shard.readHandles.size());
-    if (!shard.readHandles[segment]) {
-        shard.readHandles[segment] =
-            std::fopen(shard.segmentPaths[segment].c_str(), "rb");
-        if (!shard.readHandles[segment]) {
-            fatal("store segment '%s' disappeared: %s",
-                  shard.segmentPaths[segment].c_str(),
+    MTV_ASSERT(location.segment < shard.readFds.size());
+    const std::string &path = shard.segmentPaths[location.segment];
+    int &fd = shard.readFds[location.segment];
+    if (fd < 0) {
+        fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd < 0) {
+            fatal("store segment '%s' disappeared: %s", path.c_str(),
                   std::strerror(errno));
         }
     }
-    return shard.readHandles[segment];
+    key.resize(location.keyLength);
+    iovec parts[2] = {{key.data(), key.size()}, {nullptr, 0}};
+    int count = 1;
+    if (blob) {
+        blob->resize(location.blobLength);
+        parts[1] = {blob->data(), blob->size()};
+        count = 2;
+    }
+    const size_t want = key.size() + (blob ? blob->size() : 0);
+    const ssize_t got = ::preadv(fd, parts, count,
+                                 static_cast<off_t>(location.offset));
+    if (got < 0 || static_cast<size_t>(got) != want) {
+        fatal("store segment '%s' shrank underneath us (offset %llu)",
+              path.c_str(),
+              static_cast<unsigned long long>(location.offset));
+    }
+}
+
+RecordLocation *
+ResultStore::findLocked(Shard &shard, uint64_t keyHash,
+                        const std::string &key, std::string *blob)
+{
+    return shard.index.find(
+        keyHash, key,
+        [this, &shard](const RecordLocation &location,
+                       std::string &stored, std::string *bytes) {
+            readRecord(shard, location, stored, bytes);
+        },
+        blob);
 }
 
 std::shared_ptr<const SimStats>
@@ -482,26 +496,17 @@ ResultStore::load(const std::string &key)
 StoredRecord
 ResultStore::loadRecord(const std::string &key)
 {
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        ++shard.misses;
-        shard.obsMisses->inc();
-        return {nullptr, nullptr};
-    }
-    const RecordLocation &location = it->second;
-    std::FILE *f = readHandle(shard, location.segment);
+    const uint64_t keyHash = keyHashOf(key);
+    Shard &shard = shardFor(keyHash);
     // The segment stores the record's blob as the verbatim
     // serializeSimStats() output, so these disk bytes double as the
     // canonical wire/digest encoding — hand them out unmodified.
-    auto blob = std::make_shared<std::string>(location.length, '\0');
-    if (std::fseek(f, location.offset, SEEK_SET) != 0 ||
-        std::fread(blob->data(), 1, blob->size(), f) !=
-            blob->size()) {
-        fatal("store segment '%s' shrank underneath us (offset %ld)",
-              shard.segmentPaths[location.segment].c_str(),
-              location.offset);
+    auto blob = std::make_shared<std::string>();
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!findLocked(shard, keyHash, key, blob.get())) {
+        ++shard.misses;
+        shard.obsMisses->inc();
+        return {nullptr, nullptr};
     }
     ++shard.hits;
     shard.obsHits->inc();
@@ -521,11 +526,12 @@ ResultStore::store(const std::string &key, const SimStats &stats)
     // only ever contend on the filesystem, not on each other.
     const std::string blob = serializeSimStats(stats);
 
-    Shard &shard = shardFor(key);
+    const uint64_t keyHash = keyHashOf(key);
+    Shard &shard = shardFor(keyHash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index.count(key))
+    if (findLocked(shard, keyHash, key))
         return;  // deterministic runs: the existing copy is identical
-    appendLocked(shard, key, blob);
+    appendLocked(shard, key, keyHash, blob);
 }
 
 size_t
@@ -544,11 +550,6 @@ ResultStore::stats() const
 {
     Stats total;
     total.shards = shards_.size();
-    total.segments = legacySegments_;
-    total.staleSegments = legacyStale_;
-    total.badSegments = legacyBad_;
-    total.droppedRecords = legacyDropped_;
-    total.migratedRecords = migratedRecords_;
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
         total.segments += shard->segments;

@@ -33,18 +33,19 @@
  * registry and must not be served.
  *
  * Opening warm-loads all shards in parallel (one thread per shard, up
- * to the hardware thread count), and transparently migrates stores
- * written by the pre-shard layout: root-level `seg-*.mtvs` files are
- * scanned record by record, each intact record is re-appended into
- * its shard, and the legacy file is deleted only after its records
- * are flushed — a crash mid-migration merely re-migrates (appends
- * dedup on key).
+ * to the hardware thread count). Segments left at the directory root
+ * by the pre-shard layout are not read: opening warns about them once.
  *
- * Memory: only an index (key → segment/offset/length) is resident;
- * load() reads and decodes the blob from disk on demand, so a
- * cache-capped daemon's footprint stays bounded by the index, not by
- * the result payloads (records were checksum-verified when the index
- * was built).
+ * Memory: only an index is resident, and it holds no key bytes. Each
+ * shard maps the key's 64-bit FNV hash — the one its routing and its
+ * record checksum already compute — to the record's location
+ * (segment, offset, key and blob lengths). A lookup walks the chain
+ * of equal hashes and compares every candidate's key bytes on disk,
+ * so colliding keys never alias; a hit reads key and blob with one
+ * positioned read and decodes the blob on demand. A cache-capped
+ * daemon's footprint therefore stays bounded by ~50 bytes per record,
+ * not by keys or result payloads (records were checksum-verified
+ * when the index was built).
  *
  * A store directory has a single writer at a time, enforced with
  * flock() on `<dir>/LOCK`; all methods are thread-safe within that
@@ -61,6 +62,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/api/backend.hh"
@@ -79,6 +81,68 @@ constexpr int defaultStoreShards = 8;
 /** Upper bound on configurable shard counts. */
 constexpr int maxStoreShards = 64;
 
+/** Where one record lives in its shard's segments. */
+struct RecordLocation
+{
+    uint64_t offset = 0;      ///< byte offset of the key; the blob follows
+    uint32_t segment = 0;     ///< index into the shard's segment list
+    uint32_t keyLength = 0;   ///< key bytes
+    uint32_t blobLength = 0;  ///< blob bytes
+};
+
+/**
+ * One shard's index: key hash -> record locations, with no key bytes
+ * in memory. Every lookup verifies the candidate's key bytes through
+ * a reader, so equal hashes chain and a key never returns another
+ * key's record.
+ *
+ * A reader is called as read(location, key, blob): it fills @p key
+ * with the location's key bytes and, when @p blob is not null, the
+ * blob bytes too — in one positioned read. The store reads from its
+ * segment files; tests drive the chain walk with an in-memory reader
+ * and forced-equal hashes.
+ */
+class StoreIndex
+{
+  public:
+    /**
+     * The location of @p key (whose hash is @p hash), or null when
+     * absent. With @p blob, the match's blob bytes are read into it
+     * by the same reader call that verifies the key.
+     */
+    template <typename Reader>
+    RecordLocation *
+    find(uint64_t hash, const std::string &key, Reader &&read,
+         std::string *blob = nullptr)
+    {
+        auto [it, end] = map_.equal_range(hash);
+        std::string stored;
+        for (; it != end; ++it) {
+            RecordLocation &location = it->second;
+            if (location.keyLength != key.size())
+                continue;
+            read(static_cast<const RecordLocation &>(location), stored,
+                 blob);
+            if (stored == key)
+                return &location;
+        }
+        return nullptr;
+    }
+
+    /** Add a record whose key the caller knows is absent. */
+    void
+    add(uint64_t hash, const RecordLocation &location)
+    {
+        map_.emplace(hash, location);
+    }
+
+    /** Records indexed. */
+    size_t size() const { return map_.size(); }
+
+  private:
+    std::unordered_multimap<uint64_t, RecordLocation> map_;
+};
+
 /** Disk-backed persistent result store (see file comment). */
 class ResultStore : public ResultBackend
 {
@@ -92,7 +156,6 @@ class ResultStore : public ResultBackend
         size_t badSegments = 0;    ///< rejected: bad magic/version
         uint64_t loadedRecords = 0;///< intact records read at open
         uint64_t droppedRecords = 0;///< corrupt/truncated tails skipped
-        uint64_t migratedRecords = 0;///< re-homed from the legacy layout
         uint64_t appends = 0;      ///< records appended this session
         uint64_t hits = 0;         ///< load() calls served
         uint64_t misses = 0;       ///< load() calls not present
@@ -100,9 +163,8 @@ class ResultStore : public ResultBackend
 
     /**
      * Open (creating if needed) the store at @p dir, take the writer
-     * lock, warm-load every shard in parallel, migrate any legacy
-     * single-directory segments, and start a fresh segment per shard
-     * for this session's appends. @p shards picks the partition count
+     * lock, warm-load every shard in parallel, and start a fresh
+     * segment per shard for this session's appends. @p shards picks the partition count
      * of a *new* store (0 = defaultStoreShards); an existing store
      * keeps the count it was created with (with a warning when a
      * different count was requested). fatal()s when the directory is
@@ -153,14 +215,6 @@ class ResultStore : public ResultBackend
     int shardCount() const { return static_cast<int>(shards_.size()); }
 
   private:
-    /** Where one record's blob lives on disk. */
-    struct RecordLocation
-    {
-        uint32_t segment = 0;  ///< index into Shard::segmentPaths
-        long offset = 0;       ///< byte offset of the blob
-        uint32_t length = 0;   ///< blob bytes
-    };
-
     /**
      * One hash partition: its own lock, index, read handles and
      * session segment. Counters are per-shard and summed by stats().
@@ -173,9 +227,10 @@ class ResultStore : public ResultBackend
         std::string segmentPath;
         /** Scanned segments in load order; the session one is last. */
         std::vector<std::string> segmentPaths;
-        /** Lazily opened read handles, parallel to segmentPaths. */
-        std::vector<std::FILE *> readHandles;
-        std::unordered_map<std::string, RecordLocation> index;
+        /** Lazily opened read descriptors (-1 = not yet), parallel
+         *  to segmentPaths. */
+        std::vector<int> readFds;
+        StoreIndex index;
         size_t segments = 0;
         size_t staleSegments = 0;
         size_t badSegments = 0;
@@ -199,17 +254,19 @@ class ResultStore : public ResultBackend
         Bad       ///< rejected wholesale: bad magic/version/unreadable
     };
 
-    Shard &shardFor(const std::string &key);
+    Shard &shardFor(uint64_t keyHash);
 
     /**
      * Scan @p path, invoking @p record for every intact record with
-     * the record's key, blob, and the blob's byte offset in the file.
+     * its key, the key's hash and its location (segment left 0).
      * Truncated/corrupt tails bump @p dropped and stop the scan.
      */
     SegmentVerdict scanSegment(
         const std::string &path, uint64_t *dropped,
-        const std::function<void(std::string &&key, std::string &&blob,
-                                 long blobOffset)> &record) const;
+        const std::function<void(const std::string &key,
+                                 uint64_t keyHash,
+                                 const RecordLocation &location)>
+            &record) const;
 
     /** Load every segment of @p shard and open its session segment. */
     void loadShard(Shard &shard);
@@ -218,26 +275,24 @@ class ResultStore : public ResultBackend
 
     /** Append one pre-serialized record. Caller holds shard.mutex. */
     void appendLocked(Shard &shard, const std::string &key,
-                      const std::string &blob);
+                      uint64_t keyHash, const std::string &blob);
 
-    /** Re-home records of pre-shard root-level segments, then delete
-     *  them. Runs single-threaded at open (before concurrency). */
-    void migrateLegacySegments();
+    /** Read @p location's key (and blob, when given) with one
+     *  positioned read: the StoreIndex reader. Caller holds
+     *  shard.mutex; fatal()s when the segment shrank or vanished. */
+    void readRecord(Shard &shard, const RecordLocation &location,
+                    std::string &key, std::string *blob);
 
-    /** Read handle for @p segment of @p shard, opened lazily. Caller
-     *  holds shard.mutex; fatal()s when the file vanished. */
-    std::FILE *readHandle(Shard &shard, uint32_t segment);
+    /** StoreIndex::find over @p shard's segments. Caller holds
+     *  shard.mutex. */
+    RecordLocation *findLocked(Shard &shard, uint64_t keyHash,
+                               const std::string &key,
+                               std::string *blob = nullptr);
 
     std::string dir_;
     int lockFd_ = -1;
     uint64_t schemaHash_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
-    /** Legacy-layout counters, fixed at open. */
-    size_t legacySegments_ = 0;
-    size_t legacyStale_ = 0;
-    size_t legacyBad_ = 0;
-    uint64_t legacyDropped_ = 0;
-    uint64_t migratedRecords_ = 0;
 };
 
 } // namespace mtv

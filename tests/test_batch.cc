@@ -58,7 +58,7 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
 {
     // Two interleaved program families plus the awkward members: a
     // fetch-truncated point (cache-exempt) and a dual-scalar machine
-    // (outside the fast lane, simulated through the event fallback).
+    // (the fast lane's multi-slot decode).
     MachineParams dyf1 = MachineParams::reference();
     dyf1.memLatency = 1;
     MachineParams dyf20 = MachineParams::reference();

@@ -2,8 +2,9 @@
  * @file
  * Tests for src/store: SimStats codec round-trips, segment
  * persistence across the sharded layout, crash-tail recovery,
- * schema-hash rejection, legacy-layout migration, concurrent
- * appends, and the engine's warm-start-from-store bit-identity.
+ * schema-hash rejection, the hash-keyed index's verified chain walk,
+ * concurrent appends, and the engine's warm-start-from-store
+ * bit-identity.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "src/common/endian.hh"
@@ -407,7 +409,10 @@ TEST(ResultStore, ForeignFileRejectedAsBadSegment)
 {
     const std::string dir = tempDir("mtv_store_badmagic");
     { ResultStore store(dir); }
-    std::ofstream junk(dir + "/seg-000099.mtvs", std::ios::binary);
+    // Inside a shard, where segments are read (a root-level file is
+    // only warned about; see StrayRootSegmentIsIgnored).
+    std::ofstream junk(dir + "/shard-00/seg-000099.mtvs",
+                       std::ios::binary);
     junk << "this is not a segment";
     junk.close();
     {
@@ -418,15 +423,126 @@ TEST(ResultStore, ForeignFileRejectedAsBadSegment)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ResultStore, StrayRootSegmentIsIgnored)
+{
+    // The pre-shard layout kept segments at the directory root. They
+    // are never read (or deleted): opening warns and serves nothing
+    // from them.
+    const std::string src = tempDir("mtv_store_stray_src");
+    {
+        ResultStore store(src, 1);
+        store.store("root-key", sampleStats());
+    }
+    const std::string dir = tempDir("mtv_store_stray");
+    std::filesystem::create_directory(dir);
+    const std::string stray = dir + "/seg-000000.mtvs";
+    std::filesystem::copy_file(onlySegment(src), stray);
+    {
+        ResultStore store(dir);
+        EXPECT_EQ(store.size(), 0u);
+        EXPECT_EQ(store.load("root-key"), nullptr);
+        EXPECT_EQ(store.stats().segments, 0u);
+    }
+    EXPECT_TRUE(std::filesystem::exists(stray));
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(src);
+}
+
 // ---------------------------------------------------------------------
-// Legacy-layout migration
+// The hash-keyed index: chains of equal hashes, verified on read
 // ---------------------------------------------------------------------
 
-/** Write a pre-shard (root-level) segment holding @p entries. */
+/** Records laid out back to back in memory, read like a segment. */
+class MemorySegments
+{
+  public:
+    RecordLocation
+    append(const std::string &key, const std::string &blob)
+    {
+        RecordLocation location;
+        location.offset = bytes_.size();
+        location.keyLength = static_cast<uint32_t>(key.size());
+        location.blobLength = static_cast<uint32_t>(blob.size());
+        bytes_ += key;
+        bytes_ += blob;
+        return location;
+    }
+
+    /** A StoreIndex reader; counts its calls. */
+    auto
+    reader()
+    {
+        return [this](const RecordLocation &location, std::string &key,
+                      std::string *blob) {
+            ++reads_;
+            key = bytes_.substr(location.offset, location.keyLength);
+            if (blob) {
+                *blob = bytes_.substr(
+                    location.offset + location.keyLength,
+                    location.blobLength);
+            }
+        };
+    }
+
+    int reads() const { return reads_; }
+
+  private:
+    std::string bytes_;
+    int reads_ = 0;
+};
+
+TEST(StoreIndex, ForcedEqualHashesChainAndVerifyKeys)
+{
+    // Every key gets the same hash: lookups must walk the chain and
+    // return each key's own blob, never a neighbour's.
+    constexpr uint64_t forced = 42;
+    MemorySegments disk;
+    StoreIndex index;
+    const std::vector<std::string> keys = {"alpha", "bravo", "charlie",
+                                           "delta", "echo1", "echo2"};
+    for (const auto &key : keys)
+        index.add(forced, disk.append(key, "blob-of-" + key));
+    EXPECT_EQ(index.size(), keys.size());
+
+    for (const auto &key : keys) {
+        std::string blob;
+        const RecordLocation *found =
+            index.find(forced, key, disk.reader(), &blob);
+        ASSERT_NE(found, nullptr) << key;
+        EXPECT_EQ(blob, "blob-of-" + key);
+        EXPECT_EQ(found->keyLength, key.size());
+    }
+    // Absent keys miss, whether or not their length matches a
+    // chained key's (same-length candidates are read and rejected).
+    std::string blob = "untouched";
+    EXPECT_EQ(index.find(forced, "echo3", disk.reader()), nullptr);
+    EXPECT_EQ(index.find(forced, "zulu-zulu", disk.reader(), &blob),
+              nullptr);
+    // A different hash never even reads the chain.
+    const int before = disk.reads();
+    EXPECT_EQ(index.find(forced + 1, "alpha", disk.reader()), nullptr);
+    EXPECT_EQ(disk.reads(), before);
+}
+
+TEST(StoreIndex, RepointedEntryServesTheLatestCopy)
+{
+    MemorySegments disk;
+    StoreIndex index;
+    index.add(7, disk.append("key", "old"));
+    index.add(7, disk.append("other", "x"));
+    RecordLocation *entry = index.find(7, "key", disk.reader());
+    ASSERT_NE(entry, nullptr);
+    *entry = disk.append("key", "new");
+    std::string blob;
+    ASSERT_NE(index.find(7, "key", disk.reader(), &blob), nullptr);
+    EXPECT_EQ(blob, "new");
+    EXPECT_EQ(index.size(), 2u);
+}
+
+/** Write a segment holding @p entries under this build's schema. */
 void
-writeLegacySegment(const std::string &path,
-                   const std::vector<std::pair<std::string, SimStats>>
-                       &entries)
+writeSegment(const std::string &path,
+             const std::vector<std::pair<std::string, SimStats>> &entries)
 {
     std::ofstream f(path, std::ios::binary);
     uint8_t header[16];
@@ -449,58 +565,66 @@ writeLegacySegment(const std::string &path,
     }
 }
 
-TEST(ResultStore, LegacyStoreMigratesIntoShards)
+TEST(ResultStore, ReopenAfterTwoSessionsAndATornSegment)
 {
-    const std::string dir = tempDir("mtv_store_migrate");
-    std::filesystem::create_directory(dir);
-    const SimStats stats = sampleStats();
-    std::vector<std::pair<std::string, SimStats>> entries;
-    for (int i = 0; i < 12; ++i)
-        entries.emplace_back("legacy-" + std::to_string(i), stats);
-    writeLegacySegment(dir + "/seg-000000.mtvs", entries);
-    {
-        ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 12u);
-        EXPECT_EQ(store.size(), 12u);
-        // The legacy file is gone; its records now live in shards.
-        EXPECT_FALSE(
-            std::filesystem::exists(dir + "/seg-000000.mtvs"));
-        auto loaded = store.load("legacy-7");
-        ASSERT_NE(loaded, nullptr);
-        EXPECT_EQ(serializeSimStats(*loaded),
-                  serializeSimStats(stats));
+    // Two sessions wrote the same key (each into its own segment),
+    // and the later segment was torn mid-record. Reopening must
+    // recover a subset of what was written, one index entry per key,
+    // and serve every recovered key its own blob.
+    const std::string dir = tempDir("mtv_store_reopen");
+    const std::string shard = dir + "/shard-00";
+    std::filesystem::create_directories(shard);
+    std::vector<std::pair<std::string, SimStats>> first;
+    std::vector<std::pair<std::string, SimStats>> second;
+    std::map<std::string, std::string> written;
+    for (int i = 0; i < 6; ++i) {
+        SimStats stats = sampleStats();
+        stats.cycles = 1000 + i;
+        const std::string key = "key-" + std::to_string(i);
+        first.emplace_back(key, stats);
+        written[key] = serializeSimStats(stats);
     }
-    {
-        // Second open: nothing left to migrate, records persist.
-        ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 0u);
-        EXPECT_EQ(store.stats().loadedRecords, 12u);
-        EXPECT_EQ(store.size(), 12u);
+    // Session 2 rewrote key-2 and key-4 (identical runs) and added
+    // two keys; its last record is torn.
+    second.push_back(first[2]);
+    second.push_back(first[4]);
+    for (int i = 6; i < 8; ++i) {
+        SimStats stats = sampleStats();
+        stats.cycles = 1000 + i;
+        const std::string key = "key-" + std::to_string(i);
+        second.emplace_back(key, stats);
+        written[key] = serializeSimStats(stats);
     }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStore, MigrationRecoversLegacyCrashTail)
-{
-    // A store that crashed mid-append under the old layout migrates
-    // its intact prefix and drops the torn tail.
-    const std::string dir = tempDir("mtv_store_migrate_tail");
-    std::filesystem::create_directory(dir);
-    const SimStats stats = sampleStats();
-    writeLegacySegment(dir + "/seg-000000.mtvs",
-                       {{"whole", stats}, {"torn", stats}});
-    const std::string legacy = dir + "/seg-000000.mtvs";
-    std::filesystem::resize_file(
-        legacy, std::filesystem::file_size(legacy) - 5);
+    writeSegment(shard + "/seg-000000.mtvs", first);
+    writeSegment(shard + "/seg-000001.mtvs", second);
+    const std::string torn = shard + "/seg-000001.mtvs";
+    std::filesystem::resize_file(torn,
+                                 std::filesystem::file_size(torn) - 9);
     {
         ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 1u);
         EXPECT_EQ(store.stats().droppedRecords, 1u);
-        EXPECT_NE(store.load("whole"), nullptr);
-        EXPECT_EQ(store.load("torn"), nullptr);
-        // The scanned legacy file is deleted: its intact prefix was
-        // re-homed and the torn tail is unrecoverable either way.
-        EXPECT_FALSE(std::filesystem::exists(legacy));
+        EXPECT_EQ(store.stats().loadedRecords, 9u);
+        // key-0..6: 7 distinct keys; key-7 was the torn record.
+        EXPECT_EQ(store.size(), 7u);
+        for (const auto &[key, blob] : written) {
+            const StoredRecord record = store.loadRecord(key);
+            if (!record.blob)
+                continue;  // lost with the torn tail
+            EXPECT_EQ(*record.blob, blob) << key;
+            EXPECT_EQ(serializeSimStats(*record.stats), blob) << key;
+        }
+        EXPECT_EQ(store.load("key-7"), nullptr);
+        // A duplicate store() of a recovered key appends nothing.
+        store.store("key-4", first[4].second);
+        EXPECT_EQ(store.stats().appends, 0u);
+        store.store("key-7", second[3].second);
+        EXPECT_EQ(store.stats().appends, 1u);
+    }
+    {
+        ResultStore store(dir);
+        EXPECT_EQ(store.size(), 8u);
+        for (const auto &[key, blob] : written)
+            EXPECT_EQ(*store.loadRecord(key).blob, blob) << key;
     }
     std::filesystem::remove_all(dir);
 }

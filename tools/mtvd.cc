@@ -189,14 +189,12 @@ main(int argc, char **argv)
     if (service.store()) {
         const ResultStore::Stats s = service.store()->stats();
         inform("mtvd: store '%s' warm with %llu results "
-               "(%zu shards, %zu segments, %zu stale, %llu dropped, "
-               "%llu migrated)",
+               "(%zu shards, %zu segments, %zu stale, %llu dropped)",
                service.store()->directory().c_str(),
                static_cast<unsigned long long>(
                    service.store()->size()),
                s.shards, s.segments, s.staleSegments,
-               static_cast<unsigned long long>(s.droppedRecords),
-               static_cast<unsigned long long>(s.migratedRecords));
+               static_cast<unsigned long long>(s.droppedRecords));
     }
 
     service.serve();
