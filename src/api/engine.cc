@@ -419,7 +419,7 @@ ExperimentEngine::insertCompleted(const std::string &key,
         // A re-insert replaces the entry and touches its LRU slot.
         lru_.splice(lru_.begin(), lru_, it->second.lruPos);
     }
-    it->second = CacheEntry{stats, lru_.begin()};
+    it->second = CacheEntry{stats, lru_.begin(), nullptr};
     while (maxCacheEntries_ != 0 && cache_.size() > maxCacheEntries_) {
         // Find the victim before popping its list slot: the slot's
         // pointer is into the node being erased.

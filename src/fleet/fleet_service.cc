@@ -36,77 +36,59 @@ requestErrorJson(uint64_t id, const std::string &message)
 }
 
 /**
- * Re-orders the fleet's arrival-order point stream back into global
- * submission order for one client: seq = global index, parked until
- * every earlier point has been emitted. Invoked under the router's
- * gather mutex, so writes are serialized.
+ * Relays the router's global-order point stream to one client. On a
+ * binary connection the node's payload goes out verbatim: only its
+ * id/seq header is rewritten and the trailer checksum recomputed. A
+ * quiet or JSON-wire client gets each point decoded and re-encoded.
+ * Points coalesce into one write while the next one is already
+ * parked, up to streamOutboxBytes — the daemon's streamBatch rule.
  */
-class OrderedEmitter
+class RelayWriter
 {
   public:
-    OrderedEmitter(LineChannel &channel, uint64_t id, bool quiet,
-                   WireFormat wire)
+    RelayWriter(LineChannel &channel, uint64_t id, bool quiet,
+                WireFormat wire, Counter *writeStallUs)
         : channel_(channel), id_(id), quiet_(quiet),
-          binary_(wire == WireFormat::Binary)
+          binary_(wire == WireFormat::Binary),
+          writeStallUs_(writeStallUs)
     {
-    }
-
-    void
-    reset(size_t count)
-    {
-        ready_.assign(count, 0);
-        results_.assign(count, RunResult());
-        blobs_.assign(count, std::string());
-        nextEmit_ = 0;
     }
 
     /** The FleetRouter::PointHook. */
     void
-    land(size_t global, const RunResult &result,
-         const std::string &blob)
+    relay(size_t global, std::string &payload, bool moreReady)
     {
-        ready_[global] = 1;
-        results_[global] = result;
-        blobs_[global] = blob;
-        while (nextEmit_ < ready_.size() && ready_[nextEmit_]) {
-            const size_t seq = nextEmit_++;
-            if (writeFailed_)
-                continue;
+        if (writeFailed_)
+            return;
+        if (binary_ && !quiet_) {
+            setResultFrameHeader(&payload, id_, global);
+            appendFramedPayload(&outbox_, payload);
+        } else {
+            std::string blob;
+            const RunResult result = resultFromPayload(payload, &blob);
             if (binary_) {
-                // Re-framed, not re-encoded: the blob bytes a node
-                // streamed pass through verbatim — only the frame
-                // envelope (id, global seq) is rebuilt, so the
-                // client folds the identical digest.
-                std::string frame;
-                appendResultFrame(&frame, results_[seq], id_, seq,
-                                  quiet_ ? nullptr : &blobs_[seq]);
-                if (!channel_.writeBytes(frame))
-                    writeFailed_ = true;
+                appendResultFrame(&outbox_, result, id_, global,
+                                  nullptr);
             } else {
-                const Json line = resultToJson(
-                    results_[seq], id_, seq,
-                    /*includeBlob=*/!quiet_, &blobs_[seq]);
-                if (!channel_.writeLine(line.dump()))
-                    writeFailed_ = true;
+                outbox_ += resultToJson(result, id_, global,
+                                        /*includeBlob=*/!quiet_, &blob)
+                               .dump();
+                outbox_.push_back('\n');
             }
-            // Emitted points are not needed again (the router holds
-            // its own copies for the final fold).
-            results_[seq] = RunResult();
-            blobs_[seq].clear();
         }
+        if (!moreReady || outbox_.size() >= streamOutboxBytes)
+            flush();
     }
-
-    bool writeFailed() const { return writeFailed_; }
 
     /** The terminator, with the fleet extras the smoke test greps. */
     bool
     writeDone(const FleetOutcome &outcome)
     {
+        flush();
         Json done = Json::object();
         done.set("id", id_);
         done.set("done", true);
-        done.set("count",
-                 static_cast<uint64_t>(outcome.results.size()));
+        done.set("count", static_cast<uint64_t>(outcome.count));
         done.set("simulated", outcome.simulated);
         done.set("cacheServed", outcome.cacheServed);
         done.set("storeServed", outcome.storeServed);
@@ -120,18 +102,27 @@ class OrderedEmitter
                 dead.push(name);
             done.set("deadNodes", std::move(dead));
         }
-        return channel_.writeLine(done.dump());
+        return !writeFailed_ && channel_.writeLine(done.dump());
     }
 
   private:
+    void
+    flush()
+    {
+        if (outbox_.empty() || writeFailed_)
+            return;
+        const uint64_t startUs = monotonicMicros();
+        writeFailed_ = !channel_.writeBytes(outbox_);
+        writeStallUs_->inc(monotonicMicros() - startUs);
+        outbox_.clear();
+    }
+
     LineChannel &channel_;
     uint64_t id_;
     bool quiet_;
     bool binary_;
-    std::vector<char> ready_;
-    std::vector<RunResult> results_;
-    std::vector<std::string> blobs_;
-    size_t nextEmit_ = 0;
+    Counter *writeStallUs_;
+    std::string outbox_;
     bool writeFailed_ = false;
 };
 
@@ -140,6 +131,8 @@ class OrderedEmitter
 FleetService::FleetService(FleetServiceOptions options)
     : router_(options.nodes, options.fleet)
 {
+    obsWriteStallUs_ = MetricsRegistry::instance().counter(
+        "fleet_write_stall_us_total");
     socketPath_ = options.socketPath.empty() ? defaultSocketPath()
                                              : options.socketPath;
 
@@ -335,9 +328,9 @@ FleetService::handleRequest(const Json &request, LineChannel &channel,
         ScopedFatalAsException fatalScope;
         const std::string op = request.getString("op");
         if (op == "hello") {
-            // Same negotiation a regular daemon offers: the router
-            // is transparent, so a client negotiating binary gets
-            // frames regardless of what the downstream nodes speak.
+            // Same negotiation a regular daemon offers. Nodes
+            // always stream binary to the router; a JSON client's
+            // points are re-encoded on the way out.
             const std::string wanted =
                 request.has("wire") ? request.getString("wire")
                                     : "json";
@@ -536,18 +529,17 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
                 .dump());
     }
     const SweepRequest sweep = sweepRequestFromJson(request);
-    OrderedEmitter emitter(channel, id,
-                           request.getBool("quiet", false), wire);
+    RelayWriter writer(channel, id, request.getBool("quiet", false),
+                       wire, obsWriteStallUs_);
 
     bool ackOk = true;
     const FleetOutcome outcome = router_.runSweep(
         sweep,
-        [&emitter](size_t global, const RunResult &result,
-                   const std::string &blob) {
-            emitter.land(global, result, blob);
+        [&writer](size_t global, std::string &payload,
+                  bool moreReady) {
+            writer.relay(global, payload, moreReady);
         },
         [&](size_t count, const std::vector<SweepSlice> &slices) {
-            emitter.reset(count);
             Json ack = Json::object();
             ack.set("id", id);
             ack.set("ack", true);
@@ -560,9 +552,8 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
             ackOk = channel.writeLine(ack.dump());
         });
 
-    if (!ackOk || emitter.writeFailed())
-        return false;  // the client vanished mid-stream
-    return emitter.writeDone(outcome);
+    // A failed write means the client vanished mid-stream.
+    return ackOk && writer.writeDone(outcome);
 }
 
 bool
@@ -592,8 +583,14 @@ FleetService::handleCompare(const Json &request,
     }
 
     // Gather fleet-wide; the points stay router-side (no per-point
-    // stream), exactly like a single daemon's compare.
-    const FleetOutcome outcome = router_.runSweep(sweep);
+    // stream), exactly like a single daemon's compare. The relay
+    // delivers in global order, so the table lines up with the
+    // expansion's slices.
+    std::vector<RunResult> results;
+    const FleetOutcome outcome = router_.runSweep(
+        sweep, [&results](size_t, std::string &payload, bool) {
+            results.push_back(resultFromPayload(payload));
+        });
 
     Json ok = Json::object();
     ok.set("id", id);
@@ -601,7 +598,7 @@ FleetService::handleCompare(const Json &request,
     ok.set("compare", true);
     ok.set("fleet", true);
     ok.set("family", sweep.family);
-    ok.set("count", static_cast<uint64_t>(outcome.results.size()));
+    ok.set("count", static_cast<uint64_t>(outcome.count));
     ok.set("baseline", outcome.slices.empty()
                            ? std::string()
                            : outcome.slices[0].label);
@@ -613,7 +610,7 @@ FleetService::handleCompare(const Json &request,
                   static_cast<unsigned long long>(outcome.digest)));
     Json rows = Json::array();
     for (const CompareRow &row :
-         compareDesigns(outcome.slices, outcome.results))
+         compareDesigns(outcome.slices, results))
         rows.push(compareRowToJson(row));
     ok.set("rows", std::move(rows));
     return channel.writeLine(ok.dump());
@@ -630,17 +627,14 @@ FleetService::handleRun(const Json &request, LineChannel &channel,
     if (specs.empty())
         fatal("run request carries no specs");
 
-    OrderedEmitter emitter(channel, id,
-                           request.getBool("quiet", false), wire);
-    emitter.reset(specs.size());
+    RelayWriter writer(channel, id, request.getBool("quiet", false),
+                       wire, obsWriteStallUs_);
     const FleetOutcome outcome = router_.runSpecs(
-        specs, [&emitter](size_t global, const RunResult &result,
-                          const std::string &blob) {
-            emitter.land(global, result, blob);
+        specs, [&writer](size_t global, std::string &payload,
+                         bool moreReady) {
+            writer.relay(global, payload, moreReady);
         });
-    if (emitter.writeFailed())
-        return false;
-    return emitter.writeDone(outcome);
+    return writer.writeDone(outcome);
 }
 
 } // namespace mtv

@@ -10,6 +10,16 @@
  * (bit-identical to a single node or `mtvctl sweep --local`), with
  * mid-sweep node deaths absorbed by the router's reroute path.
  *
+ * Relay: the router hands each node's verified frame payload over in
+ * global order. For a binary client the payload is forwarded as is —
+ * only the 16-byte id/seq header is rewritten and the trailer
+ * checksum recomputed — and frames coalesce into one write while the
+ * next point is already parked (the daemon's streamBatch rule). Only
+ * a quiet or JSON-wire client, and the compare op, decode points.
+ * Time spent in client writes is fleet_write_stall_us_total; with the
+ * router's fleet_parked_depth histogram it tells a client-bound relay
+ * from a node-bound one.
+ *
  * Served ops: ping (answers with fleet:true plus node counts),
  * status (the membership/health table), metrics (every live node's
  * registry gathered per-node plus fleet-wide counter totals and the
@@ -19,7 +29,9 @@
  * clear and its in-flight bookkeeping lives in the downstream nodes.
  *
  * Concurrency: one thread per client connection, requests served
- * synchronously in its read loop (a routed sweep streams inline).
+ * synchronously in its read loop (a routed sweep streams inline: the
+ * connection thread is the relay's drain, so client writes happen on
+ * it and never under a router lock).
  * The router's background health monitor runs while serve() does, so
  * dead nodes are discovered between requests, not only mid-sweep.
  */
@@ -88,8 +100,8 @@ class FleetService
      *  writes it, the streaming ops read it. */
     bool handleRequest(const Json &request, LineChannel &channel,
                        WireFormat &wire);
-    /** Scatter one sweep and stream the folded merge, re-ordering
-     *  the nodes' arrival order back into global submission order. */
+    /** Scatter one sweep and relay the folded merge to the client
+     *  in global submission order. */
     bool handleSweep(const Json &request, LineChannel &channel,
                      WireFormat wire);
     /** The "compare" op, fleet-wide: scatter the family's expansion
@@ -117,6 +129,9 @@ class FleetService
     std::vector<Listener> listeners_;
     int tcpPort_ = 0;
     std::atomic<bool> stopping_{false};
+    /** Microseconds spent in client socket writes of relayed
+     *  points. */
+    Counter *obsWriteStallUs_ = nullptr;
 
     std::mutex clientsMutex_;
     std::unordered_map<int, std::thread> activeClients_;

@@ -1,6 +1,7 @@
 #include "src/fleet/router.hh"
 
 #include <chrono>
+#include <exception>
 #include <unordered_set>
 
 #include "src/common/logging.hh"
@@ -32,18 +33,127 @@ validatedNodeNames(const std::vector<std::string> &endpointTexts)
     return endpointTexts;
 }
 
+/** Histogram bounds for the relay's parked-payload depth: zero,
+ *  then 1-2.5-5 per decade up to a million points, so any sweep size
+ *  resolves. */
+const std::vector<uint64_t> &
+parkedDepthBuckets()
+{
+    static const std::vector<uint64_t> bounds = {
+        0,     1,     2,      5,      10,     25,      50,
+        100,   250,   500,    1000,   2500,   5000,    10000,
+        25000, 50000, 100000, 250000, 500000, 1000000,
+    };
+    return bounds;
+}
+
+std::vector<std::string>
+canonicalKeys(const std::vector<RunSpec> &specs)
+{
+    std::vector<std::string> keys;
+    keys.reserve(specs.size());
+    for (const RunSpec &spec : specs)
+        keys.push_back(spec.canonical());
+    return keys;
+}
+
 } // namespace
 
-/** Shared state of one gather: the global result table the per-node
- *  reader threads land points into. */
+/**
+ * Shared state of one gather. Node reader threads park verified
+ * payloads by global index; the scatter caller's thread drains them
+ * in global order, handing each to the hook outside the lock.
+ */
 struct FleetRouter::Gather
 {
     std::mutex mutex;
-    const std::vector<RunSpec> *specs = nullptr;
-    std::vector<char> done;
-    std::vector<RunResult> results;
-    std::vector<std::string> blobs;
-    const PointHook *hook = nullptr;
+    std::condition_variable wake;
+    /** RunSpec::canonical() per global index: ring key, spec check
+     *  and the run op's request text. */
+    const std::vector<std::string> *keys = nullptr;
+    /** Per global index: the point's payload has landed. */
+    std::vector<char> landed;
+    std::vector<std::string> payloads;
+    /** Next global index to drain; everything below it has been
+     *  folded and handed to the hook. Carries across rounds. */
+    size_t cursor = 0;
+    /** Landed payloads not yet drained. */
+    size_t parked = 0;
+    /** Reader threads of the current round still streaming. */
+    size_t readers = 0;
+
+    void
+    park(size_t global, std::string &&payload)
+    {
+        bool wanted;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            payloads[global] = std::move(payload);
+            landed[global] = 1;
+            ++parked;
+            wanted = global == cursor;
+        }
+        if (wanted)
+            wake.notify_one();
+    }
+
+    void
+    readerDone()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            --readers;
+        }
+        wake.notify_one();
+    }
+
+    /**
+     * Drain one scatter round: take every payload ready at the cursor
+     * as one batch, fold it into @p outcome and relay it through
+     * @p hook, until the round's readers are gone and the cursor
+     * waits on a point a dead node left behind (the next round
+     * reroutes it) or the batch is complete.
+     */
+    void
+    drain(const PointHook &hook, FleetOutcome &outcome,
+          Histogram *depth)
+    {
+        std::vector<std::string> batch;
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            wake.wait(lock, [this] {
+                return readers == 0 ||
+                       (cursor < landed.size() && landed[cursor]);
+            });
+            const size_t first = cursor;
+            while (cursor < landed.size() && landed[cursor])
+                batch.push_back(std::move(payloads[cursor++]));
+            if (batch.empty())
+                return;
+            depth->observe(parked);
+            parked -= batch.size();
+            lock.unlock();
+            for (size_t k = 0; k < batch.size(); ++k) {
+                // The reader verified this payload; the view cannot
+                // fail.
+                ResultFrameView view;
+                viewResultFrame(batch[k], &view, nullptr);
+                outcome.digest = fnv1a64(view.blob.data(),
+                                         view.blob.size(),
+                                         outcome.digest);
+                if (view.cached)
+                    ++outcome.cacheServed;
+                else if (view.fromStore)
+                    ++outcome.storeServed;
+                else
+                    ++outcome.simulated;
+                if (hook)
+                    hook(first + k, batch[k], k + 1 < batch.size());
+            }
+            batch.clear();
+            lock.lock();
+        }
+    }
 };
 
 FleetRouter::FleetRouter(
@@ -67,6 +177,8 @@ FleetRouter::FleetRouter(
     obsPingRttUs_ = reg.histogram("fleet_ping_rtt_us");
     obsScatterPoints_ = reg.histogram(
         "fleet_scatter_points", MetricsRegistry::countBuckets());
+    obsParkedDepth_ =
+        reg.histogram("fleet_parked_depth", parkedDepthBuckets());
 }
 
 FleetRouter::~FleetRouter() { stopHealthMonitor(); }
@@ -244,7 +356,7 @@ FleetRouter::stopHealthMonitor()
         monitor_.join();
 }
 
-void
+size_t
 FleetRouter::streamSubset(size_t nodeIndex,
                           const std::vector<size_t> &indices,
                           const SweepRequest *sweep, Gather &gather)
@@ -258,7 +370,7 @@ FleetRouter::streamSubset(size_t nodeIndex,
     const int fd = connectToEndpoint(endpoint, &error);
     if (fd < 0) {
         markDead(nodeIndex, error);
-        return;
+        return 0;
     }
     // The channel's destructor closes the socket on every exit path.
     // On a half-dead node that close triggers the daemon-side reap
@@ -266,95 +378,77 @@ FleetRouter::streamSubset(size_t nodeIndex,
     // simulating for nobody.
     LineChannel channel(fd);
 
-    // Negotiate the binary result wire (protocol v6): frames carry
-    // the canonical stats blob verbatim, so the router folds its
-    // digest and forwards bytes without a JSON round-trip. A node
-    // that refuses (or an old daemon answering "unknown op") simply
-    // leaves this stream on JSON lines — mixed fleets fold the same
-    // blob bytes either way, so the digest is unaffected.
-    {
+    constexpr uint64_t id = 1;
+    size_t received = 0;
+    try {
+        // ANY protocol violation is a node failure — the scatter loop
+        // reroutes; a bad node must not take the router down.
+        ScopedFatalAsException scope;
+
+        // The relay forwards node frames verbatim, so every node must
+        // speak the binary result wire (protocol v6).
         Json hello = Json::object();
         hello.set("op", "hello");
         hello.set("wire", "binary");
         std::string line;
         if (!channel.writeLine(hello.dump()) ||
             !channel.readLine(&line)) {
-            markDead(nodeIndex, "connection lost during hello");
-            return;
+            fatal("connection lost during hello");
         }
-        Json response;
+        Json answer;
         std::string parseError;
-        if (!Json::parse(line, &response, &parseError)) {
-            markDead(nodeIndex,
-                     "malformed hello response: " + parseError);
-            return;
+        if (!Json::parse(line, &answer, &parseError))
+            fatal("malformed hello response: %s", parseError.c_str());
+        if (!answer.getBool("ok", false) ||
+            answer.getString("wire", "") != "binary") {
+            fatal("node refused the binary wire");
         }
-        // The answer only matters as "did binary get negotiated";
-        // an error answer is the JSON fallback, not a failure.
-        (void)response;
-    }
 
-    constexpr uint64_t id = 1;
-    Json request;
-    if (sweep) {
-        // The family compresses the scatter: every node expands the
-        // sweep itself and runs only the global indices it owns.
-        request = sweepRequestToJson(*sweep);
-        Json points = Json::array();
-        for (const size_t global : indices)
-            points.push(static_cast<uint64_t>(global));
-        request.set("points", std::move(points));
-    } else {
-        request = Json::object();
-        Json specs = Json::array();
-        for (const size_t global : indices)
-            specs.push((*gather.specs)[global].canonical());
-        request.set("specs", std::move(specs));
-    }
-    request.set("op", sweep ? "sweep" : "run");
-    request.set("id", id);
-    // Never quiet: the blobs are the digest fold input.
-    request.set("quiet", false);
-    if (!channel.writeLine(request.dump())) {
-        markDead(nodeIndex, "write failed (connection lost)");
-        return;
-    }
+        Json request;
+        if (sweep) {
+            // The family compresses the scatter: every node expands
+            // the sweep itself and runs only the global indices it
+            // owns.
+            request = sweepRequestToJson(*sweep);
+            Json points = Json::array();
+            for (const size_t global : indices)
+                points.push(static_cast<uint64_t>(global));
+            request.set("points", std::move(points));
+        } else {
+            request = Json::object();
+            Json specs = Json::array();
+            for (const size_t global : indices)
+                specs.push((*gather.keys)[global]);
+            request.set("specs", std::move(specs));
+        }
+        request.set("op", sweep ? "sweep" : "run");
+        request.set("id", id);
+        // Never quiet: the blobs are the digest fold input.
+        request.set("quiet", false);
+        if (!channel.writeLine(request.dump()))
+            fatal("write failed (connection lost)");
 
-    // Consume the subset stream. ANY malformed line is treated as a
-    // node failure — the scatter loop reroutes, a bad node must not
-    // take the router down.
-    uint64_t subsetDigest = 0xcbf29ce484222325ull;
-    size_t received = 0;
-    bool sawAck = sweep == nullptr;  // the run op has no ack line
-    for (;;) {
-        std::string line;
-        const LineChannel::MessageKind kind =
-            channel.readMessage(&line);
-        if (kind == LineChannel::MessageKind::Eof) {
-            markDead(nodeIndex,
-                     format("connection closed after %zu of %zu "
-                            "points",
-                            received, indices.size()));
-            return;
-        }
-        if (kind == LineChannel::MessageKind::BadFrame) {
-            markDead(nodeIndex,
-                     format("bad result frame after %zu of %zu "
-                            "points",
-                            received, indices.size()));
-            return;
-        }
-        if (kind == LineChannel::MessageKind::Frame) {
-            // A binary result point. The spec check and the digest
-            // fold work on the frame's raw strings — no JSON object,
-            // no stats decode on the integrity path; only the result
-            // landed in the gather table is decoded (the caller's
-            // hook and compare folds want a RunResult).
-            try {
-                ScopedFatalAsException scope;
-                ResultFrame frame;
+        // Consume the subset stream. Frames are checked on their raw
+        // bytes and parked for the drain as they are: no spec parse,
+        // no stats decode, no re-encode.
+        uint64_t subsetDigest = 0xcbf29ce484222325ull;
+        bool sawAck = sweep == nullptr;  // the run op has no ack line
+        std::string message;
+        for (;;) {
+            const LineChannel::MessageKind kind =
+                channel.readMessage(&message);
+            if (kind == LineChannel::MessageKind::Eof) {
+                fatal("connection closed after %zu of %zu points",
+                      received, indices.size());
+            }
+            if (kind == LineChannel::MessageKind::BadFrame) {
+                fatal("bad result frame after %zu of %zu points",
+                      received, indices.size());
+            }
+            if (kind == LineChannel::MessageKind::Frame) {
+                ResultFrameView frame;
                 std::string frameError;
-                if (!decodeResultFrame(line, &frame, &frameError))
+                if (!viewResultFrame(message, &frame, &frameError))
                     fatal("bad result frame: %s", frameError.c_str());
                 if (frame.id != id) {
                     fatal("frame for unknown request id %llu",
@@ -362,63 +456,33 @@ FleetRouter::streamSubset(size_t nodeIndex,
                 }
                 if (!sawAck)
                     fatal("result frame before the sweep ack");
-                const size_t seq = frame.seq;
-                if (seq != received || seq >= indices.size()) {
-                    fatal("result stream out of order (seq %zu, "
+                if (frame.seq != received ||
+                    frame.seq >= indices.size()) {
+                    fatal("result stream out of order (seq %llu, "
                           "expected %zu)",
-                          seq, received);
+                          static_cast<unsigned long long>(frame.seq),
+                          received);
                 }
                 if (!frame.hasBlob)
                     fatal("node streamed a result without a blob");
-                if (frame.spec !=
-                    (*gather.specs)[indices[seq]].canonical()) {
+                const size_t global = indices[received];
+                if (frame.spec != (*gather.keys)[global]) {
                     fatal("node answered the wrong spec for point "
                           "%zu",
-                          indices[seq]);
+                          global);
                 }
                 subsetDigest = fnv1a64(frame.blob.data(),
                                        frame.blob.size(),
                                        subsetDigest);
-                const size_t global = indices[seq];
                 ++received;
-                {
-                    std::lock_guard<std::mutex> lock(gather.mutex);
-                    if (!gather.done[global]) {
-                        gather.done[global] = 1;
-                        gather.results[global] =
-                            resultFromFrame(frame);
-                        gather.blobs[global] = std::move(frame.blob);
-                        if (*gather.hook) {
-                            (*gather.hook)(global,
-                                           gather.results[global],
-                                           gather.blobs[global]);
-                        }
-                    }
-                }
-                {
-                    std::lock_guard<std::mutex> lock(
-                        membershipMutex_);
-                    ++nodes_[nodeIndex].pointsServed;
-                }
-            } catch (const FatalError &e) {
-                markDead(nodeIndex, e.what());
-                return;
+                gather.park(global, std::move(message));
+                continue;
             }
-            continue;
-        }
-        Json msg;
-        std::string parseError;
-        if (!Json::parse(line, &msg, &parseError)) {
-            markDead(nodeIndex, "malformed response: " + parseError);
-            return;
-        }
-        if (msg.has("error")) {
-            markDead(nodeIndex,
-                     "node error: " + msg.getString("error"));
-            return;
-        }
-        try {
-            ScopedFatalAsException scope;
+            Json msg;
+            if (!Json::parse(message, &msg, &parseError))
+                fatal("malformed response: %s", parseError.c_str());
+            if (msg.has("error"))
+                fatal("node error: %s", msg.getString("error").c_str());
             if (msg.get("id").asU64() != id) {
                 fatal("response for unknown request id %llu",
                       static_cast<unsigned long long>(
@@ -432,91 +496,60 @@ FleetRouter::streamSubset(size_t nodeIndex,
                 sawAck = true;
                 continue;
             }
-            if (msg.getBool("done", false)) {
-                if (msg.getBool("cancelled", false) ||
-                    received != indices.size()) {
-                    fatal("stream ended after %zu of %zu points",
-                          received, indices.size());
-                }
-                // Integrity cross-check: the node folded the same
-                // digest over the bytes it sent; a mismatch means
-                // the subset we received is not what it computed.
-                const std::string server = msg.getString("digest");
-                const std::string local = format(
-                    "%016llx", static_cast<unsigned long long>(
-                                   subsetDigest));
-                if (server != local) {
-                    fatal("node digest %s != router fold %s",
-                          server.c_str(), local.c_str());
-                }
-                return;  // subset complete
+            if (!msg.getBool("done", false))
+                fatal("JSON result line on the binary wire");
+            if (msg.getBool("cancelled", false) ||
+                received != indices.size()) {
+                fatal("stream ended after %zu of %zu points", received,
+                      indices.size());
             }
-            const size_t seq = msg.get("seq").asU64();
-            if (seq != received || seq >= indices.size()) {
-                fatal("result stream out of order (seq %zu, "
-                      "expected %zu)",
-                      seq, received);
+            // Integrity cross-check: the node folded the same digest
+            // over the bytes it sent; a mismatch means the subset we
+            // received is not what it computed.
+            const std::string server = msg.getString("digest");
+            const std::string local = format(
+                "%016llx",
+                static_cast<unsigned long long>(subsetDigest));
+            if (server != local) {
+                fatal("node digest %s != router fold %s",
+                      server.c_str(), local.c_str());
             }
-            std::string blob;
-            RunResult result = resultFromJson(msg, &blob);
-            if (blob.empty())
-                fatal("node streamed a result without a blob");
-            if (result.spec != (*gather.specs)[indices[seq]]) {
-                fatal("node answered the wrong spec for point %zu",
-                      indices[seq]);
-            }
-            subsetDigest = fnv1a64(blob.data(), blob.size(),
-                                   subsetDigest);
-            const size_t global = indices[seq];
-            ++received;
-            {
-                std::lock_guard<std::mutex> lock(gather.mutex);
-                if (!gather.done[global]) {
-                    gather.done[global] = 1;
-                    gather.results[global] = result;
-                    gather.blobs[global] = blob;
-                    if (*gather.hook)
-                        (*gather.hook)(global, result, blob);
-                }
-            }
-            {
-                std::lock_guard<std::mutex> lock(membershipMutex_);
-                ++nodes_[nodeIndex].pointsServed;
-            }
-        } catch (const FatalError &e) {
-            markDead(nodeIndex, e.what());
-            return;
+            return received;  // subset complete
         }
+    } catch (const FatalError &e) {
+        markDead(nodeIndex, e.what());
     }
+    return received;
 }
 
 FleetOutcome
-FleetRouter::scatter(const std::vector<RunSpec> &specs,
+FleetRouter::scatter(const std::vector<std::string> &keys,
                      const SweepRequest *sweep,
                      std::vector<SweepSlice> slices,
                      const PointHook &hook)
 {
-    const size_t n = specs.size();
+    const size_t n = keys.size();
     Gather gather;
-    gather.specs = &specs;
-    gather.done.assign(n, 0);
-    gather.results.resize(n);
-    gather.blobs.resize(n);
-    gather.hook = &hook;
+    gather.keys = &keys;
+    gather.landed.assign(n, 0);
+    gather.payloads.resize(n);
 
     FleetOutcome outcome;
+    outcome.count = n;
     outcome.slices = std::move(slices);
+    outcome.digest = 0xcbf29ce484222325ull;
     {
         std::lock_guard<std::mutex> lock(membershipMutex_);
         deadDuringBatch_.clear();
     }
 
     // Scatter rounds: assign every unfinished point to its ring
-    // owner, stream all subsets concurrently, then re-assign whatever
-    // a dying node left behind. Each extra round means at least one
-    // node was newly marked dead (a successful subset lands all its
-    // points), so the loop terminates: the batch completes or the
-    // last node dies and nodeFor() fatal()s.
+    // owner, stream all subsets concurrently while this thread drains
+    // them in global order, then re-assign whatever a dying node left
+    // behind. Each extra round means at least one node was newly
+    // marked dead (a successful subset lands all its points), so the
+    // loop terminates: the batch completes or the last node dies and
+    // the live-count check fatal()s.
     bool firstRound = true;
     for (;;) {
         std::vector<std::vector<size_t>> assignment(nodes_.size());
@@ -532,10 +565,9 @@ FleetRouter::scatter(const std::vector<RunSpec> &specs,
                           : nodes_.back().lastError.c_str());
             }
             for (size_t i = 0; i < n; ++i) {
-                if (gather.done[i])
+                if (gather.landed[i])
                     continue;
-                assignment[ring_.nodeFor(specs[i].canonical())]
-                    .push_back(i);
+                assignment[ring_.nodeFor(keys[i])].push_back(i);
                 ++pending;
             }
         }
@@ -558,31 +590,37 @@ FleetRouter::scatter(const std::vector<RunSpec> &specs,
             if (assignment[node].empty())
                 continue;
             obsScatterPoints_->observe(assignment[node].size());
+            {
+                std::lock_guard<std::mutex> lock(gather.mutex);
+                ++gather.readers;
+            }
             readers.emplace_back([this, node, &assignment, sweep,
                                   &gather] {
-                streamSubset(node, assignment[node], sweep, gather);
+                const size_t served = streamSubset(
+                    node, assignment[node], sweep, gather);
+                {
+                    std::lock_guard<std::mutex> lock(
+                        membershipMutex_);
+                    nodes_[node].pointsServed += served;
+                }
+                gather.readerDone();
             });
+        }
+        // A throwing hook must not leave joinable readers behind:
+        // they finish (parking into the abandoned gather) before the
+        // error propagates.
+        std::exception_ptr hookError;
+        try {
+            gather.drain(hook, outcome, obsParkedDepth_);
+        } catch (...) {
+            hookError = std::current_exception();
         }
         for (std::thread &reader : readers)
             reader.join();
+        if (hookError)
+            std::rethrow_exception(hookError);
     }
 
-    // Fold the fleet-wide digest in GLOBAL submission order — the
-    // property that makes it bit-identical to a single-node run.
-    outcome.results = std::move(gather.results);
-    uint64_t digest = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        const std::string &blob = gather.blobs[i];
-        digest = fnv1a64(blob.data(), blob.size(), digest);
-        const RunResult &r = outcome.results[i];
-        if (r.cached)
-            ++outcome.cacheServed;
-        else if (r.fromStore)
-            ++outcome.storeServed;
-        else
-            ++outcome.simulated;
-    }
-    outcome.digest = digest;
     {
         std::lock_guard<std::mutex> lock(membershipMutex_);
         outcome.deadNodes = deadDuringBatch_;
@@ -598,19 +636,23 @@ FleetRouter::runSweep(const SweepRequest &request,
     // Expanded ONCE, router-side: the slice map and the global point
     // order come from here; nodes re-derive the identical expansion
     // from the family name (expandSweep is deterministic).
-    SweepBuilder sweep = expandSweep(request);
-    std::vector<SweepSlice> slices = sweep.slices();
-    const std::vector<RunSpec> specs = sweep.take();
+    std::vector<std::string> keys;
+    std::vector<SweepSlice> slices;
+    {
+        SweepBuilder sweep = expandSweep(request);
+        slices = sweep.slices();
+        keys = canonicalKeys(sweep.specs());
+    }
     if (onExpanded)
-        onExpanded(specs.size(), slices);
-    return scatter(specs, &request, std::move(slices), hook);
+        onExpanded(keys.size(), slices);
+    return scatter(keys, &request, std::move(slices), hook);
 }
 
 FleetOutcome
 FleetRouter::runSpecs(const std::vector<RunSpec> &specs,
                       const PointHook &hook)
 {
-    return scatter(specs, nullptr, {}, hook);
+    return scatter(canonicalKeys(specs), nullptr, {}, hook);
 }
 
 } // namespace mtv

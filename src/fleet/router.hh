@@ -15,13 +15,19 @@
  * op's "points" field, and expands the family itself — ~100 bytes of
  * request per node instead of megabytes of specs.
  *
- * Gather: one reader thread per node consumes that node's result
- * stream, mapping subset seq numbers back to global indices. Results
- * land in a global table, so the caller sees one multiplexed stream
- * (via the per-point hook, arrival order) and ONE digest: FNV-1a
- * folded over the canonical stats blobs in GLOBAL submission order,
- * bit-identical to running the whole sweep on a single node or
- * `mtvctl sweep --local`.
+ * Relay: one reader thread per node consumes that node's binary
+ * result stream, checks each frame on its raw payload (request id,
+ * ack before any frame, seq order, blob present, spec bytes equal to
+ * the expected canonical string, and at the end the node's done
+ * digest against a fold of the blobs it sent) and parks the payload
+ * under its global index. The thread that called runSweep() or
+ * runSpecs() drains the parked payloads in GLOBAL submission order
+ * while the readers stream: it folds ONE digest — FNV-1a over the
+ * canonical stats blobs in global order, bit-identical to running
+ * the whole sweep on a single node or `mtvctl sweep --local` — and
+ * hands each payload to the per-point hook outside every router
+ * lock. The router never decodes a point; a caller that wants a
+ * RunResult decodes the payload itself (resultFromPayload()).
  *
  * Failover: membership is a health table; a node is marked dead by a
  * sticky mark on any connect/write/read/protocol failure (or by the
@@ -32,6 +38,9 @@
  * wedged node stops simulating for nobody. Points the dead node had
  * already streamed are kept (its acked slice map); the unfinished
  * remainder is rerouted to the survivors on the next scatter round.
+ * The drain cursor carries across rounds, so the hook sees every
+ * global index exactly once, in order. Nodes must speak the binary
+ * wire: one that refuses it is marked dead like any other failure.
  * The batch completes as long as one node lives; with zero survivors
  * the router fatal()s (FleetService turns that into a protocol error
  * for its client).
@@ -74,15 +83,16 @@ struct FleetNodeStatus
     bool alive = true;
     /** Last connect/protocol failure (empty while healthy). */
     std::string lastError;
-    /** Result lines this node streamed to us. */
+    /** Result frames this node streamed to us (added as each
+     *  subset stream ends). */
     uint64_t pointsServed = 0;
 };
 
 /** One gathered batch (the fleet analogue of a done line). */
 struct FleetOutcome
 {
-    /** Global submission order — position i is spec i. */
-    std::vector<RunResult> results;
+    /** Points in the batch (every one went through the hook). */
+    size_t count = 0;
     /** Slice map of the sweep expansion (empty for spec batches). */
     std::vector<SweepSlice> slices;
     /** FNV-1a over the stats blobs in global submission order —
@@ -145,13 +155,19 @@ class FleetRouter
     void stopHealthMonitor();
 
     /**
-     * Per-point callback, invoked as results arrive (arrival order,
-     * concurrent node streams serialized by the router). @p blob is
-     * the canonical stats blob — what the digest folds over.
+     * The relay's per-point callback: invoked once per point in
+     * GLOBAL submission order, on the thread that called runSweep()
+     * or runSpecs(), while node streams are still arriving and with
+     * no router lock held. @p payload is the node's verified frame
+     * payload (ResultFrame layout, src/service/protocol.hh): spec and
+     * stats blob exactly as the node sent them, the header still
+     * carrying the node's request id and subset seq. The router is
+     * done with it, so the hook may rewrite or move it. @p moreReady
+     * says the next point is already parked, so a writer may hold
+     * this one back and coalesce writes.
      */
     using PointHook = std::function<void(
-        size_t globalIndex, const RunResult &result,
-        const std::string &blob)>;
+        size_t globalIndex, std::string &payload, bool moreReady)>;
 
     /** Called once after the sweep family expanded, before any node
      *  is contacted — the ack data (count + slice map). */
@@ -200,15 +216,17 @@ class FleetRouter
     void revive(size_t index);
 
     /** Stream one node's subset: send the request, consume the
-     *  stream, land results in @p gather. Any failure marks the node
-     *  dead; already-landed points are kept. */
-    void streamSubset(size_t nodeIndex,
-                      const std::vector<size_t> &indices,
-                      const SweepRequest *sweep, Gather &gather);
+     *  stream, park verified payloads in @p gather. Any failure marks
+     *  the node dead; already-parked points are kept. Returns the
+     *  points parked. */
+    size_t streamSubset(size_t nodeIndex,
+                        const std::vector<size_t> &indices,
+                        const SweepRequest *sweep, Gather &gather);
 
-    /** The scatter/gather/reroute loop shared by runSweep (sweep op,
-     *  @p sweep non-null) and runSpecs (run op). */
-    FleetOutcome scatter(const std::vector<RunSpec> &specs,
+    /** The scatter/relay/reroute loop shared by runSweep (sweep op,
+     *  @p sweep non-null) and runSpecs (run op). @p keys holds each
+     *  point's RunSpec::canonical(), built once per batch. */
+    FleetOutcome scatter(const std::vector<std::string> &keys,
                          const SweepRequest *sweep,
                          std::vector<SweepSlice> slices,
                          const PointHook &hook);
@@ -233,6 +251,11 @@ class FleetRouter
     Counter *obsReroutes_ = nullptr;
     Histogram *obsPingRttUs_ = nullptr;
     Histogram *obsScatterPoints_ = nullptr;
+    /** Payloads parked in the relay each time the drain takes a
+     *  batch: high with little client write stall means a node lags
+     *  the others; high with a large stall means the client is the
+     *  bottleneck. */
+    Histogram *obsParkedDepth_ = nullptr;
 };
 
 } // namespace mtv

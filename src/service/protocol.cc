@@ -143,11 +143,12 @@ struct FrameReader
         return data[pos++];
     }
 
-    std::string bytes(size_t n)
+    std::string_view bytes(size_t n)
     {
         if (!need(n))
-            return std::string();
-        std::string v(reinterpret_cast<const char *>(data + pos), n);
+            return std::string_view();
+        std::string_view v(reinterpret_cast<const char *>(data + pos),
+                           n);
         pos += n;
         return v;
     }
@@ -299,11 +300,7 @@ encodeResultFrame(const ResultFrame &frame)
     std::string wire;
     wire.reserve(frameHeaderBytes + payload.size() +
                  frameTrailerBytes);
-    wire.push_back(static_cast<char>(resultFrameMarker));
-    appendFrameU32(&wire, static_cast<uint32_t>(payload.size()));
-    wire.append(payload);
-    appendFrameU64(&wire,
-                   frameChecksum(payload.data(), payload.size()));
+    appendFramedPayload(&wire, payload);
     return wire;
 }
 
@@ -354,29 +351,29 @@ appendResultFrame(std::string *out, const RunResult &result,
 }
 
 bool
-decodeResultFrame(const std::string &payload, ResultFrame *out,
-                  std::string *error)
+viewResultFrame(const std::string &payload, ResultFrameView *out,
+                std::string *error)
 {
     FrameReader r{
         reinterpret_cast<const uint8_t *>(payload.data()),
         payload.size()};
-    ResultFrame frame;
-    frame.id = r.u64();
-    frame.seq = r.u64();
+    ResultFrameView view;
+    view.id = r.u64();
+    view.seq = r.u64();
     const uint8_t flags = r.u8();
-    frame.cached = (flags & frameFlagCached) != 0;
-    frame.fromStore = (flags & frameFlagFromStore) != 0;
-    frame.hasGroupExtras = (flags & frameFlagGroupExtras) != 0;
-    frame.hasBlob = (flags & frameFlagHasBlob) != 0;
-    frame.spec = r.bytes(r.u32());
-    if (frame.hasGroupExtras) {
-        frame.speedup = bitsDouble(r.u64());
-        frame.mthOccupation = bitsDouble(r.u64());
-        frame.refOccupation = bitsDouble(r.u64());
-        frame.mthVopc = bitsDouble(r.u64());
-        frame.refVopc = bitsDouble(r.u64());
+    view.cached = (flags & frameFlagCached) != 0;
+    view.fromStore = (flags & frameFlagFromStore) != 0;
+    view.hasGroupExtras = (flags & frameFlagGroupExtras) != 0;
+    view.hasBlob = (flags & frameFlagHasBlob) != 0;
+    view.spec = r.bytes(r.u32());
+    if (view.hasGroupExtras) {
+        view.speedup = bitsDouble(r.u64());
+        view.mthOccupation = bitsDouble(r.u64());
+        view.refOccupation = bitsDouble(r.u64());
+        view.mthVopc = bitsDouble(r.u64());
+        view.refVopc = bitsDouble(r.u64());
     }
-    frame.blob = r.bytes(r.u32());
+    view.blob = r.bytes(r.u32());
     if (!r.ok || r.pos != r.size) {
         if (error) {
             *error = r.ok ? format("frame payload carries %zu "
@@ -386,13 +383,66 @@ decodeResultFrame(const std::string &payload, ResultFrame *out,
         }
         return false;
     }
-    if (frame.hasBlob == frame.blob.empty()) {
+    if (view.hasBlob == view.blob.empty()) {
         if (error)
             *error = "frame blob contradicts its hasBlob flag";
         return false;
     }
-    *out = std::move(frame);
+    *out = view;
     return true;
+}
+
+bool
+decodeResultFrame(const std::string &payload, ResultFrame *out,
+                  std::string *error)
+{
+    ResultFrameView view;
+    if (!viewResultFrame(payload, &view, error))
+        return false;
+    out->id = view.id;
+    out->seq = view.seq;
+    out->cached = view.cached;
+    out->fromStore = view.fromStore;
+    out->hasGroupExtras = view.hasGroupExtras;
+    out->hasBlob = view.hasBlob;
+    out->spec.assign(view.spec);
+    out->speedup = view.speedup;
+    out->mthOccupation = view.mthOccupation;
+    out->refOccupation = view.refOccupation;
+    out->mthVopc = view.mthVopc;
+    out->refVopc = view.refVopc;
+    out->blob.assign(view.blob);
+    return true;
+}
+
+void
+setResultFrameHeader(std::string *payload, uint64_t id, uint64_t seq)
+{
+    uint8_t *raw = reinterpret_cast<uint8_t *>(payload->data());
+    writeLe64(raw, id);
+    writeLe64(raw + 8, seq);
+}
+
+void
+appendFramedPayload(std::string *out, const std::string &payload)
+{
+    out->push_back(static_cast<char>(resultFrameMarker));
+    appendFrameU32(out, static_cast<uint32_t>(payload.size()));
+    out->append(payload);
+    appendFrameU64(out, frameChecksum(payload.data(), payload.size()));
+}
+
+RunResult
+resultFromPayload(const std::string &payload, std::string *blob)
+{
+    ResultFrame frame;
+    std::string error;
+    if (!decodeResultFrame(payload, &frame, &error))
+        fatal("bad result frame: %s", error.c_str());
+    RunResult result = resultFromFrame(frame);
+    if (blob)
+        *blob = std::move(frame.blob);
+    return result;
 }
 
 ResultFrame
@@ -427,8 +477,8 @@ resultFromFrame(const ResultFrame &frame)
 {
     RunResult result;
     result.spec = RunSpec::parse(frame.spec);
-    // Keep the wire string: re-encoders (the fleet's ordered emitter)
-    // forward it verbatim instead of recanonicalizing the spec.
+    // Keep the wire string: re-encoders (a router's quiet or JSON
+    // client) forward it verbatim instead of recanonicalizing.
     result.specCanonical = frame.spec;
     result.cached = frame.cached;
     result.fromStore = frame.fromStore;

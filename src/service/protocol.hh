@@ -146,6 +146,7 @@
 #define MTV_SERVICE_PROTOCOL_HH
 
 #include <string>
+#include <string_view>
 
 #include "src/api/engine.hh"
 #include "src/api/sweep.hh"
@@ -161,6 +162,11 @@ constexpr int serviceProtocolVersion = 6;
 /** Batch requests one connection may keep streaming concurrently;
  *  further requests are not read until a slot frees (backpressure). */
 constexpr int maxInflightRequestsPerConnection = 8;
+
+/** A streaming writer (a daemon's batch, a router's relay) coalesces
+ *  encoded points into one write while the next point is already
+ *  ready, up to this many bytes. */
+constexpr size_t streamOutboxBytes = 256u * 1024;
 
 /** Wire format of a connection's streamed result points (v6). The
  *  default — and the only format v5 clients ever see — is Json. */
@@ -240,6 +246,53 @@ std::string encodeResultFrame(const ResultFrame &frame);
  */
 bool decodeResultFrame(const std::string &payload, ResultFrame *out,
                        std::string *error);
+
+/**
+ * The fields of a frame payload as views into it — what a relay
+ * needs to check and forward a point without copying or decoding the
+ * spec and the stats. Valid only while the payload string lives
+ * unchanged.
+ */
+struct ResultFrameView
+{
+    uint64_t id = 0;
+    uint64_t seq = 0;
+    bool cached = false;
+    bool fromStore = false;
+    bool hasGroupExtras = false;
+    bool hasBlob = false;
+    std::string_view spec;
+    double speedup = 0.0;
+    double mthOccupation = 0.0;
+    double refOccupation = 0.0;
+    double mthVopc = 0.0;
+    double refVopc = 0.0;
+    std::string_view blob;
+};
+
+/** Parse a frame payload in place, with decodeResultFrame()'s
+ *  rules; false with @p error set on a malformed payload. */
+bool viewResultFrame(const std::string &payload, ResultFrameView *out,
+                     std::string *error);
+
+/** Overwrite a payload's leading id and seq words — how a router
+ *  renumbers a node's subset seq into its client's global seq. */
+void setResultFrameHeader(std::string *payload, uint64_t id,
+                          uint64_t seq);
+
+/** Append @p payload's full wire frame to @p out: marker, length
+ *  prefix, payload, frameChecksum() trailer. */
+void appendFramedPayload(std::string *out, const std::string &payload);
+
+/**
+ * Decode a frame payload all the way to a RunResult — the one path
+ * for a relay's consumers that want results rather than bytes
+ * (compare, `mtvctl --fleet`, a JSON-wire or quiet router client).
+ * @p blob, if non-null, receives the raw blob. fatal()s on a
+ * malformed payload or blob.
+ */
+RunResult resultFromPayload(const std::string &payload,
+                            std::string *blob = nullptr);
 
 /** Build the frame for one result (the binary twin of
  *  resultToJson()). @p blob carries the canonical stats bytes, or

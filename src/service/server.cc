@@ -993,7 +993,6 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // flushes every point the moment it lands — same latency, far
     // fewer write() syscalls on the hot path.
     std::string outbox;
-    constexpr size_t maxOutboxBytes = 256u * 1024;
     const auto flushOutbox = [&]() {
         if (outbox.empty())
             return true;
@@ -1073,7 +1072,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             i + 1 < futures.size() &&
             futures[i + 1].wait_for(std::chrono::seconds(0)) ==
                 std::future_status::ready;
-        if ((!nextReady || outbox.size() >= maxOutboxBytes) &&
+        if ((!nextReady || outbox.size() >= streamOutboxBytes) &&
             !flushOutbox()) {
             aborted = true;  // client gone; queued work was reaped
             break;

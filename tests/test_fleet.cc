@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <set>
 #include <thread>
 
 #include <sys/socket.h>
@@ -23,6 +22,7 @@
 
 #include "src/api/engine.hh"
 #include "src/common/logging.hh"
+#include "src/common/strutil.hh"
 #include "src/fleet/fleet_service.hh"
 #include "src/fleet/ring.hh"
 #include "src/fleet/router.hh"
@@ -302,11 +302,14 @@ TEST_F(FleetFixture, SweepScatterFoldsBitIdenticalToLocal)
     FleetRouter router(endpoints_);
     size_t ackCount = 0;
     size_t ackSlices = 0;
-    std::set<size_t> arrived;
+    std::vector<RunResult> results;
     const FleetOutcome outcome = router.runSweep(
         request,
-        [&arrived](size_t global, const RunResult &,
-                   const std::string &) { arrived.insert(global); },
+        [&results](size_t global, std::string &payload, bool) {
+            // The relay delivers in global order, once per point.
+            EXPECT_EQ(global, results.size());
+            results.push_back(resultFromPayload(payload));
+        },
         [&](size_t count, const std::vector<SweepSlice> &slices) {
             ackCount = count;
             ackSlices = slices.size();
@@ -315,13 +318,13 @@ TEST_F(FleetFixture, SweepScatterFoldsBitIdenticalToLocal)
     // The expand hook fired with the full expansion (the ack data).
     EXPECT_EQ(ackCount, expected.results.size());
     EXPECT_EQ(ackSlices, reference.slices().size());
-    // Every point arrived exactly once through the hook.
-    EXPECT_EQ(arrived.size(), expected.results.size());
+    // Every point arrived exactly once through the hook, in order.
+    EXPECT_EQ(outcome.count, expected.results.size());
+    ASSERT_EQ(results.size(), expected.results.size());
 
     // Point-by-point and folded bit-identity with the local engine.
-    ASSERT_EQ(outcome.results.size(), expected.results.size());
     for (size_t i = 0; i < expected.results.size(); ++i) {
-        EXPECT_EQ(serializeSimStats(outcome.results[i].stats),
+        EXPECT_EQ(serializeSimStats(results[i].stats),
                   serializeSimStats(expected.results[i].stats))
             << "point " << i;
     }
@@ -399,16 +402,34 @@ TEST_F(FleetFixture, DeadEndpointAtStartReroutesToSurvivors)
     EXPECT_TRUE(again.deadNodes.empty());
 }
 
+/** How a FakeNode misbehaves. */
+enum class FakeMode
+{
+    /** Streams one genuine frame, then slams the connection — a node
+     *  dying mid-stream after real progress. */
+    HalfDead,
+    /** Refuses the binary wire, like a JSON-only daemon. */
+    JsonOnly,
+    /** Its first frame names another spec than the one asked for. */
+    WrongSpec,
+    /** Its first frame's blob is torn on the wire after the trailer
+     *  checksum was computed. */
+    TornFrame,
+    /** Streams every point genuinely but ends with a done digest
+     *  that does not match the blobs it sent. */
+    WrongDigest
+};
+
 /**
- * A protocol impostor: accepts ONE connection, serves the first
- * point of the run request it receives with a genuine engine result,
- * then slams the connection — a node dying mid-stream, after real
- * progress was acked.
+ * A protocol impostor: accepts ONE connection, negotiates the wire
+ * and serves the run request it receives with genuine engine results
+ * framed exactly as a daemon frames them, misbehaving per FakeMode.
  */
-class FakeHalfDeadNode
+class FakeNode
 {
   public:
-    explicit FakeHalfDeadNode(const std::string &path) : path_(path)
+    FakeNode(const std::string &path, FakeMode mode)
+        : path_(path), mode_(mode)
     {
         listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
         sockaddr_un addr{};
@@ -426,7 +447,7 @@ class FakeHalfDeadNode
         thread_ = std::thread([this] { serveOne(); });
     }
 
-    ~FakeHalfDeadNode()
+    ~FakeNode()
     {
         ::shutdown(listenFd_, SHUT_RDWR);
         thread_.join();
@@ -434,6 +455,7 @@ class FakeHalfDeadNode
         ::unlink(path_.c_str());
     }
 
+    /** Frames written to the router. */
     size_t served() const { return served_.load(); }
 
   private:
@@ -445,44 +467,62 @@ class FakeHalfDeadNode
             return;
         LineChannel channel(fd);
         std::string line;
-        if (!channel.readLine(&line))
-            return;
         Json request;
         std::string error;
-        if (!Json::parse(line, &request, &error))
+        if (!channel.readLine(&line) ||
+            !Json::parse(line, &request, &error) ||
+            request.getString("op", "") != "hello") {
             return;
-        if (request.has("op") &&
-            request.getString("op") == "hello") {
-            // Refuse the binary wire like a JSON-only daemon: the
-            // router must fall back to v5-style lines on this node.
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", std::string("json"));
-            ok.set("protocol", static_cast<uint64_t>(6));
-            if (!channel.writeLine(ok.dump()) ||
-                !channel.readLine(&line) ||
-                !Json::parse(line, &request, &error)) {
-                return;
-            }
         }
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("hello", true);
+        ok.set("wire", std::string(mode_ == FakeMode::JsonOnly
+                                       ? "json"
+                                       : "binary"));
+        ok.set("protocol", static_cast<uint64_t>(6));
+        if (!channel.writeLine(ok.dump()) ||
+            !channel.readLine(&line) ||
+            !Json::parse(line, &request, &error)) {
+            return;  // a JSON-only node never gets a request
+        }
+        const uint64_t id = request.get("id").asU64();
         const auto &specs = request.get("specs").asArray();
-        if (specs.empty())
-            return;
-        // One genuine result (seq 0 of the subset), then EOF: the
-        // router must keep this point and reroute only the rest.
         ExperimentEngine engine;
-        const RunResult result =
-            engine.run(RunSpec::parse(specs[0].asString()));
-        const Json reply = resultToJson(
-            result, request.get("id").asU64(), 0,
-            /*includeBlob=*/true);
-        if (channel.writeLine(reply.dump()))
-            served_ = 1;
-        // The channel destructor closes the socket mid-stream.
+        uint64_t digest = 0xcbf29ce484222325ull;
+        for (size_t seq = 0; seq < specs.size(); ++seq) {
+            RunResult result =
+                engine.run(RunSpec::parse(specs[seq].asString()));
+            const std::string blob = serializeSimStats(result.stats);
+            digest = fnv1a64(blob.data(), blob.size(), digest);
+            if (mode_ == FakeMode::WrongSpec)
+                result.specCanonical = specs[seq].asString() + " ";
+            std::string frame;
+            appendResultFrame(&frame, result, id, seq, &blob);
+            if (mode_ == FakeMode::TornFrame) {
+                // The payload's last byte (the blob's), just before
+                // the 8-byte trailer.
+                frame[frame.size() - 9] ^= 0x01;
+            }
+            if (!channel.writeBytes(frame))
+                return;
+            ++served_;
+            // The channel destructor closes the socket mid-stream.
+            if (mode_ != FakeMode::WrongDigest)
+                return;
+        }
+        Json done = Json::object();
+        done.set("id", id);
+        done.set("done", true);
+        done.set("count", static_cast<uint64_t>(specs.size()));
+        done.set("digest",
+                 format("%016llx",
+                        static_cast<unsigned long long>(digest ^ 1)));
+        channel.writeLine(done.dump());
     }
 
     std::string path_;
+    FakeMode mode_;
     int listenFd_ = -1;
     std::thread thread_;
     /** Written by the serving thread, read by the test thread. */
@@ -492,7 +532,7 @@ class FakeHalfDeadNode
 TEST_F(FleetFixture, NodeDeathMidStreamReroutesUnfinishedPoints)
 {
     const std::string fakePath = tempPath(8) + ".fake";
-    FakeHalfDeadNode fake(fakePath);
+    FakeNode fake(fakePath, FakeMode::HalfDead);
     const std::vector<std::string> fleet = {endpoints_[0],
                                             endpoints_[1], fakePath};
     const auto specs = distinctSpecs(40);
@@ -519,6 +559,288 @@ TEST_F(FleetFixture, NodeDeathMidStreamReroutesUnfinishedPoints)
     EXPECT_EQ(status[2].pointsServed, 1u);
     EXPECT_EQ(status[0].pointsServed + status[1].pointsServed,
               specs.size() - 1);
+}
+
+TEST_F(FleetFixture, JsonOnlyNodeIsMarkedDeadAndRerouted)
+{
+    // Nodes must speak the binary wire: the relay forwards their
+    // frames as is. A node that refuses is dead, and the survivors
+    // recompute its whole slice.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::JsonOnly);
+    const std::vector<std::string> fleet = {endpoints_[0],
+                                            endpoints_[1], fakePath};
+    const auto specs = distinctSpecs(40);
+    const LocalFold expected = localFold(specs);
+
+    FleetRouter router(fleet);
+    const auto census = ownershipCensus(router, specs, 3);
+    ASSERT_GT(census[2], 0u);
+
+    const FleetOutcome outcome = router.runSpecs(specs);
+    EXPECT_EQ(fake.served(), 0u);
+    EXPECT_EQ(outcome.digest, expected.digest);
+    EXPECT_EQ(outcome.rerouted, census[2]);
+    ASSERT_EQ(outcome.deadNodes.size(), 1u);
+    EXPECT_EQ(outcome.deadNodes[0], fakePath);
+    const auto status = router.status();
+    EXPECT_FALSE(status[2].alive);
+    EXPECT_EQ(status[2].lastError, "node refused the binary wire");
+    EXPECT_EQ(status[2].pointsServed, 0u);
+}
+
+TEST_F(FleetFixture, CorruptNodeStreamsMarkTheNodeDead)
+{
+    // The relay checks frames on their raw bytes; each violation
+    // still marks the node dead and the batch still folds the local
+    // digest.
+    const auto specs = distinctSpecs(40);
+    const LocalFold expected = localFold(specs);
+    const struct
+    {
+        FakeMode mode;
+        const char *error;
+        bool pointsKept;
+    } cases[] = {
+        {FakeMode::WrongSpec, "wrong spec", false},
+        {FakeMode::TornFrame, "bad result frame", false},
+        // Every frame was genuine; only the done line lies.
+        {FakeMode::WrongDigest, "node digest", true},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.error);
+        const std::string fakePath = tempPath(8) + ".fake";
+        FakeNode fake(fakePath, c.mode);
+        FleetRouter router({endpoints_[0], endpoints_[1], fakePath});
+        const auto census = ownershipCensus(router, specs, 3);
+        ASSERT_GT(census[2], 1u);
+
+        const FleetOutcome outcome = router.runSpecs(specs);
+        EXPECT_EQ(outcome.digest, expected.digest);
+        EXPECT_EQ(outcome.rerouted, c.pointsKept ? 0u : census[2]);
+        const auto status = router.status();
+        EXPECT_FALSE(status[2].alive);
+        EXPECT_NE(status[2].lastError.find(c.error), std::string::npos)
+            << status[2].lastError;
+        EXPECT_EQ(status[2].pointsServed, c.pointsKept ? census[2] : 0u);
+    }
+}
+
+/** What a binary client read off one streamed request. */
+struct BinaryStream
+{
+    /** Frame payloads in arrival order. */
+    std::vector<std::string> payloads;
+    /** Every frame's seq, in arrival order. */
+    std::vector<uint64_t> seqs;
+    /** FNV-1a over the frames' blobs in arrival order. */
+    uint64_t fold = 0xcbf29ce484222325ull;
+    Json done;
+};
+
+/** Negotiate the binary wire at @p endpoint, send @p request and read
+ *  its stream up to the done line. */
+BinaryStream
+streamBinary(const std::string &endpoint, const Json &request)
+{
+    BinaryStream out;
+    std::string error;
+    const int fd = connectToEndpoint(parseEndpoint(endpoint), &error);
+    EXPECT_GE(fd, 0) << error;
+    if (fd < 0)
+        return out;
+    LineChannel channel(fd);
+    Json hello = Json::object();
+    hello.set("op", "hello");
+    hello.set("wire", "binary");
+    std::string line;
+    EXPECT_TRUE(channel.writeLine(hello.dump()));
+    EXPECT_TRUE(channel.readLine(&line));
+    EXPECT_NE(line.find("\"binary\""), std::string::npos) << line;
+    EXPECT_TRUE(channel.writeLine(request.dump()));
+    const uint64_t id = request.get("id").asU64();
+    std::string message;
+    for (;;) {
+        const LineChannel::MessageKind kind =
+            channel.readMessage(&message);
+        if (kind == LineChannel::MessageKind::Frame) {
+            ResultFrameView frame;
+            EXPECT_TRUE(viewResultFrame(message, &frame, &error))
+                << error;
+            EXPECT_EQ(frame.id, id);
+            out.fold = fnv1a64(frame.blob.data(), frame.blob.size(),
+                               out.fold);
+            out.seqs.push_back(frame.seq);
+            out.payloads.push_back(std::move(message));
+            continue;
+        }
+        if (kind != LineChannel::MessageKind::Line) {
+            ADD_FAILURE() << "stream broke";
+            return out;
+        }
+        Json msg;
+        EXPECT_TRUE(Json::parse(message, &msg, &error)) << error;
+        if (msg.has("error")) {
+            ADD_FAILURE() << msg.getString("error");
+            return out;
+        }
+        if (msg.getBool("done", false)) {
+            out.done = msg;
+            return out;
+        }
+    }
+}
+
+/** The seq numbers 0..n-1, each once, in order. */
+void
+expectGlobalOrder(const BinaryStream &stream, size_t n)
+{
+    ASSERT_EQ(stream.seqs.size(), n);
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(stream.seqs[i], i);
+}
+
+TEST_F(FleetFixture, RouterRelaysNodeFramesVerbatimInGlobalOrder)
+{
+    SweepRequest sweep;
+    sweep.family = "groupings";
+    sweep.program = "trfd";
+    sweep.contexts = 2;
+    sweep.scale = testScale;
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+    const size_t n = expected.results.size();
+    const std::string digestHex = format(
+        "%016llx", static_cast<unsigned long long>(expected.digest));
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    Json request = sweepRequestToJson(sweep);
+    request.set("op", "sweep");
+    request.set("quiet", false);
+    {
+        // A JSON-wire client gets decoded, re-encoded points with
+        // the same digest. This pass also warms every node's cache,
+        // so the passes below serve identical cached points.
+        std::string error;
+        const int fd = connectToDaemon(fleet.socketPath(), &error);
+        ASSERT_GE(fd, 0) << error;
+        LineChannel channel(fd);
+        request.set("id", 40);
+        ASSERT_TRUE(channel.writeLine(request.dump()));
+        uint64_t fold = 0xcbf29ce484222325ull;
+        size_t points = 0;
+        std::string line;
+        while (channel.readLine(&line)) {
+            Json msg;
+            ASSERT_TRUE(Json::parse(line, &msg, &error)) << error;
+            ASSERT_FALSE(msg.has("error")) << msg.getString("error");
+            if (msg.getBool("ack", false))
+                continue;
+            if (msg.getBool("done", false)) {
+                EXPECT_EQ(msg.getString("digest"), digestHex);
+                break;
+            }
+            EXPECT_EQ(msg.get("seq").asU64(), points);
+            std::string blob;
+            resultFromJson(msg, &blob);
+            fold = fnv1a64(blob.data(), blob.size(), fold);
+            ++points;
+        }
+        EXPECT_EQ(points, n);
+        EXPECT_EQ(fold, expected.digest);
+    }
+
+    // Each node's own frames for the points it owns, straight from it.
+    std::vector<std::string> direct(n);
+    std::vector<std::vector<size_t>> owned(endpoints_.size());
+    for (size_t i = 0; i < n; ++i) {
+        owned[fleet.router().nodeForKey(
+                  reference.specs()[i].canonical())]
+            .push_back(i);
+    }
+    for (size_t node = 0; node < owned.size(); ++node) {
+        if (owned[node].empty())
+            continue;  // ring placement varies with the ports
+        Json subset = sweepRequestToJson(sweep);
+        subset.set("op", "sweep");
+        subset.set("id", 50 + node);
+        subset.set("quiet", false);
+        Json points = Json::array();
+        for (const size_t global : owned[node])
+            points.push(static_cast<uint64_t>(global));
+        subset.set("points", std::move(points));
+        const BinaryStream stream =
+            streamBinary(endpoints_[node], subset);
+        ASSERT_EQ(stream.payloads.size(), owned[node].size());
+        for (size_t k = 0; k < owned[node].size(); ++k)
+            direct[owned[node][k]] = stream.payloads[k];
+    }
+
+    // Through the router: global seq, once each, and every payload
+    // past its 16-byte id/seq header byte-equal to the node's own.
+    request.set("id", 41);
+    const BinaryStream relayed =
+        streamBinary(fleet.socketPath(), request);
+    expectGlobalOrder(relayed, n);
+    ASSERT_EQ(relayed.payloads.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(relayed.payloads[i].substr(16), direct[i].substr(16))
+            << "point " << i;
+    }
+    EXPECT_EQ(relayed.fold, expected.digest);
+    EXPECT_EQ(relayed.done.getString("digest"), digestHex);
+    EXPECT_EQ(relayed.done.get("count").asU64(), n);
+    EXPECT_EQ(relayed.done.get("rerouted").asU64(), 0u);
+
+    fleet.stop();
+    serveThread.join();
+}
+
+TEST_F(FleetFixture, RouterRelaysThroughAHalfDeadNode)
+{
+    // The routing daemon absorbs a node dying mid-stream: its client
+    // still reads every global seq exactly once, in order, with the
+    // local digest.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::HalfDead);
+    const auto specs = distinctSpecs(40);
+    const LocalFold expected = localFold(specs);
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = {endpoints_[0], endpoints_[1], fakePath};
+    FleetService fleet(options);
+    const auto census = ownershipCensus(fleet.router(), specs, 3);
+    ASSERT_GT(census[2], 1u);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    Json request = Json::object();
+    request.set("op", "run");
+    request.set("id", 42);
+    Json specArray = Json::array();
+    for (const RunSpec &spec : specs)
+        specArray.push(spec.canonical());
+    request.set("specs", std::move(specArray));
+    const BinaryStream relayed =
+        streamBinary(fleet.socketPath(), request);
+    expectGlobalOrder(relayed, specs.size());
+    EXPECT_EQ(fake.served(), 1u);
+    EXPECT_EQ(relayed.fold, expected.digest);
+    EXPECT_EQ(relayed.done.getString("digest"),
+              format("%016llx", static_cast<unsigned long long>(
+                                    expected.digest)));
+    EXPECT_EQ(relayed.done.get("rerouted").asU64(), census[2] - 1);
+    ASSERT_EQ(relayed.done.get("deadNodes").asArray().size(), 1u);
+    EXPECT_EQ(relayed.done.get("deadNodes").asArray()[0].asString(),
+              fakePath);
+
+    fleet.stop();
+    serveThread.join();
 }
 
 TEST_F(FleetFixture, PingAllRevivesARestartedNode)
@@ -613,8 +935,17 @@ TEST_F(FleetFixture, MetricsOpAggregatesAcrossNodes)
             EXPECT_EQ(node.get("metrics").type(),
                       Json::Type::Object);
         }
-        // The router carries its own registry too.
-        EXPECT_EQ(response.get("router").type(), Json::Type::Object);
+        // The router carries its own registry too, with the relay's
+        // two bottleneck readouts: client write stall and parked
+        // depth.
+        const Json &router = response.get("router");
+        ASSERT_EQ(router.type(), Json::Type::Object);
+        EXPECT_TRUE(router.get("counters").has(
+            "fleet_write_stall_us_total"));
+        const Json &depth =
+            router.get("histograms").get("fleet_parked_depth");
+        ASSERT_EQ(depth.type(), Json::Type::Object);
+        EXPECT_EQ(depth.get("bounds").asArray().front().asU64(), 0u);
 
         // The gather itself connects once per node, and all three
         // nodes share this test process's registry — so the summed

@@ -1327,6 +1327,18 @@ TEST(Protocol, FrameCodecRoundTripAllShapes)
             EXPECT_DOUBLE_EQ(back.mthVopc, frame.mthVopc);
             EXPECT_DOUBLE_EQ(back.refVopc, frame.refVopc);
         }
+
+        // A router's relay renumbers payloads in place: rewriting the
+        // id/seq header and reframing equals encoding the renumbered
+        // frame.
+        std::string payload = framePayload(frame);
+        setResultFrameHeader(&payload, frame.id + 1, frame.seq + 40);
+        std::string relayed;
+        appendFramedPayload(&relayed, payload);
+        ResultFrame renumbered = frame;
+        renumbered.id += 1;
+        renumbered.seq += 40;
+        EXPECT_EQ(relayed, encodeResultFrame(renumbered));
     };
 
     // Group extras + binary-hostile blob bytes.

@@ -20,7 +20,10 @@
  *                                       sweep) and consumes the
  *                                       result stream. --follow
  *                                       prints each point as it
- *                                       arrives; --local runs the
+ *                                       arrives (in submission
+ *                                       order, --fleet included: the
+ *                                       router relays points in
+ *                                       global order); --local runs the
  *                                       identical sweep in-process
  *                                       (no daemon) for comparison.
  *   mtvctl compare [--scale S] [--family F] [--contexts N] [--local]
@@ -477,7 +480,11 @@ cmdCompareFleet(const std::vector<std::string> &fleetNodes,
 {
     FleetRouter router(fleetNodes);
     const auto start = std::chrono::steady_clock::now();
-    const FleetOutcome outcome = router.runSweep(request);
+    std::vector<RunResult> results;
+    const FleetOutcome outcome = router.runSweep(
+        request, [&results](size_t, std::string &payload, bool) {
+            results.push_back(resultFromPayload(payload));
+        });
     const double seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -485,10 +492,10 @@ cmdCompareFleet(const std::vector<std::string> &fleetNodes,
 
     printCompareTable(
         outcome.slices.at(0).label,
-        compareDesigns(outcome.slices, outcome.results));
+        compareDesigns(outcome.slices, results));
     std::printf("compare: %zu points in %.2fs (family %s, fleet of "
                 "%zu nodes)\n",
-                outcome.results.size(), seconds,
+                outcome.count, seconds,
                 request.family.c_str(), router.nodeCount());
     printServed(outcome.simulated, outcome.cacheServed,
                 outcome.storeServed);
@@ -607,15 +614,19 @@ cmdSweepFleet(const std::vector<std::string> &fleetNodes,
 
     size_t count = 0;
     std::vector<SweepSlice> slices;
+    std::vector<RunResult> results;
     const auto start = std::chrono::steady_clock::now();
     const FleetOutcome outcome = router.runSweep(
         request,
-        [follow, &count](size_t global, const RunResult &r,
-                         const std::string &) {
-            // Arrival order, tagged with the global index — the
-            // fleet analogue of --follow.
+        [quiet, follow, &count, &results](
+            size_t global, std::string &payload, bool) {
+            if (quiet)
+                return;  // nothing reads the points
+            // The relay delivers in global submission order, so
+            // --follow reads exactly as it does against one daemon.
+            results.push_back(resultFromPayload(payload));
             if (follow)
-                printPoint(r, global, count);
+                printPoint(results.back(), global, count);
         },
         [&](size_t total, const std::vector<SweepSlice> &expanded) {
             count = total;
@@ -627,10 +638,10 @@ cmdSweepFleet(const std::vector<std::string> &fleetNodes,
             .count();
 
     if (!quiet)
-        printSliceReport(slices, outcome.results);
+        printSliceReport(slices, results);
     std::printf("sweep: %zu points in %.2fs (family %s, fleet of "
                 "%zu nodes)\n",
-                outcome.results.size(), seconds,
+                outcome.count, seconds,
                 request.family.c_str(), router.nodeCount());
     // One machine-friendly line (fleet_smoke.sh greps it): how much
     // failover the sweep absorbed.
