@@ -230,9 +230,8 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
 }
 
 std::future<RunResult>
-ExperimentEngine::submit(RunSpec spec, SubmitHook hook,
-                         std::shared_ptr<CancelToken> token,
-                         LaneId laneId)
+ExperimentEngine::settleCached(RunSpec &spec, const SubmitHook &hook,
+                               const CancelToken *token)
 {
     // Completed-cache fast path: a memoized hit has no work left to
     // schedule, so settle the future on the calling thread and skip
@@ -241,55 +240,59 @@ ExperimentEngine::submit(RunSpec spec, SubmitHook hook,
     // specs still dispatch: their reference terms may simulate.
     // A hit for an already-cancelled token also dispatches, so the
     // future fails with CancelledError exactly as before.
-    if (memoize_ && spec.maxInstructions == 0 &&
-        spec.mode != SpecMode::Group &&
-        !(token && token->cancelled())) {
-        std::string key = spec.canonical();
-        CachedStats stats;
-        std::shared_ptr<const std::string> blob;
-        {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
-            auto it = cache_.find(key);
-            if (it != cache_.end()) {
-                lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-                it->second.lruPos = lru_.begin();
-                cacheHits_.fetch_add(1);
-                obsCacheHits_->inc();
-                stats = it->second.stats;
-                blob = it->second.blob;
-            }
-        }
-        if (stats) {
-            if (!blob && canonicalSerializer_) {
-                // First streamed hit of this entry: memoize the
-                // canonical bytes so every later hit is zero-copy.
-                // Serialized outside the lock; a racing duplicate
-                // produces the same canonical bytes, so last writer
-                // wins harmlessly.
-                blob = std::make_shared<const std::string>(
-                    canonicalSerializer_(*stats));
-                std::lock_guard<std::mutex> lock(cacheMutex_);
-                auto it = cache_.find(key);
-                if (it != cache_.end())
-                    it->second.blob = blob;
-            }
-            RunResult result;
-            result.spec = std::move(spec);
-            result.stats = *stats;
-            result.cached = true;
-            result.blob = std::move(blob);
-            result.specCanonical = std::move(key);
-            obsPointsCompleted_->inc();
-            if (hook)
-                hook(result);
-            std::promise<RunResult> promise;
-            std::future<RunResult> future = promise.get_future();
-            promise.set_value(std::move(result));
-            return future;
+    if (!memoize_ || spec.maxInstructions != 0 ||
+        spec.mode == SpecMode::Group || (token && token->cancelled())) {
+        return {};
+    }
+    std::string key = spec.canonical();
+    CachedStats stats;
+    std::shared_ptr<const std::string> blob;
+    {
+        std::lock_guard<std::mutex> lock(cacheMutex_);
+        auto it = cache_.find(key);
+        if (it != cache_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+            it->second.lruPos = lru_.begin();
+            cacheHits_.fetch_add(1);
+            obsCacheHits_->inc();
+            stats = it->second.stats;
+            blob = it->second.blob;
         }
     }
+    if (!stats)
+        return {};
+    if (!blob && canonicalSerializer_) {
+        // First streamed hit of this entry: memoize the canonical
+        // bytes so every later hit is zero-copy. Serialized outside
+        // the lock; a racing duplicate produces the same canonical
+        // bytes, so last writer wins harmlessly.
+        blob = std::make_shared<const std::string>(
+            canonicalSerializer_(*stats));
+        std::lock_guard<std::mutex> lock(cacheMutex_);
+        auto it = cache_.find(key);
+        if (it != cache_.end())
+            it->second.blob = blob;
+    }
+    RunResult result;
+    result.spec = std::move(spec);
+    result.stats = *stats;
+    result.cached = true;
+    result.blob = std::move(blob);
+    result.specCanonical = std::move(key);
+    obsPointsCompleted_->inc();
+    if (hook)
+        hook(result);
+    std::promise<RunResult> promise;
+    std::future<RunResult> future = promise.get_future();
+    promise.set_value(std::move(result));
+    return future;
+}
 
-    auto task = std::make_shared<std::packaged_task<RunResult()>>(
+ExperimentEngine::QueuedTask
+ExperimentEngine::packageTask(RunSpec spec, SubmitHook hook,
+                              std::shared_ptr<CancelToken> token)
+{
+    return std::make_shared<std::packaged_task<RunResult()>>(
         [this, spec = std::move(spec), hook = std::move(hook),
          token = std::move(token)] {
             // The cooperative cancellation point: a task dequeued
@@ -307,32 +310,87 @@ ExperimentEngine::submit(RunSpec spec, SubmitHook hook,
                 hook(result);
             return result;
         });
-    std::future<RunResult> future = task->get_future();
+}
+
+void
+ExperimentEngine::enqueue(LaneId laneId, QueuedTask *tasks, size_t count)
+{
+    if (count == 0)
+        return;
     if (insideWorker) {
-        (*task)();
-        return future;
+        for (size_t i = 0; i < count; ++i)
+            (*tasks[i])();
+        return;
     }
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         auto it = lanes_.find(laneId);
         if (it == lanes_.end()) {
             // The lane was closed (its tenant is gone): abandon the
-            // task without queueing it. Dropping the only reference
-            // breaks the promise, failing the future.
-            discardedTasks_.fetch_add(1);
-            obsDiscardedTasks_->inc();
-            return future;
+            // tasks without queueing them. The caller drops the only
+            // references, which breaks the promises and fails the
+            // futures.
+            discardedTasks_.fetch_add(count);
+            obsDiscardedTasks_->inc(count);
+            return;
         }
         const uint64_t enqueuedUs = monotonicMicros();
-        it->second.tasks.emplace_back([this, task, enqueuedUs] {
-            obsLaneWaitUs_->observe(monotonicMicros() - enqueuedUs);
-            (*task)();
-        });
-        ++queuedTasks_;
-        obsQueueDepth_->add(1);
+        for (size_t i = 0; i < count; ++i) {
+            it->second.tasks.emplace_back(
+                [this, task = std::move(tasks[i]), enqueuedUs] {
+                    obsLaneWaitUs_->observe(monotonicMicros() -
+                                            enqueuedUs);
+                    (*task)();
+                });
+        }
+        queuedTasks_ += count;
+        obsQueueDepth_->add(static_cast<int64_t>(count));
     }
-    queueCv_.notify_one();
+    // One wakeup for the lot: idle workers are woken once per run of
+    // tasks, not once per task.
+    if (count == 1)
+        queueCv_.notify_one();
+    else
+        queueCv_.notify_all();
+}
+
+std::future<RunResult>
+ExperimentEngine::submit(RunSpec spec, SubmitHook hook,
+                         std::shared_ptr<CancelToken> token,
+                         LaneId laneId)
+{
+    std::future<RunResult> settled =
+        settleCached(spec, hook, token.get());
+    if (settled.valid())
+        return settled;
+    QueuedTask task =
+        packageTask(std::move(spec), std::move(hook), std::move(token));
+    std::future<RunResult> future = task->get_future();
+    enqueue(laneId, &task, 1);
     return future;
+}
+
+std::vector<std::future<RunResult>>
+ExperimentEngine::submitAll(std::vector<RunSpec> &specs, size_t first,
+                            size_t count, const SubmitHook &hook,
+                            const std::shared_ptr<CancelToken> &token,
+                            LaneId laneId)
+{
+    std::vector<std::future<RunResult>> futures;
+    futures.reserve(count);
+    std::vector<QueuedTask> tasks;
+    for (size_t i = first; i < first + count; ++i) {
+        std::future<RunResult> settled =
+            settleCached(specs[i], hook, token.get());
+        if (settled.valid()) {
+            futures.push_back(std::move(settled));
+            continue;
+        }
+        tasks.push_back(packageTask(std::move(specs[i]), hook, token));
+        futures.push_back(tasks.back()->get_future());
+    }
+    enqueue(laneId, tasks.data(), tasks.size());
+    return futures;
 }
 
 size_t

@@ -265,6 +265,18 @@ class ExperimentEngine
         LaneId lane = defaultLane);
 
     /**
+     * submit() for the run specs[first, first + count), each moved
+     * into its task, with one shared @p hook, @p token and @p lane.
+     * The lane is locked once and idle workers are woken once for the
+     * whole run, not once per point — the refill of a streaming
+     * window. Returns the futures in order.
+     */
+    std::vector<std::future<RunResult>> submitAll(
+        std::vector<RunSpec> &specs, size_t first, size_t count,
+        const SubmitHook &hook,
+        const std::shared_ptr<CancelToken> &token, LaneId lane);
+
+    /**
      * Add a scheduling lane with round-robin weight @p weight (>= 1:
      * tasks the lane may dequeue per rotation). One per tenant —
      * the daemon opens one per client connection.
@@ -467,6 +479,25 @@ class ExperimentEngine
     GroupMetrics computeGroupMetrics(const RunSpec &spec,
                                      const SimStats &mth,
                                      const CancelToken *token);
+
+    /** submit()'s completed-cache fast path: a memoized hit settles
+     *  on the calling thread (the spec moves into the result); an
+     *  invalid future, spec untouched, when the point must queue. */
+    std::future<RunResult> settleCached(RunSpec &spec,
+                                        const SubmitHook &hook,
+                                        const CancelToken *token);
+
+    /** One queued point: spec, hook and token in a task that honours
+     *  cancellation at dequeue. */
+    using QueuedTask = std::shared_ptr<std::packaged_task<RunResult()>>;
+    QueuedTask packageTask(RunSpec spec, SubmitHook hook,
+                           std::shared_ptr<CancelToken> token);
+
+    /** Queue the @p count @p tasks on @p lane under one lock and wake
+     *  the workers once; runs them inline on a worker thread. On a
+     *  closed lane they are counted as discarded and left to the
+     *  caller, whose dropped references fail their futures. */
+    void enqueue(LaneId lane, QueuedTask *tasks, size_t count);
 
     void workerLoop();
 

@@ -63,17 +63,36 @@ canonicalKeys(const std::vector<RunSpec> &specs)
  * Shared state of one gather. Node reader threads park verified
  * payloads by global index; the scatter caller's thread drains them
  * in global order, handing each to the hook outside the lock.
+ *
+ * Parking is bounded by credit: a reader that has
+ * streamWindowPoints payloads parked stops reading until the drain
+ * takes some, so TCP pushes back on its node (whose own window then
+ * bounds it). This cannot deadlock while every reader lives. Each
+ * node streams its subset in ascending global order, so the owner of
+ * the point the cursor waits on has no undrained payload of this
+ * round (all of its earlier ones lie below the cursor) and is never
+ * waiting for credit. A reader that dies breaks that argument — the
+ * cursor may then wait on its point, which only the next round
+ * reroutes, while survivors wait for credit — so the first failure
+ * of a round switches credit off until the round ends.
  */
 struct FleetRouter::Gather
 {
     std::mutex mutex;
     std::condition_variable wake;
+    /** Readers waiting for credit park here. */
+    std::condition_variable credit;
     /** RunSpec::canonical() per global index: ring key, spec check
      *  and the run op's request text. */
     const std::vector<std::string> *keys = nullptr;
     /** Per global index: the point's payload has landed. */
     std::vector<char> landed;
     std::vector<std::string> payloads;
+    /** Per global index: the reader slot that parked it. */
+    std::vector<uint32_t> parkedBy;
+    /** Per reader slot (one per reader per round): its payloads
+     *  parked and not yet drained. */
+    std::vector<size_t> readerParked;
     /** Next global index to drain; everything below it has been
      *  folded and handed to the hook. Carries across rounds. */
     size_t cursor = 0;
@@ -81,30 +100,78 @@ struct FleetRouter::Gather
     size_t parked = 0;
     /** Reader threads of the current round still streaming. */
     size_t readers = 0;
+    /** Readers blocked on credit right now. */
+    size_t creditWaiters = 0;
+    /** Credit is off for the rest of the round: a reader failed or
+     *  the drain gave up. */
+    bool creditOff = false;
 
-    void
-    park(size_t global, std::string &&payload)
+    /** Open a scatter round and give its @p count readers fresh
+     *  slots; returns the first slot. */
+    uint32_t
+    startRound(size_t count)
     {
-        bool wanted;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            payloads[global] = std::move(payload);
-            landed[global] = 1;
-            ++parked;
-            wanted = global == cursor;
+        std::lock_guard<std::mutex> lock(mutex);
+        readers = count;
+        creditOff = false;
+        const size_t first = readerParked.size();
+        readerParked.resize(first + count, 0);
+        return static_cast<uint32_t>(first);
+    }
+
+    /** Park @p payload for @p global, then hold the reader in
+     *  @p slot while it has a full window parked. */
+    void
+    park(uint32_t slot, size_t global, std::string &&payload)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        payloads[global] = std::move(payload);
+        landed[global] = 1;
+        parkedBy[global] = slot;
+        ++parked;
+        const bool wanted = global == cursor;
+        if (++readerParked[slot] < streamWindowPoints) {
+            lock.unlock();
+            if (wanted)
+                wake.notify_one();
+            return;
         }
         if (wanted)
             wake.notify_one();
+        ++creditWaiters;
+        credit.wait(lock, [this, slot] {
+            return creditOff ||
+                   readerParked[slot] < streamWindowPoints;
+        });
+        --creditWaiters;
     }
 
+    /** A reader of this round finished; @p failed when its node was
+     *  marked dead with points of the subset still unparked — the
+     *  one case in which the cursor can wait on a point no live
+     *  reader will bring. */
     void
-    readerDone()
+    readerDone(bool failed)
     {
         {
             std::lock_guard<std::mutex> lock(mutex);
             --readers;
+            creditOff = creditOff || failed;
         }
         wake.notify_one();
+        if (failed)
+            credit.notify_all();
+    }
+
+    /** Release every credit wait of this round (the drain is gone). */
+    void
+    abandon()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            creditOff = true;
+        }
+        credit.notify_all();
     }
 
     /**
@@ -126,13 +193,18 @@ struct FleetRouter::Gather
                        (cursor < landed.size() && landed[cursor]);
             });
             const size_t first = cursor;
-            while (cursor < landed.size() && landed[cursor])
+            while (cursor < landed.size() && landed[cursor]) {
+                --readerParked[parkedBy[cursor]];
                 batch.push_back(std::move(payloads[cursor++]));
+            }
             if (batch.empty())
                 return;
             depth->observe(parked);
             parked -= batch.size();
+            const bool release = creditWaiters > 0;
             lock.unlock();
+            if (release)
+                credit.notify_all();
             for (size_t k = 0; k < batch.size(); ++k) {
                 // The reader verified this payload; the view cannot
                 // fail.
@@ -357,7 +429,7 @@ FleetRouter::stopHealthMonitor()
 }
 
 size_t
-FleetRouter::streamSubset(size_t nodeIndex,
+FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                           const std::vector<size_t> &indices,
                           const SweepRequest *sweep, Gather &gather)
 {
@@ -475,7 +547,7 @@ FleetRouter::streamSubset(size_t nodeIndex,
                                        frame.blob.size(),
                                        subsetDigest);
                 ++received;
-                gather.park(global, std::move(message));
+                gather.park(slot, global, std::move(message));
                 continue;
             }
             Json msg;
@@ -533,6 +605,7 @@ FleetRouter::scatter(const std::vector<std::string> &keys,
     gather.keys = &keys;
     gather.landed.assign(n, 0);
     gather.payloads.resize(n);
+    gather.parkedBy.resize(n);
 
     FleetOutcome outcome;
     outcome.count = n;
@@ -585,35 +658,37 @@ FleetRouter::scatter(const std::vector<std::string> &keys,
         }
         firstRound = false;
 
+        size_t streaming = 0;
+        for (const std::vector<size_t> &subset : assignment)
+            streaming += subset.empty() ? 0 : 1;
+        uint32_t slot = gather.startRound(streaming);
         std::vector<std::thread> readers;
         for (size_t node = 0; node < assignment.size(); ++node) {
             if (assignment[node].empty())
                 continue;
             obsScatterPoints_->observe(assignment[node].size());
-            {
-                std::lock_guard<std::mutex> lock(gather.mutex);
-                ++gather.readers;
-            }
-            readers.emplace_back([this, node, &assignment, sweep,
+            readers.emplace_back([this, node, slot, &assignment, sweep,
                                   &gather] {
                 const size_t served = streamSubset(
-                    node, assignment[node], sweep, gather);
+                    node, slot, assignment[node], sweep, gather);
                 {
                     std::lock_guard<std::mutex> lock(
                         membershipMutex_);
                     nodes_[node].pointsServed += served;
                 }
-                gather.readerDone();
+                gather.readerDone(served < assignment[node].size());
             });
+            ++slot;
         }
         // A throwing hook must not leave joinable readers behind:
-        // they finish (parking into the abandoned gather) before the
-        // error propagates.
+        // credit is released and they finish (parking into the
+        // abandoned gather) before the error propagates.
         std::exception_ptr hookError;
         try {
             gather.drain(hook, outcome, obsParkedDepth_);
         } catch (...) {
             hookError = std::current_exception();
+            gather.abandon();
         }
         for (std::thread &reader : readers)
             reader.join();

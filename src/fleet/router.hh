@@ -28,6 +28,11 @@
  * hands each payload to the per-point hook outside every router
  * lock. The router never decodes a point; a caller that wants a
  * RunResult decodes the payload itself (resultFromPayload()).
+ * Parking is on credit: a reader with streamWindowPoints payloads
+ * parked stops reading until the drain takes some, so a slow caller
+ * pushes back on the nodes instead of filling router memory. A node
+ * dying mid-round switches credit off for the rest of the round
+ * (see FleetRouter::Gather).
  *
  * Failover: membership is a health table; a node is marked dead by a
  * sticky mark on any connect/write/read/protocol failure (or by the
@@ -216,10 +221,10 @@ class FleetRouter
     void revive(size_t index);
 
     /** Stream one node's subset: send the request, consume the
-     *  stream, park verified payloads in @p gather. Any failure marks
-     *  the node dead; already-parked points are kept. Returns the
-     *  points parked. */
-    size_t streamSubset(size_t nodeIndex,
+     *  stream, park verified payloads in @p gather on the credit of
+     *  reader @p slot. Any failure marks the node dead; already-
+     *  parked points are kept. Returns the points parked. */
+    size_t streamSubset(size_t nodeIndex, uint32_t slot,
                         const std::vector<size_t> &indices,
                         const SweepRequest *sweep, Gather &gather);
 

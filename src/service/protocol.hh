@@ -21,10 +21,14 @@
  *     the fleet scatter path (src/fleet/): a router expands the
  *     family once, consistent-hashes each point's canonical spec
  *     across nodes, and sends every node only the indices it owns.
- *     Result lines then stream the subset in the given order (seq
- *     numbers the subset; the ack echoes the full expansion size as
- *     "total"), so the router can map seq back to global index and
- *     fold one fleet-wide digest in global submission order.
+ *     The list must be strictly ascending and in range (otherwise a
+ *     structured "badPoints" error, connection kept): the router's
+ *     bounded relay relies on every node streaming in ascending
+ *     global order. Result lines stream the subset in that order
+ *     (seq numbers the subset; the ack echoes the full expansion
+ *     size as "total"), so the router can map seq back to global
+ *     index and fold one fleet-wide digest in global submission
+ *     order.
  *   {"op":"compare","id":n,"family":"<name>","scale":g,
  *    "program":"...","contexts":n,"jobs":[...],"latencies":[...]}
  *     — v5: cross-design comparison. The daemon expands the family,
@@ -113,9 +117,10 @@
  *     {"ok":true,...} object. "cancel" reports how many batches it
  *     hit: {"ok":true,"cancelled":k}. "status" reports
  *     {"ok":true,"queueDepth":q,"activeRequests":a,
- *      "completedPoints":p,"counters":{"cancelledBatches":...,
+ *      "completedPoints":p,"pointsInFlight":f,
+ *      "counters":{"cancelledBatches":...,
  *      "reapedBatches":...,"cancelledPoints":...,
- *      "discardedPoints":...},
+ *      "discardedPoints":...,"unsubmittedPoints":...},
  *      "connections":[{"client":c,"inflight":k,"requests":[n,...]}]}
  *     (connections lists only clients with batches in flight).
  *   any error: {"error":"message","id":n?} (the connection stays
@@ -133,9 +138,10 @@
  * Backpressure: a connection may have at most
  * maxInflightRequestsPerConnection batch requests streaming; the
  * server stops reading further requests until a slot frees, which
- * pushes back through the socket's receive buffer. Result lines are
- * written as futures complete, so a slow reader throttles its own
- * sweeps without buffering results in daemon memory.
+ * pushes back through the socket's receive buffer. Each batch keeps
+ * at most streamWindowPoints points submitted ahead of its write
+ * cursor, so a slow reader throttles its own sweeps and daemon
+ * memory holds a window of results, not the sweep.
  *
  * Identical specs submitted concurrently — by one request, several
  * in-flight sweeps, or many clients — coalesce onto a single
@@ -167,6 +173,17 @@ constexpr int maxInflightRequestsPerConnection = 8;
  *  encoded points into one write while the next point is already
  *  ready, up to this many bytes. */
 constexpr size_t streamOutboxBytes = 256u * 1024;
+
+/**
+ * The streaming window, in points. A daemon's batch keeps at most
+ * this many points submitted to the engine ahead of its write cursor
+ * and refills in one go once half of them are written; a router's
+ * node reader stops reading once this many of its payloads wait for
+ * the relay. It covers one full outbox (~145 non-quiet points) and
+ * every figure family (at most 250 points), so neither is ever cut
+ * short.
+ */
+constexpr size_t streamWindowPoints = 256;
 
 /** Wire format of a connection's streamed result points (v6). The
  *  default — and the only format v5 clients ever see — is Json. */

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <thread>
 #include <vector>
@@ -248,6 +249,9 @@ MtvService::MtvService(ServiceOptions options)
     obsEncodeUs_[1][1] = reg.histogram(
         "service_encode_us{op=\"sweep\",wire=\"binary\"}");
     obsInflightBatches_ = reg.gauge("service_inflight_batches");
+    obsPointsInFlight_ = reg.gauge("service_points_in_flight");
+    obsUnsubmittedPoints_ =
+        reg.counter("service_unsubmitted_points_total");
     obsConnections_ = reg.gauge("service_connections");
     obsConnectionsTotal_ = reg.counter("service_connections_total");
     obsWriteStallUs_ = reg.counter("service_write_stall_us_total");
@@ -548,11 +552,13 @@ MtvService::statusJson()
            static_cast<uint64_t>(engine_->queueDepth()));
     ok.set("activeRequests", activeRequests_.load());
     ok.set("completedPoints", completedPoints_.load());
+    ok.set("pointsInFlight", pointsInFlight_.load());
     Json counters = Json::object();
     counters.set("cancelledBatches", cancelledBatches_.load());
     counters.set("reapedBatches", reapedBatches_.load());
     counters.set("cancelledPoints", engine_->cancelledRuns());
     counters.set("discardedPoints", engine_->discardedTasks());
+    counters.set("unsubmittedPoints", unsubmittedPoints_.load());
     ok.set("counters", std::move(counters));
     // Per-lane queue depths: which tenant's work is actually queued
     // (lane 0 = runAll/plain submit; one lane per connection).
@@ -808,6 +814,10 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     // "points" selects a subset of the expansion by global index —
     // the fleet scatter path (a router sends each node only the
     // indices it owns; seq then numbers the subset in given order).
+    // The list must be strictly ascending and in range: a router's
+    // bounded relay relies on every node streaming in ascending
+    // global order. A bad list answers a structured error naming the
+    // first offending position; the connection stays open.
     std::vector<RunSpec> specs = sweep.take();
     const size_t total = specs.size();
     if (request.has("points")) {
@@ -815,15 +825,28 @@ MtvService::handleSweep(const Json &request, ClientState &client)
             request.get("points").asArray();
         std::vector<RunSpec> subset;
         subset.reserve(points.size());
-        for (const Json &point : points) {
-            const uint64_t index = point.asU64();
+        for (size_t k = 0; k < points.size(); ++k) {
+            const uint64_t index = points[k].asU64();
+            std::string problem;
             if (index >= total) {
-                fatal("sweep point index %llu out of range (family "
-                      "'%s' expands to %zu points)",
-                      static_cast<unsigned long long>(index),
-                      sweepRequest.family.c_str(), total);
+                problem = format("sweep point index %llu out of range "
+                                 "(family '%s' expands to %zu points)",
+                                 static_cast<unsigned long long>(index),
+                                 sweepRequest.family.c_str(), total);
+            } else if (k > 0 && index <= points[k - 1].asU64()) {
+                problem = format("sweep points must be strictly "
+                                 "ascending (index %llu at position "
+                                 "%zu)",
+                                 static_cast<unsigned long long>(index),
+                                 k);
             }
-            subset.push_back(specs[index]);
+            if (!problem.empty()) {
+                Json err = requestErrorJson(id, problem);
+                err.set("badPoints", static_cast<uint64_t>(k));
+                err.set("total", static_cast<uint64_t>(total));
+                return client.write(err.dump());
+            }
+            subset.push_back(std::move(specs[index]));
         }
         specs = std::move(subset);
     }
@@ -955,27 +978,44 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     const bool binary =
         client.wire.load() == WireFormat::Binary && !compare;
 
-    // Fan the whole batch out up front — identical points of other
-    // in-flight requests coalesce inside the engine — then consume
-    // the futures in submission order, writing each line as its
-    // result lands. Every task carries the batch's cancel token and
-    // rides this connection's lane, so a cancel/reap frees the
-    // queued points and other connections are never head-of-line
-    // blocked. The progress hook feeds the daemon-wide completion
-    // counter the moment a point finishes, seq order or not.
-    // Each spec moves into its task, and the emptied vector is
-    // released, so a queued point's spec exists exactly once.
-    std::vector<std::future<RunResult>> futures;
-    futures.reserve(specs.size());
-    for (RunSpec &spec : specs) {
-        futures.push_back(engine_->submit(
-            std::move(spec),
-            [this](const RunResult &) {
-                completedPoints_.fetch_add(1);
-            },
-            token, client.lane));
-    }
-    std::vector<RunSpec>().swap(specs);
+    // Submit in a bounded window, then consume the futures in
+    // submission order, writing each point as its result lands: at
+    // most streamWindowPoints points ride the engine ahead of the
+    // write cursor, refilled in one go once half of them are written
+    // (one burst of submits per W/2 points, not a worker wakeup per
+    // point). Point 0 waits for one window to be submitted, not the
+    // whole batch, and only a window of results is ever alive. Each
+    // spec stays in the request vector until it moves into its task;
+    // the emptied vector goes once the last one is submitted. Every
+    // task carries the batch's cancel token and rides this
+    // connection's lane, so a cancel/reap frees the queued points and
+    // other connections are never head-of-line blocked. Identical
+    // points of other in-flight requests coalesce inside the engine.
+    // The progress hook feeds the daemon-wide completion counter the
+    // moment a point finishes, seq order or not.
+    const size_t count = specs.size();
+    const ExperimentEngine::SubmitHook progress =
+        [this](const RunResult &) { completedPoints_.fetch_add(1); };
+    std::deque<std::future<RunResult>> window;
+    size_t submitted = 0;
+    const auto refill = [&](size_t cursor) {
+        if (submitted - cursor > streamWindowPoints / 2 ||
+            submitted == count) {
+            return;
+        }
+        const size_t burst =
+            std::min(count, cursor + streamWindowPoints) - submitted;
+        pointsInFlight_.fetch_add(burst);
+        obsPointsInFlight_->add(static_cast<int64_t>(burst));
+        for (auto &future : engine_->submitAll(specs, submitted, burst,
+                                               progress, token,
+                                               client.lane)) {
+            window.push_back(std::move(future));
+        }
+        submitted += burst;
+        if (submitted == count)
+            std::vector<RunSpec>().swap(specs);
+    };
 
     uint64_t simulated = 0;
     uint64_t cacheServed = 0;
@@ -986,7 +1026,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     size_t completed = 0;
     std::vector<RunResult> collected;
     if (compare)
-        collected.reserve(futures.size());
+        collected.reserve(count);
     // Encoded points waiting for one coalesced write. A point is
     // held back only while the NEXT future is already settled (a
     // warm sweep draining the cache), so a trickling stream still
@@ -1000,20 +1040,25 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         outbox.clear();
         return ok;
     };
-    for (size_t i = 0; i < futures.size() && !aborted; ++i) {
+    for (size_t i = 0; i < count; ++i) {
+        if (token->cancelled()) {
+            // A client's cancel op, or the reap of a vanished peer:
+            // stop submitting and answer with a cancelled terminator.
+            // Queued points of the window are skipped by the engine.
+            cancelled = true;
+            break;
+        }
+        refill(i);
         RunResult result;
         try {
-            result = futures[i].get();
+            result = window.front().get();
         } catch (const std::future_error &) {
             // Shutdown (discardQueued) or a lane close dropped this
             // queued run; the connection is being torn down anyway.
             aborted = true;
             break;
         } catch (const CancelledError &) {
-            // The batch's token fired (a client's cancel op, or the
-            // reap of a vanished peer): queued points are being
-            // skipped, so stop consuming and answer with a
-            // cancelled terminator.
+            // The token fired after this point was submitted.
             cancelled = true;
             break;
         } catch (const SimError &e) {
@@ -1030,6 +1075,9 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             aborted = true;
             break;
         }
+        window.pop_front();
+        pointsInFlight_.fetch_sub(1);
+        obsPointsInFlight_->add(-1);
         if (result.cached)
             ++cacheServed;
         else if (result.fromStore)
@@ -1069,8 +1117,8 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                                             encodeStartUs);
         }
         const bool nextReady =
-            i + 1 < futures.size() &&
-            futures[i + 1].wait_for(std::chrono::seconds(0)) ==
+            !window.empty() &&
+            window.front().wait_for(std::chrono::seconds(0)) ==
                 std::future_status::ready;
         if ((!nextReady || outbox.size() >= streamOutboxBytes) &&
             !flushOutbox()) {
@@ -1084,6 +1132,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                 monotonicMicros() - admittedUs);
         }
     }
+    // Whatever the window still holds is settled or skipped by the
+    // engine; points never submitted stay visible in "status".
+    pointsInFlight_.fetch_sub(window.size());
+    obsPointsInFlight_->add(-static_cast<int64_t>(window.size()));
+    unsubmittedPoints_.fetch_add(count - submitted);
+    obsUnsubmittedPoints_->inc(count - submitted);
 
     // Points the loop held back for coalescing go out before any
     // terminator below.
@@ -1111,7 +1165,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("id", id);
         done.set("done", true);
         done.set("cancelled", true);
-        done.set("count", static_cast<uint64_t>(futures.size()));
+        done.set("count", static_cast<uint64_t>(count));
         done.set("completed", static_cast<uint64_t>(completed));
         client.write(done.dump());
     } else if (!aborted && compare) {
@@ -1124,7 +1178,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             ok.set("ok", true);
             ok.set("compare", true);
             ok.set("family", compare->family);
-            ok.set("count", static_cast<uint64_t>(futures.size()));
+            ok.set("count", static_cast<uint64_t>(count));
             ok.set("baseline", compare->baseline);
             ok.set("simulated", simulated);
             ok.set("cacheServed", cacheServed);
@@ -1148,7 +1202,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         Json done = Json::object();
         done.set("id", id);
         done.set("done", true);
-        done.set("count", static_cast<uint64_t>(futures.size()));
+        done.set("count", static_cast<uint64_t>(count));
         done.set("simulated", simulated);
         done.set("cacheServed", cacheServed);
         done.set("storeServed", storeServed);

@@ -15,12 +15,15 @@
  * funnel through one write mutex; a connection admits at most
  * maxInflightRequestsPerConnection concurrent batches — the read
  * loop stops consuming requests until a slot frees, which is the
- * protocol's backpressure. All clients share the engine's memory
- * cache, in-flight coalescing map and store — N clients requesting
- * the same spec cost one simulation. Client errors (bad JSON,
- * unknown programs, malformed specs, unknown sweep families) are
- * answered with {"error":...} and never take the daemon down;
- * validation runs under ScopedFatalAsException.
+ * protocol's backpressure — and each batch keeps at most
+ * streamWindowPoints points submitted ahead of its write cursor, so
+ * a slow reader holds back its own batch, not daemon memory. All
+ * clients share the engine's memory cache, in-flight coalescing map
+ * and store — N clients requesting the same spec cost one
+ * simulation. Client errors (bad JSON, unknown programs, malformed
+ * specs, unknown sweep families) are answered with {"error":...} and
+ * never take the daemon down; validation runs under
+ * ScopedFatalAsException.
  *
  * Request lifecycle: each connection gets its own engine scheduling
  * lane (weighted round-robin across lanes — no client can
@@ -146,6 +149,18 @@ class MtvService
     /** Batches reaped because their connection's peer vanished. */
     uint64_t reapedBatches() const { return reapedBatches_.load(); }
 
+    /** Points submitted to the engine whose frame has not been
+     *  written yet, across all batches (each batch holds at most
+     *  streamWindowPoints). */
+    uint64_t pointsInFlight() const { return pointsInFlight_.load(); }
+
+    /** Points of batches that ended early (cancelled, reaped or
+     *  aborted) before they were ever submitted to the engine. */
+    uint64_t unsubmittedPoints() const
+    {
+        return unsubmittedPoints_.load();
+    }
+
   private:
     /** Per-connection state shared by the read loop and the
      *  request-streaming threads (defined in server.cc). */
@@ -208,9 +223,10 @@ class MtvService
     /** Block until the connection has a free batch slot (the
      *  protocol's backpressure); false when shutting down. */
     bool acquireSlot(ClientState &client);
-    /** Submit @p specs and stream id-tagged results in submission
-     *  order; runs on the dedicated connection-stream thread keyed
-     *  by @p streamId (retired for reaping when done). */
+    /** Submit @p specs in a window of streamWindowPoints and stream
+     *  id-tagged results in submission order; runs on the dedicated
+     *  connection-stream thread keyed by @p streamId (retired for
+     *  reaping when done). */
     void streamBatch(ClientState &client, uint64_t streamId,
                      uint64_t id, std::vector<RunSpec> specs,
                      bool quiet, std::shared_ptr<CancelToken> token,
@@ -243,6 +259,8 @@ class MtvService
     std::atomic<uint64_t> completedPoints_{0};
     std::atomic<uint64_t> cancelledBatches_{0};
     std::atomic<uint64_t> reapedBatches_{0};
+    std::atomic<uint64_t> pointsInFlight_{0};
+    std::atomic<uint64_t> unsubmittedPoints_{0};
     std::atomic<uint64_t> nextClientId_{1};
     std::atomic<uint64_t> nextBatchKey_{1};
 
@@ -268,6 +286,8 @@ class MtvService
     Histogram *obsEncodeUs_[2][2] = {{nullptr, nullptr},
                                      {nullptr, nullptr}};
     Gauge *obsInflightBatches_ = nullptr;
+    Gauge *obsPointsInFlight_ = nullptr;
+    Counter *obsUnsubmittedPoints_ = nullptr;
     Gauge *obsConnections_ = nullptr;
     Counter *obsConnectionsTotal_ = nullptr;
     Counter *obsWriteStallUs_ = nullptr;

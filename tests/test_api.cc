@@ -648,6 +648,47 @@ TEST(Engine, SubmitHookFiresOncePerSpecBeforeFutureReady)
     EXPECT_EQ(seen, want);
 }
 
+TEST(Engine, SubmitAllMatchesSubmitAndFiresEveryHook)
+{
+    // A mixed run: half the points already cached (settled inline),
+    // half queued in one burst. Futures come back in order, each
+    // spec moved into its task, and the hook fires once per point.
+    const auto specs = distinctSpecs(6);
+    ExperimentEngine reference;
+    const auto expected = reference.runAll(specs);
+
+    ExperimentEngine engine;
+    for (size_t i = 0; i < specs.size(); i += 2)
+        engine.run(specs[i]);
+    std::vector<RunSpec> moved = specs;
+    std::atomic<int> completed{0};
+    auto futures = engine.submitAll(
+        moved, 1, specs.size() - 1,
+        [&completed](const RunResult &) { ++completed; }, nullptr,
+        ExperimentEngine::defaultLane);
+    ASSERT_EQ(futures.size(), specs.size() - 1);
+    for (size_t k = 0; k < futures.size(); ++k) {
+        const RunResult streamed = futures[k].get();
+        EXPECT_EQ(streamed.spec, specs[k + 1]);
+        EXPECT_EQ(streamed.cached, (k + 1) % 2 == 0);
+        expectSameStats(streamed.stats, expected[k + 1].stats);
+    }
+    EXPECT_EQ(completed.load(), static_cast<int>(specs.size() - 1));
+    EXPECT_EQ(moved[0], specs[0]);  // outside the run: untouched
+
+    // On a closed lane the whole burst is abandoned and counted.
+    const LaneId lane = engine.openLane();
+    engine.closeLane(lane);
+    std::vector<RunSpec> fresh = distinctSpecs(3);
+    for (RunSpec &spec : fresh)
+        spec.scale *= 2;  // not cached yet
+    auto dropped =
+        engine.submitAll(fresh, 0, fresh.size(), nullptr, nullptr, lane);
+    for (auto &future : dropped)
+        EXPECT_THROW(future.get(), std::future_error);
+    EXPECT_EQ(engine.discardedTasks(), fresh.size());
+}
+
 namespace
 {
 

@@ -12,8 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include <sys/socket.h>
@@ -639,9 +644,11 @@ struct BinaryStream
 };
 
 /** Negotiate the binary wire at @p endpoint, send @p request and read
- *  its stream up to the done line. */
+ *  its stream up to the done line, pausing @p perFrame after each
+ *  frame (a slow client). */
 BinaryStream
-streamBinary(const std::string &endpoint, const Json &request)
+streamBinary(const std::string &endpoint, const Json &request,
+             std::chrono::microseconds perFrame = {})
 {
     BinaryStream out;
     std::string error;
@@ -672,6 +679,8 @@ streamBinary(const std::string &endpoint, const Json &request)
                                out.fold);
             out.seqs.push_back(frame.seq);
             out.payloads.push_back(std::move(message));
+            if (perFrame.count() > 0)
+                std::this_thread::sleep_for(perFrame);
             continue;
         }
         if (kind != LineChannel::MessageKind::Line) {
@@ -838,6 +847,185 @@ TEST_F(FleetFixture, RouterRelaysThroughAHalfDeadNode)
     ASSERT_EQ(relayed.done.get("deadNodes").asArray().size(), 1u);
     EXPECT_EQ(relayed.done.get("deadNodes").asArray()[0].asString(),
               fakePath);
+
+    fleet.stop();
+    serveThread.join();
+}
+
+/**
+ * Ends the test binary when a scope outlives @p seconds: a wedged
+ * relay holds threads no test can join, so a hang must fail loudly
+ * instead of running out the CI clock.
+ */
+class Watchdog
+{
+  public:
+    Watchdog(const char *what, int seconds)
+        : thread_([this, what, seconds] {
+              std::unique_lock<std::mutex> lock(mutex_);
+              if (!wake_.wait_for(lock, std::chrono::seconds(seconds),
+                                  [this] { return done_; })) {
+                  std::fprintf(stderr,
+                               "watchdog: %s did not finish within "
+                               "%d s\n",
+                               what, seconds);
+                  std::_Exit(1);
+              }
+          })
+    {
+    }
+
+    ~Watchdog()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        wake_.notify_all();
+        thread_.join();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
+/** Per-bucket counts of the relay's parked-depth histogram (bounds
+ *  in @p bounds; the last count is the overflow bucket). */
+std::vector<uint64_t>
+parkedDepthCounts(std::vector<uint64_t> *bounds)
+{
+    for (const HistogramSnapshot &h :
+         MetricsRegistry::instance().snapshot().histograms) {
+        if (h.name == "fleet_parked_depth") {
+            *bounds = h.bounds;
+            return h.counts;
+        }
+    }
+    ADD_FAILURE() << "no fleet_parked_depth histogram";
+    return {};
+}
+
+/** A slow client: one frame per millisecond. */
+constexpr std::chrono::microseconds slowReader{1000};
+
+TEST_F(FleetFixture, RouterCreditBoundsParkingForASlowClient)
+{
+    // Six windows of cached points through the routing daemon to a
+    // client that reads one frame per millisecond. The nodes outrun
+    // it at once; without credit the relay would park nearly the
+    // whole sweep. With it, each node reader holds at most one window
+    // of undrained payloads, so a drain never sees more than
+    // nodes x window parked.
+    SweepRequest sweep;
+    sweep.family = "latency";
+    sweep.scale = testScale;
+    sweep.contexts = 2;
+    sweep.jobs = {"trfd"};
+    for (size_t i = 0; i < 6 * streamWindowPoints; ++i)
+        sweep.latencies.push_back(static_cast<int>(20 + i));
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+    const size_t n = expected.results.size();
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    Json request = sweepRequestToJson(sweep);
+    request.set("op", "sweep");
+    request.set("quiet", false);
+    request.set("id", 60);
+    const BinaryStream warm = streamBinary(fleet.socketPath(), request);
+    ASSERT_EQ(warm.fold, expected.digest);
+
+    std::vector<uint64_t> bounds;
+    const std::vector<uint64_t> before = parkedDepthCounts(&bounds);
+    request.set("id", 61);
+    const BinaryStream slow =
+        streamBinary(fleet.socketPath(), request, slowReader);
+    const std::vector<uint64_t> after = parkedDepthCounts(&bounds);
+    expectGlobalOrder(slow, n);
+    EXPECT_EQ(slow.fold, expected.digest);
+    EXPECT_EQ(slow.done.get("rerouted").asU64(), 0u);
+
+    // The histogram resolves the bound to its bucket: nothing may
+    // land above the one holding nodes x window.
+    const uint64_t bound = endpoints_.size() * streamWindowPoints;
+    ASSERT_EQ(after.size(), bounds.size() + 1);
+    size_t boundBucket = 0;
+    while (boundBucket < bounds.size() && bounds[boundBucket] < bound)
+        ++boundBucket;
+    uint64_t deep = 0;
+    for (size_t b = 0; b < after.size(); ++b) {
+        const uint64_t observed = after[b] - before[b];
+        if (b > boundBucket) {
+            EXPECT_EQ(observed, 0u) << "parked depth bucket " << b;
+        }
+        if (b < bounds.size() && bounds[b] > streamWindowPoints)
+            deep += observed;
+    }
+    // The credit was really exercised: the readers ran a window
+    // ahead of the slow client.
+    EXPECT_GT(deep, 0u);
+
+    fleet.stop();
+    serveThread.join();
+}
+
+TEST_F(FleetFixture, RouterCreditWaitEndsWhenANodeDies)
+{
+    // The credit rule's one hazard: a node dies holding the point the
+    // cursor needs, while the survivors each have a full window
+    // parked past it and wait for credit. Only the next scatter round
+    // reroutes that point, and it starts when every reader of this
+    // round has exited — so the death must release the credit waits.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::HalfDead);
+    // Cheap points: the test is about flow control, not simulation.
+    std::vector<RunSpec> specs =
+        distinctSpecs(static_cast<int>(6 * streamWindowPoints));
+    for (RunSpec &spec : specs)
+        spec.scale = testScale / 10;
+    const LocalFold expected = localFold(specs);
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = {endpoints_[0], endpoints_[1], fakePath};
+    // The fake serves one connection and never answers a ping, so a
+    // health ping would hang on it; this run is long enough to reach
+    // one.
+    options.fleet.healthIntervalSeconds = 3600;
+    FleetService fleet(options);
+    const auto census = ownershipCensus(fleet.router(), specs, 3);
+    ASSERT_GT(census[0], streamWindowPoints);
+    ASSERT_GT(census[1], streamWindowPoints);
+    ASSERT_GT(census[2], 1u);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    Json request = Json::object();
+    request.set("op", "run");
+    request.set("id", 62);
+    Json specArray = Json::array();
+    for (const RunSpec &spec : specs)
+        specArray.push(spec.canonical());
+    request.set("specs", std::move(specArray));
+    BinaryStream relayed;
+    {
+        Watchdog watchdog("the relay through a dying node", 120);
+        relayed = streamBinary(fleet.socketPath(), request, slowReader);
+    }
+    expectGlobalOrder(relayed, specs.size());
+    EXPECT_EQ(fake.served(), 1u);
+    EXPECT_EQ(relayed.fold, expected.digest);
+    EXPECT_EQ(relayed.done.getString("digest"),
+              format("%016llx", static_cast<unsigned long long>(
+                                    expected.digest)));
+    EXPECT_EQ(relayed.done.get("rerouted").asU64(), census[2] - 1);
 
     fleet.stop();
     serveThread.join();

@@ -17,6 +17,7 @@
 
 #include "src/api/engine.hh"
 #include "src/common/logging.hh"
+#include "src/obs/metrics.hh"
 #include "src/service/json.hh"
 #include "src/service/server.hh"
 #include "src/store/stats_codec.hh"
@@ -191,6 +192,12 @@ class ServiceFixture : public testing::Test
         EXPECT_TRUE(Json::parse(line, &response, &error)) << error;
         return response;
     }
+
+    /** The "status" answer once the books of a settled batch of
+     *  @p count distinct cold specs balance (a skipped task counts
+     *  itself just after leaving the queue); asserts that they do
+     *  and that no point is left in flight. */
+    Json settledStatus(LineChannel &channel, size_t count);
 
     std::string socketPath_;
     std::unique_ptr<MtvService> service_;
@@ -630,7 +637,7 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
 {
     // The fleet scatter path: "points" selects global indices of the
     // server-side expansion, streamed back with subset-local seq
-    // numbers in the given order.
+    // numbers in the given (strictly ascending) order.
     SweepRequest request;
     request.family = "groupings";
     request.program = "trfd";
@@ -641,7 +648,7 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
     const auto expected = localEngine.runAll(local.specs());
     ASSERT_EQ(expected.size(), 5u);
 
-    const std::vector<uint64_t> subset = {3, 0, 4};
+    const std::vector<uint64_t> subset = {0, 3, 4};
     LineChannel channel = connect();
     Json line = sweepRequestToJson(request);
     line.set("op", "sweep");
@@ -690,6 +697,54 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
     bad.set("points", std::move(badPoints));
     const Json answer = roundTrip(channel, bad);
     EXPECT_TRUE(answer.has("error"));
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+}
+
+TEST_F(ServiceFixture, SweepPointsMustBeStrictlyAscendingAndInRange)
+{
+    // A router's bounded relay relies on each node streaming its
+    // subset in ascending global order, so a "points" list that is
+    // out of order, repeats an index or leaves the expansion answers
+    // one structured error naming the first bad position — no ack,
+    // no points — and the connection stays usable.
+    SweepRequest request;
+    request.family = "groupings";
+    request.program = "trfd";
+    request.contexts = 2;
+    request.scale = testScale;
+    const struct
+    {
+        std::vector<uint64_t> points;
+        uint64_t badPosition;
+    } cases[] = {
+        {{3, 0, 4}, 1},   // descending step
+        {{0, 2, 2}, 2},   // duplicate
+        {{1, 5}, 1},      // out of range (the family has 5 points)
+        {{999}, 0},
+    };
+    LineChannel channel = connect();
+    uint64_t id = 60;
+    for (const auto &c : cases) {
+        Json line = sweepRequestToJson(request);
+        line.set("op", "sweep");
+        line.set("id", id);
+        Json points = Json::array();
+        for (const uint64_t global : c.points)
+            points.push(global);
+        line.set("points", std::move(points));
+        const Json answer = roundTrip(channel, line);
+        ASSERT_TRUE(answer.has("error")) << answer.dump();
+        EXPECT_EQ(answer.get("id").asU64(), id);
+        EXPECT_EQ(answer.get("badPoints").asU64(), c.badPosition)
+            << answer.dump();
+        EXPECT_EQ(answer.get("total").asU64(), 5u);
+        ++id;
+    }
+    // Nothing was admitted, and the connection still answers.
+    EXPECT_EQ(service_->activeRequests(), 0u);
+    EXPECT_EQ(service_->pointsInFlight(), 0u);
     Json ping = Json::object();
     ping.set("op", "ping");
     EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
@@ -1019,6 +1074,218 @@ TEST_F(ServiceFixture, DisconnectMidSweepFreesQueuedPoints)
     EXPECT_LT(service_->engine().cacheMisses() +
                   service_->engine().uncachedRuns(),
               abandoned.size() / 2);
+}
+
+namespace
+{
+
+/** A `latency` sweep of @p points distinct one-job points. */
+SweepRequest
+windowSweep(size_t points)
+{
+    SweepRequest request;
+    request.family = "latency";
+    request.scale = testScale;
+    request.contexts = 2;
+    request.jobs = {"trfd"};
+    for (size_t i = 0; i < points; ++i)
+        request.latencies.push_back(static_cast<int>(20 + i));
+    return request;
+}
+
+/** Sum of the "status" counters' every-point books for a batch of
+ *  distinct cold specs: each point simulated, skipped at dequeue,
+ *  dropped from the lane or never submitted. */
+uint64_t
+pointsAccounted(const Json &status, const ExperimentEngine &engine)
+{
+    const Json &counters = status.get("counters");
+    return engine.cacheMisses() +
+           counters.get("cancelledPoints").asU64() +
+           counters.get("discardedPoints").asU64() +
+           counters.get("unsubmittedPoints").asU64();
+}
+
+/** Block until the engine's queue is empty and no batch streams. */
+void
+waitForSettle(MtvService &service)
+{
+    for (int i = 0; i < 500 && (service.activeRequests() > 0 ||
+                                service.engine().queueDepth() > 0);
+         ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ASSERT_EQ(service.activeRequests(), 0u);
+    ASSERT_EQ(service.engine().queueDepth(), 0u);
+}
+
+} // namespace
+
+Json
+ServiceFixture::settledStatus(LineChannel &channel, size_t count)
+{
+    Json request = Json::object();
+    request.set("op", "status");
+    Json status = roundTrip(channel, request);
+    for (int i = 0;
+         i < 100 && pointsAccounted(status, service_->engine()) != count;
+         ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        status = roundTrip(channel, request);
+    }
+    EXPECT_EQ(pointsAccounted(status, service_->engine()), count)
+        << status.dump();
+    EXPECT_EQ(status.get("pointsInFlight").asU64(), 0u);
+    return status;
+}
+
+TEST_F(ServiceFixture, SlowClientKeepsAtMostAWindowInFlight)
+{
+    // A cached sweep of 4 windows streamed to a client that reads one
+    // frame per millisecond: the daemon outruns the reader at once,
+    // so without the window every point would be submitted (and its
+    // result held) before the client read the tenth.
+    const SweepRequest request = windowSweep(4 * streamWindowPoints);
+    uint64_t expected = 0xcbf29ce484222325ull;
+    {
+        ExperimentEngine localEngine;
+        for (const RunResult &r :
+             localEngine.runAll(expandSweep(request).specs())) {
+            const std::string blob = serializeSimStats(r.stats);
+            expected = fnv1a64(blob.data(), blob.size(), expected);
+        }
+    }
+    {
+        // Warm the daemon's cache: the slow pass below is all hits.
+        LineChannel warm = connect();
+        sendSweep(warm, 1, request);
+        std::unordered_map<uint64_t, StreamTally> tallies;
+        tallies[1] = StreamTally();
+        demux(warm, tallies);
+        ASSERT_EQ(tallies[1].serverDigest, digestHex(expected));
+    }
+
+    Gauge *gauge =
+        MetricsRegistry::instance().gauge("service_points_in_flight");
+    LineChannel channel = connect();
+    LineChannel observer = connect();
+    Json hello = Json::object();
+    hello.set("op", "hello");
+    hello.set("wire", std::string("binary"));
+    ASSERT_TRUE(roundTrip(channel, hello).getBool("ok"));
+    sendSweep(channel, 2, request);
+    Json status = Json::object();
+    status.set("op", "status");
+
+    int64_t peak = 0;
+    uint64_t frames = 0;
+    uint64_t fold = 0xcbf29ce484222325ull;
+    Json done;
+    for (;;) {
+        std::string message;
+        const auto kind = channel.readMessage(&message);
+        if (kind == LineChannel::MessageKind::Frame) {
+            ResultFrameView frame;
+            std::string error;
+            ASSERT_TRUE(viewResultFrame(message, &frame, &error))
+                << error;
+            EXPECT_EQ(frame.seq, frames);
+            fold = fnv1a64(frame.blob.data(), frame.blob.size(), fold);
+            ++frames;
+            peak = std::max(peak, gauge->value());
+            if (frames == streamWindowPoints) {
+                // Mid-stream, the status op shows the same window.
+                const Json busy = roundTrip(observer, status);
+                EXPECT_GT(busy.get("pointsInFlight").asU64(), 0u);
+                EXPECT_LE(busy.get("pointsInFlight").asU64(),
+                          streamWindowPoints);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            continue;
+        }
+        ASSERT_EQ(kind, LineChannel::MessageKind::Line);
+        Json line;
+        std::string error;
+        ASSERT_TRUE(Json::parse(message, &line, &error)) << error;
+        ASSERT_FALSE(line.has("error")) << line.getString("error");
+        if (line.getBool("done", false)) {
+            done = line;
+            break;
+        }
+    }
+    EXPECT_EQ(frames, 4 * streamWindowPoints);
+    EXPECT_LE(peak, static_cast<int64_t>(streamWindowPoints));
+    // The window was really used: the daemon ran ahead of the reader.
+    EXPECT_GT(peak, static_cast<int64_t>(streamWindowPoints / 2));
+    EXPECT_EQ(done.getString("digest"), digestHex(expected));
+    EXPECT_EQ(done.get("cacheServed").asU64(), frames);
+    EXPECT_EQ(gauge->value(), 0);
+    EXPECT_EQ(service_->pointsInFlight(), 0u);
+}
+
+TEST_F(ServiceFixture, CancelledBatchSimulatesAtMostCompletedPlusWindow)
+{
+    const size_t count = 4 * streamWindowPoints;
+    const auto specs = distinctSpecs(static_cast<int>(count), 12000);
+    LineChannel victim = connect();
+    ASSERT_TRUE(victim.writeLine(runRequest(31, specs, true).dump()));
+    std::string line;
+    ASSERT_TRUE(victim.readLine(&line));  // streaming for sure
+
+    LineChannel canceller = connect();
+    Json cancel = Json::object();
+    cancel.set("op", "cancel");
+    cancel.set("id", 31);
+    EXPECT_EQ(roundTrip(canceller, cancel).get("cancelled").asU64(),
+              1u);
+    Json done;
+    for (;;) {
+        ASSERT_TRUE(victim.readLine(&line));
+        std::string error;
+        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
+        if (done.getBool("done", false))
+            break;
+    }
+    ASSERT_TRUE(done.getBool("cancelled", false)) << line;
+    const uint64_t completed = done.get("completed").asU64();
+    waitForSettle(*service_);
+
+    // Only the window beyond the written points ever reached the
+    // engine, and the never-submitted rest shows in "status".
+    EXPECT_LE(service_->engine().cacheMisses(),
+              completed + streamWindowPoints);
+    const Json settled = settledStatus(canceller, count);
+    EXPECT_GE(settled.get("counters").get("unsubmittedPoints").asU64(),
+              count - completed - streamWindowPoints);
+}
+
+TEST_F(ServiceFixture, ReapedBatchLeavesItsUnsubmittedPointsInStatus)
+{
+    // A non-quiet batch to a reader that takes one line and vanishes:
+    // the daemon writes until the socket buffer is full, its window
+    // drains, and the reap must not submit the rest.
+    const size_t count = 4 * streamWindowPoints;
+    const auto specs = distinctSpecs(static_cast<int>(count), 15000);
+    {
+        LineChannel victim = connect();
+        ASSERT_TRUE(
+            victim.writeLine(runRequest(32, specs, false).dump()));
+        std::string line;
+        ASSERT_TRUE(victim.readLine(&line));
+    }
+    waitForSettle(*service_);
+    EXPECT_EQ(service_->reapedBatches(), 1u);
+
+    LineChannel observer = connect();
+    const Json settled = settledStatus(observer, count);
+    // Every simulated point was submitted, and a submitted point is
+    // at most a window ahead of the written ones: with the socket
+    // buffer holding far fewer than 2 windows of non-quiet lines,
+    // over half the batch never reached the engine.
+    EXPECT_GT(settled.get("counters").get("unsubmittedPoints").asU64(),
+              count - 2 * streamWindowPoints);
+    EXPECT_LT(service_->engine().cacheMisses(),
+              2 * streamWindowPoints);
 }
 
 TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)

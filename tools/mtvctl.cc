@@ -879,10 +879,14 @@ cmdStatus(const Endpoint &endpoint)
     std::printf("completed points: %llu\n",
                 static_cast<unsigned long long>(
                     s.get("completedPoints").asU64()));
+    // Older daemons predate the streaming window's two fields.
+    std::printf("points in flight: %.0f\n",
+                s.getNumber("pointsInFlight"));
     const Json &counters = s.get("counters");
     // One machine-friendly line (service_smoke.sh greps it).
     std::printf("counters: cancelledBatches=%llu reapedBatches=%llu "
-                "cancelledPoints=%llu discardedPoints=%llu\n",
+                "cancelledPoints=%llu discardedPoints=%llu "
+                "unsubmittedPoints=%.0f\n",
                 static_cast<unsigned long long>(
                     counters.get("cancelledBatches").asU64()),
                 static_cast<unsigned long long>(
@@ -890,7 +894,8 @@ cmdStatus(const Endpoint &endpoint)
                 static_cast<unsigned long long>(
                     counters.get("cancelledPoints").asU64()),
                 static_cast<unsigned long long>(
-                    counters.get("discardedPoints").asU64()));
+                    counters.get("discardedPoints").asU64()),
+                counters.getNumber("unsubmittedPoints"));
     if (s.get("shards").type() == Json::Type::Array) {
         for (const Json &shard : s.get("shards").asArray()) {
             std::printf(

@@ -33,7 +33,10 @@
  * points/s for each. With --json the output is bench-shaped
  * ({"benchmarks":[{"name":"stream_binary","sim_cycles/s":p},...]}),
  * so tools/perf_gate.py --min-ratio can ratchet binary >= k x JSON
- * in CI.
+ * in CI. Two more rows carry the best binary pass's time to its
+ * first point and its whole time as reciprocals
+ * (stream_binary_first_point, stream_binary_pass), so the same gate
+ * can ratchet how early a warm stream starts.
  *
  * Exit status: 0 on success, 1 when any request failed or nothing
  * completed (the smoke job treats that as a hard failure).
@@ -247,6 +250,8 @@ struct StreamPass
     uint64_t points = 0;
     uint64_t bytes = 0;
     double seconds = 0;
+    /** Request sent -> first point read. */
+    double firstPointSeconds = 0;
 };
 
 /**
@@ -281,6 +286,12 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         return pass;
     }
     const uint64_t startUs = monotonicMicros();
+    const auto countPoint = [&] {
+        if (pass.points++ == 0) {
+            pass.firstPointSeconds =
+                static_cast<double>(monotonicMicros() - startUs) / 1e6;
+        }
+    };
     std::string message;
     for (;;) {
         const LineChannel::MessageKind kind =
@@ -292,7 +303,7 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
             return pass;
         }
         if (kind == LineChannel::MessageKind::Frame) {
-            ++pass.points;
+            countPoint();
             continue;
         }
         Json response;
@@ -314,7 +325,7 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
                 return pass;
             break;
         }
-        ++pass.points;
+        countPoint();
     }
     pass.seconds =
         static_cast<double>(monotonicMicros() - startUs) / 1e6;
@@ -369,12 +380,21 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
         // gate only ever compares the two rates to each other).
         Json out = Json::object();
         Json benches = Json::array();
+        // The first-point rows are reciprocal times of the best
+        // binary pass, so --min-ratio
+        // "stream_binary_first_point:stream_binary_pass=R" requires
+        // the pass to take >= R x its time to the first point.
         const struct
         {
             const char *name;
             double rate;
-        } rows[] = {{"stream_binary", binaryRate},
-                    {"stream_json", jsonRate}};
+        } rows[] = {
+            {"stream_binary", binaryRate},
+            {"stream_json", jsonRate},
+            {"stream_binary_first_point",
+             1.0 / std::max(binaryPass.firstPointSeconds, 1e-9)},
+            {"stream_binary_pass",
+             1.0 / std::max(binaryPass.seconds, 1e-9)}};
         for (const auto &row : rows) {
             Json bench = Json::object();
             bench.set("name", std::string(row.name));
@@ -399,6 +419,12 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
                     static_cast<double>(binaryPass.bytes) /
                         std::max(binaryPass.seconds, 1e-9) / 1e6,
                     binaryRate / std::max(jsonRate, 1e-9));
+        std::printf("binary first point: %.2f ms of a %.2f ms pass "
+                    "(pass/first %.1fx)\n",
+                    binaryPass.firstPointSeconds * 1e3,
+                    binaryPass.seconds * 1e3,
+                    binaryPass.seconds /
+                        std::max(binaryPass.firstPointSeconds, 1e-9));
     }
     return 0;
 }
