@@ -231,7 +231,8 @@ ExperimentEngine::runAll(const std::vector<RunSpec> &specs)
 
 std::future<RunResult>
 ExperimentEngine::settleCached(RunSpec &spec, const SubmitHook &hook,
-                               const CancelToken *token)
+                               const CancelToken *token,
+                               std::string *knownKey)
 {
     // Completed-cache fast path: a memoized hit has no work left to
     // schedule, so settle the future on the calling thread and skip
@@ -244,7 +245,8 @@ ExperimentEngine::settleCached(RunSpec &spec, const SubmitHook &hook,
         spec.mode == SpecMode::Group || (token && token->cancelled())) {
         return {};
     }
-    std::string key = spec.canonical();
+    std::string key =
+        knownKey ? std::move(*knownKey) : spec.canonical();
     CachedStats stats;
     std::shared_ptr<const std::string> blob;
     {
@@ -259,8 +261,11 @@ ExperimentEngine::settleCached(RunSpec &spec, const SubmitHook &hook,
             blob = it->second.blob;
         }
     }
-    if (!stats)
+    if (!stats) {
+        if (knownKey)
+            *knownKey = std::move(key);
         return {};
+    }
     if (!blob && canonicalSerializer_) {
         // First streamed hit of this entry: memoize the canonical
         // bytes so every later hit is zero-copy. Serialized outside
@@ -374,14 +379,15 @@ std::vector<std::future<RunResult>>
 ExperimentEngine::submitAll(std::vector<RunSpec> &specs, size_t first,
                             size_t count, const SubmitHook &hook,
                             const std::shared_ptr<CancelToken> &token,
-                            LaneId laneId)
+                            LaneId laneId,
+                            std::vector<std::string> *keys)
 {
     std::vector<std::future<RunResult>> futures;
     futures.reserve(count);
     std::vector<QueuedTask> tasks;
     for (size_t i = first; i < first + count; ++i) {
-        std::future<RunResult> settled =
-            settleCached(specs[i], hook, token.get());
+        std::future<RunResult> settled = settleCached(
+            specs[i], hook, token.get(), keys ? &(*keys)[i] : nullptr);
         if (settled.valid()) {
             futures.push_back(std::move(settled));
             continue;

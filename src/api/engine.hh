@@ -269,12 +269,15 @@ class ExperimentEngine
      * into its task, with one shared @p hook, @p token and @p lane.
      * The lane is locked once and idle workers are woken once for the
      * whole run, not once per point — the refill of a streaming
-     * window. Returns the futures in order.
+     * window. @p keys, when given, holds specs[i].canonical() at the
+     * same positions, so a cache hit moves its key into the result
+     * instead of building it again. Returns the futures in order.
      */
     std::vector<std::future<RunResult>> submitAll(
         std::vector<RunSpec> &specs, size_t first, size_t count,
         const SubmitHook &hook,
-        const std::shared_ptr<CancelToken> &token, LaneId lane);
+        const std::shared_ptr<CancelToken> &token, LaneId lane,
+        std::vector<std::string> *keys = nullptr);
 
     /**
      * Add a scheduling lane with round-robin weight @p weight (>= 1:
@@ -481,11 +484,13 @@ class ExperimentEngine
                                      const CancelToken *token);
 
     /** submit()'s completed-cache fast path: a memoized hit settles
-     *  on the calling thread (the spec moves into the result); an
+     *  on the calling thread (the spec, and @p key when the caller
+     *  already built spec.canonical(), move into the result); an
      *  invalid future, spec untouched, when the point must queue. */
     std::future<RunResult> settleCached(RunSpec &spec,
                                         const SubmitHook &hook,
-                                        const CancelToken *token);
+                                        const CancelToken *token,
+                                        std::string *key = nullptr);
 
     /** One queued point: spec, hook and token in a task that honours
      *  cancellation at dequeue. */

@@ -211,8 +211,9 @@ RunSpec::canonical() const
     // string is the cache key, the store key, and the wire spec, so
     // it is rebuilt for every sweep point — and vsnprintf's
     // measure-then-write double pass dominated the hot result path.
-    // std::to_chars matches %d/%llu digit for digit, and snprintf
-    // keeps %.17g for the one float field, so the bytes are
+    // std::to_chars matches %d/%llu digit for digit, and with the
+    // general format at precision 17 it is specified to print the
+    // one float field exactly as %.17g does, so the bytes are
     // unchanged.
     char buf[40];
     std::string out;
@@ -220,8 +221,11 @@ RunSpec::canonical() const
     out += "mode=";
     out += specModeName(mode);
     out += ";scale=";
-    out.append(buf, static_cast<size_t>(std::snprintf(
-                        buf, sizeof(buf), "%.17g", scale)));
+    {
+        const auto r = std::to_chars(buf, buf + sizeof(buf), scale,
+                                     std::chars_format::general, 17);
+        out.append(buf, static_cast<size_t>(r.ptr - buf));
+    }
     const auto appendNum = [&](const char *prefix, auto value) {
         out += prefix;
         const auto r = std::to_chars(buf, buf + sizeof(buf), value);
@@ -241,7 +245,7 @@ RunSpec::canonical() const
         out += name;
     }
     out += ";machine=";
-    out += params.canonical();
+    params.appendCanonical(&out);
     return out;
 }
 

@@ -208,6 +208,45 @@ sweepFamilies()
     return families;
 }
 
+uint64_t
+sweepRegistryHash()
+{
+    static const uint64_t hash = [] {
+        uint64_t h = 0xcbf29ce484222325ull;
+        const auto fold = [&h](const void *data, size_t size) {
+            const auto *bytes = static_cast<const unsigned char *>(data);
+            for (size_t i = 0; i < size; ++i) {
+                h ^= bytes[i];
+                h *= 0x100000001b3ull;
+            }
+        };
+        for (const SweepFamilyInfo &family : sweepFamilies()) {
+            SweepRequest request;
+            request.family = family.name;
+            if (family.name == "groupings") {
+                // The one family with required parameters.
+                request.program = "trfd";
+                request.contexts = 2;
+            }
+            const SweepBuilder sweep = expandSweep(request);
+            fold(family.name.data(), family.name.size() + 1);
+            for (const SweepSlice &slice : sweep.slices()) {
+                fold(slice.label.data(), slice.label.size() + 1);
+                const uint64_t shape[] = {
+                    static_cast<uint64_t>(slice.contexts), slice.first,
+                    slice.count};
+                fold(shape, sizeof(shape));
+            }
+            for (const RunSpec &spec : sweep.specs()) {
+                const uint64_t key = spec.key();
+                fold(&key, sizeof(key));
+            }
+        }
+        return h;
+    }();
+    return hash;
+}
+
 namespace
 {
 

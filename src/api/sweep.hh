@@ -171,6 +171,15 @@ struct SweepFamilyInfo
 const std::vector<SweepFamilyInfo> &sweepFamilies();
 
 /**
+ * Hash of the family registry: every family's name, slice map and
+ * point keys at a representative request, computed once per process.
+ * Fleet nodes report it in their hello answer; a router marks a node
+ * whose hash differs from its own dead, since the two would expand
+ * the same family into different points.
+ */
+uint64_t sweepRegistryHash();
+
+/**
  * Expand @p request through its family into specs + slices.
  * fatal()s on an unknown family or missing/invalid parameters — the
  * daemon turns that into a protocol error for the offending client.

@@ -521,11 +521,11 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
                           WireFormat wire)
 {
     const uint64_t id = request.get("id").asU64();
-    if (request.has("points")) {
+    if (request.has("points") || request.has("ring")) {
         // A router is not a node: the scatter path terminates here.
         return channel.writeLine(
             requestErrorJson(id, "a fleet router does not accept "
-                                 "point subsets")
+                                 "point subsets or a ring")
                 .dump());
     }
     const SweepRequest sweep = sweepRequestFromJson(request);

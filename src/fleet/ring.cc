@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "src/common/endian.hh"
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
-#include "src/store/stats_codec.hh"
 
 namespace mtv
 {
@@ -21,11 +21,25 @@ namespace
  * ends up owning nearly every key. A finalizer (the murmur3 fmix64
  * avalanche) on top restores the spread while keeping the position a
  * pure deterministic function of the string.
+ *
+ * The FNV-1a step takes eight bytes at a time (read little-endian,
+ * so every host places a key alike): every node hashes the key of
+ * every point of a sweep to find its share, and a canonical key is
+ * ~730 bytes, so a byte-wise loop cost about as much as building the
+ * key itself.
  */
 uint64_t
 ringPosition(const std::string &text)
 {
-    uint64_t h = fnv1a64(text.data(), text.size());
+    constexpr uint64_t prime = 0x100000001b3ull;
+    const auto *bytes = reinterpret_cast<const uint8_t *>(text.data());
+    const size_t size = text.size();
+    uint64_t h = 0xcbf29ce484222325ull;
+    size_t i = 0;
+    for (; i + 8 <= size; i += 8)
+        h = (h ^ readLe64(bytes + i)) * prime;
+    for (; i < size; ++i)
+        h = (h ^ bytes[i]) * prime;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;

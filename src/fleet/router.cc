@@ -1,7 +1,10 @@
 #include "src/fleet/router.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <unordered_set>
 
 #include "src/common/logging.hh"
@@ -32,6 +35,12 @@ validatedNodeNames(const std::vector<std::string> &endpointTexts)
     }
     return endpointTexts;
 }
+
+/** How long a ping may take to connect, send and answer. A live
+ *  daemon pongs from its connection thread in well under a
+ *  millisecond; a node silent this long is wedged, and the health
+ *  monitor (and every stop() that joins it) must not wait on it. */
+constexpr int pingTimeoutMs = 2000;
 
 /** Histogram bounds for the relay's parked-payload depth: zero,
  *  then 1-2.5-5 per decade up to a million points, so any sweep size
@@ -64,13 +73,21 @@ canonicalKeys(const std::vector<RunSpec> &specs)
  * payloads by global index; the scatter caller's thread drains them
  * in global order, handing each to the hook outside the lock.
  *
+ * The router's own view of the batch — each point's canonical key
+ * and, for a sweep's first round, its ring owner — is published in
+ * index order, by the publisher thread while the nodes stream. A
+ * reader checks a frame only once its index is published.
+ *
  * Parking is bounded by credit: a reader that has
  * streamWindowPoints payloads parked stops reading until the drain
  * takes some, so TCP pushes back on its node (whose own window then
- * bounds it). This cannot deadlock while every reader lives. Each
- * node streams its subset in ascending global order, so the owner of
- * the point the cursor waits on has no undrained payload of this
- * round (all of its earlier ones lie below the cursor) and is never
+ * bounds it). This cannot deadlock while every reader lives. A
+ * reader parks only frames it has checked against the published
+ * owners: each strictly after the last, each owned by its node, and
+ * none past an index its node owns but did not send (a skip marks
+ * the node dead before the later frame parks). So the owner of the
+ * point the cursor waits on has no undrained payload of this round
+ * (all of its earlier ones lie below the cursor) and is never
  * waiting for credit. A reader that dies breaks that argument — the
  * cursor may then wait on its point, which only the next round
  * reroutes, while survivors wait for credit — so the first failure
@@ -82,9 +99,23 @@ struct FleetRouter::Gather
     std::condition_variable wake;
     /** Readers waiting for credit park here. */
     std::condition_variable credit;
-    /** RunSpec::canonical() per global index: ring key, spec check
-     *  and the run op's request text. */
-    const std::vector<std::string> *keys = nullptr;
+    /** Readers waiting for the publisher park here. */
+    std::condition_variable progress;
+    /** RunSpec::canonical() per global index: spec check, ring key of
+     *  the reroute rounds and the run op's request text. */
+    std::vector<std::string> keys;
+    /** A sweep's round-1 ring owner per global index. */
+    std::vector<uint32_t> owners;
+    /** keys and owners are final below this index. */
+    size_t published = 0;
+    /** The tables are sized: the router's expansion is in. */
+    bool expanded = false;
+    /** The batch was given up (the router's expansion failed or the
+     *  hook threw): readers waiting on the publisher stop. */
+    bool aborted = false;
+    /** The publisher's input and thread (a sweep's first round). */
+    std::vector<RunSpec> specs;
+    std::thread publisher;
     /** Per global index: the point's payload has landed. */
     std::vector<char> landed;
     std::vector<std::string> payloads;
@@ -105,6 +136,89 @@ struct FleetRouter::Gather
     /** Credit is off for the rest of the round: a reader failed or
      *  the drain gave up. */
     bool creditOff = false;
+
+    ~Gather()
+    {
+        abandon();
+        if (publisher.joinable())
+            publisher.join();
+    }
+
+    /** Size the tables for @p n points and let readers in. Caller
+     *  holds the lock. */
+    void
+    sizeLocked(size_t n)
+    {
+        keys.resize(n);
+        landed.assign(n, 0);
+        payloads.resize(n);
+        parkedBy.resize(n);
+        expanded = true;
+    }
+
+    /** An explicit batch: every key is known up front. */
+    void
+    publishAll(std::vector<std::string> batchKeys)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const size_t n = batchKeys.size();
+        sizeLocked(n);
+        keys = std::move(batchKeys);
+        published = n;
+    }
+
+    /**
+     * A sweep: the router's own expansion @p batch is in. Size the
+     * tables, then build keys and @p ring owners in index order on
+     * the publisher thread, publishing every few points, while this
+     * thread goes on to drain.
+     */
+    void
+    startPublisher(std::vector<RunSpec> batch, HashRing ring)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            sizeLocked(batch.size());
+            owners.resize(batch.size());
+        }
+        progress.notify_all();
+        specs = std::move(batch);
+        publisher = std::thread([this, ring = std::move(ring)] {
+            constexpr size_t chunk = 64;
+            const size_t n = specs.size();
+            for (size_t first = 0; first < n; first += chunk) {
+                const size_t end = std::min(n, first + chunk);
+                for (size_t i = first; i < end; ++i) {
+                    keys[i] = specs[i].canonical();
+                    owners[i] = static_cast<uint32_t>(
+                        ring.nodeFor(keys[i]));
+                }
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    published = end;
+                    if (aborted)
+                        return;
+                }
+                progress.notify_all();
+            }
+            std::vector<RunSpec>().swap(specs);
+        });
+    }
+
+    /** Wait until indices below @p upTo are published (clamped to the
+     *  batch) and store how many are in @p seen; false when the batch
+     *  was given up instead. */
+    bool
+    awaitPublished(size_t upTo, size_t *seen)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        progress.wait(lock, [this, upTo] {
+            return aborted ||
+                   (expanded && published >= std::min(upTo, keys.size()));
+        });
+        *seen = published;
+        return !aborted;
+    }
 
     /** Open a scatter round and give its @p count readers fresh
      *  slots; returns the first slot. */
@@ -163,15 +277,18 @@ struct FleetRouter::Gather
             credit.notify_all();
     }
 
-    /** Release every credit wait of this round (the drain is gone). */
+    /** Give the batch up: release every credit and publisher wait
+     *  (the drain is gone). */
     void
     abandon()
     {
         {
             std::lock_guard<std::mutex> lock(mutex);
             creditOff = true;
+            aborted = true;
         }
         credit.notify_all();
+        progress.notify_all();
     }
 
     /**
@@ -339,7 +456,8 @@ FleetRouter::pingAll()
         }
         std::string error;
         const uint64_t pingStartUs = monotonicMicros();
-        const int fd = connectToEndpoint(endpoint, &error);
+        const int fd =
+            connectToEndpoint(endpoint, &error, pingTimeoutMs);
         if (fd < 0) {
             // A dead node that still refuses connections simply stays
             // dead — no counter churn, no re-mark.
@@ -356,8 +474,12 @@ FleetRouter::pingAll()
             Json request = Json::object();
             request.set("op", "ping");
             std::string line;
-            if (channel.writeLine(request.dump()) &&
-                channel.readLine(&line)) {
+            errno = 0;
+            if (!channel.writeLine(request.dump()) ||
+                !channel.readLine(&line)) {
+                if (errno == EAGAIN || errno == EWOULDBLOCK)
+                    why = "ping timed out";
+            } else {
                 Json response;
                 std::string parseError;
                 if (Json::parse(line, &response, &parseError)) {
@@ -428,10 +550,12 @@ FleetRouter::stopHealthMonitor()
         monitor_.join();
 }
 
-size_t
+bool
 FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                           const std::vector<size_t> &indices,
-                          const SweepRequest *sweep, Gather &gather)
+                          const SweepRequest *sweep,
+                          const SweepRing *ring, Gather &gather,
+                          size_t *served)
 {
     Endpoint endpoint;
     {
@@ -442,7 +566,7 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
     const int fd = connectToEndpoint(endpoint, &error);
     if (fd < 0) {
         markDead(nodeIndex, error);
-        return 0;
+        return false;
     }
     // The channel's destructor closes the socket on every exit path.
     // On a half-dead node that close triggers the daemon-side reap
@@ -451,14 +575,27 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
     LineChannel channel(fd);
 
     constexpr uint64_t id = 1;
-    size_t received = 0;
+    size_t &received = *served;
+    // A ring share: every index below `next` that the ring assigns
+    // this node has been received.
+    size_t next = 0;
+    // The gather's keys and owners are final below `published`, so
+    // the lock is taken only to see past it.
+    bool sized = false;
+    size_t published = 0;
+    const auto awaitKeys = [&](size_t upTo) {
+        if (!sized || upTo > published)
+            sized = gather.awaitPublished(upTo, &published);
+        return sized;
+    };
     try {
         // ANY protocol violation is a node failure — the scatter loop
         // reroutes; a bad node must not take the router down.
         ScopedFatalAsException scope;
 
         // The relay forwards node frames verbatim, so every node must
-        // speak the binary result wire (protocol v6).
+        // speak the binary result wire (protocol v6), and expand
+        // sweep families exactly as this router does.
         Json hello = Json::object();
         hello.set("op", "hello");
         hello.set("wire", "binary");
@@ -475,12 +612,24 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             answer.getString("wire", "") != "binary") {
             fatal("node refused the binary wire");
         }
+        const std::string registry = format(
+            "%016llx",
+            static_cast<unsigned long long>(sweepRegistryHash()));
+        if (answer.getString("registry", "") != registry) {
+            fatal("sweep registry mismatch: node %s, router %s",
+                  answer.getString("registry", "(none)").c_str(),
+                  registry.c_str());
+        }
 
         Json request;
-        if (sweep) {
-            // The family compresses the scatter: every node expands
-            // the sweep itself and runs only the global indices it
-            // owns.
+        if (ring) {
+            // Owner-computes: the node expands the family and streams
+            // the share the ring assigns it.
+            SweepRing mine = *ring;
+            mine.self = nodeIndex;
+            request = sweepRequestToJson(*sweep);
+            request.set("ring", sweepRingToJson(mine));
+        } else if (sweep) {
             request = sweepRequestToJson(*sweep);
             Json points = Json::array();
             for (const size_t global : indices)
@@ -490,7 +639,7 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             request = Json::object();
             Json specs = Json::array();
             for (const size_t global : indices)
-                specs.push((*gather.keys)[global]);
+                specs.push(gather.keys[global]);
             request.set("specs", std::move(specs));
         }
         request.set("op", sweep ? "sweep" : "run");
@@ -509,14 +658,10 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
         for (;;) {
             const LineChannel::MessageKind kind =
                 channel.readMessage(&message);
-            if (kind == LineChannel::MessageKind::Eof) {
-                fatal("connection closed after %zu of %zu points",
-                      received, indices.size());
-            }
-            if (kind == LineChannel::MessageKind::BadFrame) {
-                fatal("bad result frame after %zu of %zu points",
-                      received, indices.size());
-            }
+            if (kind == LineChannel::MessageKind::Eof)
+                fatal("connection closed after %zu points", received);
+            if (kind == LineChannel::MessageKind::BadFrame)
+                fatal("bad result frame after %zu points", received);
             if (kind == LineChannel::MessageKind::Frame) {
                 ResultFrameView frame;
                 std::string frameError;
@@ -528,17 +673,56 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                 }
                 if (!sawAck)
                     fatal("result frame before the sweep ack");
-                if (frame.seq != received ||
-                    frame.seq >= indices.size()) {
-                    fatal("result stream out of order (seq %llu, "
-                          "expected %zu)",
-                          static_cast<unsigned long long>(frame.seq),
-                          received);
-                }
                 if (!frame.hasBlob)
                     fatal("node streamed a result without a blob");
-                const size_t global = indices[received];
-                if (frame.spec != (*gather.keys)[global]) {
+                size_t global;
+                if (ring) {
+                    // seq is the global index; check it against the
+                    // router's own owners, published in index order.
+                    if (frame.seq < next) {
+                        fatal("result stream out of order (seq %llu "
+                              "after %zu)",
+                              static_cast<unsigned long long>(frame.seq),
+                              next);
+                    }
+                    if (!awaitKeys(0))
+                        return false;
+                    if (frame.seq >= gather.keys.size()) {
+                        fatal("seq %llu past the %zu points of the "
+                              "sweep",
+                              static_cast<unsigned long long>(frame.seq),
+                              gather.keys.size());
+                    }
+                    global = static_cast<size_t>(frame.seq);
+                    if (!awaitKeys(global + 1))
+                        return false;
+                    for (size_t k = next; k < global; ++k) {
+                        if (gather.owners[k] == nodeIndex)
+                            fatal("node skipped point %zu it owns", k);
+                    }
+                    if (gather.owners[global] != nodeIndex) {
+                        fatal("node streamed point %zu it does not own",
+                              global);
+                    }
+                    next = global + 1;
+                } else {
+                    if (received == indices.size()) {
+                        fatal("node streamed more than the %zu points "
+                              "asked",
+                              indices.size());
+                    }
+                    // A sweep subset's seq is the global index; a run
+                    // batch's is its position.
+                    global = indices[received];
+                    const size_t expected = sweep ? global : received;
+                    if (frame.seq != expected) {
+                        fatal("result stream out of order (seq %llu, "
+                              "expected %zu)",
+                              static_cast<unsigned long long>(frame.seq),
+                              expected);
+                    }
+                }
+                if (frame.spec != gather.keys[global]) {
                     fatal("node answered the wrong spec for point "
                           "%zu",
                           global);
@@ -553,16 +737,34 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             Json msg;
             if (!Json::parse(message, &msg, &parseError))
                 fatal("malformed response: %s", parseError.c_str());
-            if (msg.has("error"))
+            if (msg.has("error")) {
+                // A request the router could not expand either was
+                // bad, not the node: the batch fails on its own.
+                if (ring && !awaitKeys(0))
+                    return false;
                 fatal("node error: %s", msg.getString("error").c_str());
+            }
             if (msg.get("id").asU64() != id) {
                 fatal("response for unknown request id %llu",
                       static_cast<unsigned long long>(
                           msg.get("id").asU64()));
             }
             if (!sawAck) {
-                if (!msg.getBool("ack", false) ||
-                    msg.get("count").asU64() != indices.size()) {
+                if (!msg.getBool("ack", false))
+                    fatal("bad sweep ack: %s", msg.dump().c_str());
+                if (ring) {
+                    // A ring share's size is known only at done; the
+                    // expansion size must match now.
+                    if (!awaitKeys(0))
+                        return false;
+                    if (msg.get("total").asU64() != gather.keys.size()) {
+                        fatal("node expands the sweep to %llu points, "
+                              "the router to %zu",
+                              static_cast<unsigned long long>(
+                                  msg.get("total").asU64()),
+                              gather.keys.size());
+                    }
+                } else if (msg.get("count").asU64() != indices.size()) {
                     fatal("bad sweep ack: %s", msg.dump().c_str());
                 }
                 sawAck = true;
@@ -570,10 +772,24 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             }
             if (!msg.getBool("done", false))
                 fatal("JSON result line on the binary wire");
-            if (msg.getBool("cancelled", false) ||
-                received != indices.size()) {
+            if (msg.getBool("cancelled", false))
+                fatal("stream cancelled after %zu points", received);
+            if (ring) {
+                if (!awaitKeys(gather.keys.size()))
+                    return false;
+                for (size_t k = next; k < gather.keys.size(); ++k) {
+                    if (gather.owners[k] == nodeIndex)
+                        fatal("node skipped point %zu it owns", k);
+                }
+            } else if (received != indices.size()) {
                 fatal("stream ended after %zu of %zu points", received,
                       indices.size());
+            }
+            if (msg.get("count").asU64() != received) {
+                fatal("done count %llu != %zu points streamed",
+                      static_cast<unsigned long long>(
+                          msg.get("count").asU64()),
+                      received);
             }
             // Integrity cross-check: the node folded the same digest
             // over the bytes it sent; a mismatch means the subset we
@@ -586,46 +802,49 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                 fatal("node digest %s != router fold %s",
                       server.c_str(), local.c_str());
             }
-            return received;  // subset complete
+            return true;  // subset complete
         }
     } catch (const FatalError &e) {
         markDead(nodeIndex, e.what());
     }
-    return received;
+    return false;
 }
 
 FleetOutcome
-FleetRouter::scatter(const std::vector<std::string> &keys,
-                     const SweepRequest *sweep,
-                     std::vector<SweepSlice> slices,
+FleetRouter::scatter(const SweepRequest *sweep,
+                     std::vector<std::string> keys,
+                     const ExpandHook &onExpanded,
                      const PointHook &hook)
 {
-    const size_t n = keys.size();
     Gather gather;
-    gather.keys = &keys;
-    gather.landed.assign(n, 0);
-    gather.payloads.resize(n);
-    gather.parkedBy.resize(n);
-
     FleetOutcome outcome;
-    outcome.count = n;
-    outcome.slices = std::move(slices);
     outcome.digest = 0xcbf29ce484222325ull;
+    if (!sweep) {
+        outcome.count = keys.size();
+        gather.publishAll(std::move(keys));
+    }
     {
         std::lock_guard<std::mutex> lock(membershipMutex_);
         deadDuringBatch_.clear();
     }
 
-    // Scatter rounds: assign every unfinished point to its ring
-    // owner, stream all subsets concurrently while this thread drains
-    // them in global order, then re-assign whatever a dying node left
-    // behind. Each extra round means at least one node was newly
-    // marked dead (a successful subset lands all its points), so the
-    // loop terminates: the batch completes or the last node dies and
-    // the live-count check fatal()s.
-    bool firstRound = true;
-    for (;;) {
+    // Scatter rounds. A sweep's first round sends every live node
+    // the family and the ring and lets each pick its own share, while
+    // this thread expands the sweep and the publisher builds the
+    // router's keys and owners alongside. Every other round assigns
+    // each unfinished point to its ring owner by explicit list. All
+    // subsets of a round stream concurrently while this thread drains
+    // them in global order; the next round re-assigns whatever a
+    // dying node left behind. Each extra round means at least one
+    // node was newly marked dead (a successful subset lands all its
+    // points), so the loop terminates: the batch completes or the
+    // last node dies and the live-count check fatal()s.
+    for (bool firstRound = true;; firstRound = false) {
+        const bool ringRound = firstRound && sweep;
         std::vector<std::vector<size_t>> assignment(nodes_.size());
+        std::vector<size_t> streamers;
+        SweepRing ring;
+        std::optional<HashRing> ownerRing;
         size_t pending = 0;
         {
             std::lock_guard<std::mutex> lock(membershipMutex_);
@@ -637,14 +856,30 @@ FleetRouter::scatter(const std::vector<std::string> &keys,
                           ? "none"
                           : nodes_.back().lastError.c_str());
             }
-            for (size_t i = 0; i < n; ++i) {
-                if (gather.landed[i])
-                    continue;
-                assignment[ring_.nodeFor(keys[i])].push_back(i);
-                ++pending;
+            if (ringRound) {
+                ring.nodes = ring_.nodes();
+                ring.vnodes = options_.vnodesPerNode;
+                for (size_t node = 0; node < nodes_.size(); ++node) {
+                    ring.live.push_back(ring_.isLive(node));
+                    if (ring_.isLive(node))
+                        streamers.push_back(node);
+                }
+                ownerRing = ring_;
+            } else {
+                for (size_t i = 0; i < gather.landed.size(); ++i) {
+                    if (gather.landed[i])
+                        continue;
+                    assignment[ring_.nodeFor(gather.keys[i])]
+                        .push_back(i);
+                    ++pending;
+                }
+                for (size_t node = 0; node < nodes_.size(); ++node) {
+                    if (!assignment[node].empty())
+                        streamers.push_back(node);
+                }
             }
         }
-        if (pending == 0)
+        if (!ringRound && pending == 0)
             break;
         if (!firstRound) {
             // These points were assigned to a node that died before
@@ -656,44 +891,56 @@ FleetRouter::scatter(const std::vector<std::string> &keys,
                    "surviving nodes",
                    pending, aliveCount());
         }
-        firstRound = false;
 
-        size_t streaming = 0;
-        for (const std::vector<size_t> &subset : assignment)
-            streaming += subset.empty() ? 0 : 1;
-        uint32_t slot = gather.startRound(streaming);
+        uint32_t slot = gather.startRound(streamers.size());
         std::vector<std::thread> readers;
-        for (size_t node = 0; node < assignment.size(); ++node) {
-            if (assignment[node].empty())
-                continue;
-            obsScatterPoints_->observe(assignment[node].size());
+        for (const size_t node : streamers) {
+            if (!ringRound)
+                obsScatterPoints_->observe(assignment[node].size());
             readers.emplace_back([this, node, slot, &assignment, sweep,
-                                  &gather] {
-                const size_t served = streamSubset(
-                    node, slot, assignment[node], sweep, gather);
+                                  ringRound, &ring, &gather] {
+                size_t served = 0;
+                const bool complete =
+                    streamSubset(node, slot, assignment[node], sweep,
+                                 ringRound ? &ring : nullptr, gather,
+                                 &served);
                 {
                     std::lock_guard<std::mutex> lock(
                         membershipMutex_);
                     nodes_[node].pointsServed += served;
                 }
-                gather.readerDone(served < assignment[node].size());
+                if (ringRound)
+                    obsScatterPoints_->observe(served);
+                gather.readerDone(!complete);
             });
             ++slot;
         }
-        // A throwing hook must not leave joinable readers behind:
-        // credit is released and they finish (parking into the
-        // abandoned gather) before the error propagates.
-        std::exception_ptr hookError;
+        // A failed expansion or a throwing hook must not leave
+        // joinable readers behind: the batch is given up, credit and
+        // publisher waits are released, and they finish before the
+        // error propagates.
+        std::exception_ptr error;
         try {
+            if (ringRound) {
+                SweepBuilder expansion = expandSweep(*sweep);
+                outcome.count = expansion.size();
+                outcome.slices = expansion.slices();
+                gather.startPublisher(expansion.take(),
+                                      std::move(*ownerRing));
+                if (onExpanded)
+                    onExpanded(outcome.count, outcome.slices);
+            }
             gather.drain(hook, outcome, obsParkedDepth_);
         } catch (...) {
-            hookError = std::current_exception();
+            error = std::current_exception();
             gather.abandon();
         }
         for (std::thread &reader : readers)
             reader.join();
-        if (hookError)
-            std::rethrow_exception(hookError);
+        if (gather.publisher.joinable())
+            gather.publisher.join();
+        if (error)
+            std::rethrow_exception(error);
     }
 
     {
@@ -708,26 +955,14 @@ FleetRouter::runSweep(const SweepRequest &request,
                       const PointHook &hook,
                       const ExpandHook &onExpanded)
 {
-    // Expanded ONCE, router-side: the slice map and the global point
-    // order come from here; nodes re-derive the identical expansion
-    // from the family name (expandSweep is deterministic).
-    std::vector<std::string> keys;
-    std::vector<SweepSlice> slices;
-    {
-        SweepBuilder sweep = expandSweep(request);
-        slices = sweep.slices();
-        keys = canonicalKeys(sweep.specs());
-    }
-    if (onExpanded)
-        onExpanded(keys.size(), slices);
-    return scatter(keys, &request, std::move(slices), hook);
+    return scatter(&request, {}, onExpanded, hook);
 }
 
 FleetOutcome
 FleetRouter::runSpecs(const std::vector<RunSpec> &specs,
                       const PointHook &hook)
 {
-    return scatter(canonicalKeys(specs), nullptr, {}, hook);
+    return scatter(nullptr, canonicalKeys(specs), nullptr, hook);
 }
 
 } // namespace mtv

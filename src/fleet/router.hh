@@ -9,18 +9,20 @@
  * Routing: each point's RunSpec::canonical() string is consistent-
  * hashed (HashRing) across the nodes, so each node's sharded
  * ResultStore owns a disjoint slice of the key space and a re-run of
- * the same sweep warms the same node caches. Sweep families are
- * expanded ONCE (by the router); every node receives the family name
- * plus only the global point indices it owns via the existing "sweep"
- * op's "points" field, and expands the family itself — ~100 bytes of
- * request per node instead of megabytes of specs.
+ * the same sweep warms the same node caches. A sweep's first scatter
+ * round is owner-computes: every live node receives the family
+ * request plus the ring (the "sweep" op's "ring" field) and picks its
+ * own share, while the router expands the family alongside and
+ * publishes each point's canonical key and ring owner for the checks
+ * below. Later rounds name their points explicitly ("points").
  *
  * Relay: one reader thread per node consumes that node's binary
  * result stream, checks each frame on its raw payload (request id,
- * ack before any frame, seq order, blob present, spec bytes equal to
- * the expected canonical string, and at the end the node's done
- * digest against a fold of the blobs it sent) and parks the payload
- * under its global index. The thread that called runSweep() or
+ * ack before any frame, seq = a global index strictly after the last
+ * one and owned by the node with none of its own skipped, blob
+ * present, spec bytes equal to the expected canonical string, and at
+ * the end the node's done count and digest against what it sent) and
+ * parks the payload under its global index. The thread that called runSweep() or
  * runSpecs() drains the parked payloads in GLOBAL submission order
  * while the readers stream: it folds ONE digest — FNV-1a over the
  * canonical stats blobs in global order, bit-identical to running
@@ -35,8 +37,10 @@
  * (see FleetRouter::Gather).
  *
  * Failover: membership is a health table; a node is marked dead by a
- * sticky mark on any connect/write/read/protocol failure (or by the
- * periodic status pings of startHealthMonitor()). Death removes the
+ * sticky mark on any connect/write/read/protocol failure, a hello
+ * reporting another sweep registry (sweepRegistryHash()), or the
+ * periodic, time-bounded status pings of startHealthMonitor(). Death
+ * removes the
  * node from the ring and closes the router's connection to it — on a
  * half-dead node that close triggers the daemon-side reap path
  * (cancel tokens + lane drop, see src/service/server.hh), so a
@@ -141,7 +145,9 @@ class FleetRouter
     size_t nodeForKey(const std::string &canonical) const;
 
     /**
-     * Ping every node — the live ones AND the dead ones. A failure
+     * Ping every node — the live ones AND the dead ones. Each ping's
+     * connect, send and read are bounded (2 s): a node that accepts
+     * and never answers fails with "ping timed out". A failure
      * marks a live node dead (sticky within a batch round); a healthy
      * pong from a dead node revives it: its ring points come back, so
      * exactly its old key slice re-homes to it and subsequent scatter
@@ -166,7 +172,7 @@ class FleetRouter
      * no router lock held. @p payload is the node's verified frame
      * payload (ResultFrame layout, src/service/protocol.hh): spec and
      * stats blob exactly as the node sent them, the header still
-     * carrying the node's request id and subset seq. The router is
+     * carrying the node's request id and seq. The router is
      * done with it, so the hook may rewrite or move it. @p moreReady
      * says the next point is already parked, so a writer may hold
      * this one back and coalesce writes.
@@ -174,16 +180,18 @@ class FleetRouter
     using PointHook = std::function<void(
         size_t globalIndex, std::string &payload, bool moreReady)>;
 
-    /** Called once after the sweep family expanded, before any node
-     *  is contacted — the ack data (count + slice map). */
+    /** Called once when the router's own expansion of the sweep is
+     *  in (the first round's requests are already out) — the ack
+     *  data (count + slice map). */
     using ExpandHook = std::function<void(
         size_t count, const std::vector<SweepSlice> &slices)>;
 
     /**
-     * Expand @p request once, scatter it across the live nodes, and
+     * Scatter @p request across the live nodes (each picks its ring
+     * share), expand it alongside to check what they stream, and
      * gather the folded outcome. Retries dead nodes' unfinished
      * points on survivors until the batch completes; fatal()s only
-     * when no node is left alive.
+     * when no node is left alive or the request does not expand.
      */
     FleetOutcome runSweep(const SweepRequest &request,
                           const PointHook &hook = nullptr,
@@ -220,20 +228,24 @@ class FleetRouter
      *  when already alive. Caller must NOT hold membershipMutex_. */
     void revive(size_t index);
 
-    /** Stream one node's subset: send the request, consume the
-     *  stream, park verified payloads in @p gather on the credit of
-     *  reader @p slot. Any failure marks the node dead; already-
-     *  parked points are kept. Returns the points parked. */
-    size_t streamSubset(size_t nodeIndex, uint32_t slot,
-                        const std::vector<size_t> &indices,
-                        const SweepRequest *sweep, Gather &gather);
+    /** Stream one node's subset — the share @p ring assigns it when
+     *  non-null, else the points @p indices — send the request,
+     *  consume the stream, park verified payloads in @p gather on the
+     *  credit of reader @p slot. Any failure marks the node dead;
+     *  already-parked points are kept. Returns true when the subset
+     *  completed; @p served counts the points parked. */
+    bool streamSubset(size_t nodeIndex, uint32_t slot,
+                      const std::vector<size_t> &indices,
+                      const SweepRequest *sweep, const SweepRing *ring,
+                      Gather &gather, size_t *served);
 
     /** The scatter/relay/reroute loop shared by runSweep (sweep op,
-     *  @p sweep non-null) and runSpecs (run op). @p keys holds each
-     *  point's RunSpec::canonical(), built once per batch. */
-    FleetOutcome scatter(const std::vector<std::string> &keys,
-                         const SweepRequest *sweep,
-                         std::vector<SweepSlice> slices,
+     *  @p sweep non-null, expanded alongside its first round) and
+     *  runSpecs (run op, @p keys holding each spec's
+     *  RunSpec::canonical()). */
+    FleetOutcome scatter(const SweepRequest *sweep,
+                         std::vector<std::string> keys,
+                         const ExpandHook &onExpanded,
                          const PointHook &hook);
 
     FleetOptions options_;

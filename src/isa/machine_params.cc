@@ -1,6 +1,7 @@
 #include "src/isa/machine_params.hh"
 
 #include <charconv>
+#include <cstring>
 
 #include "src/common/config.hh"
 #include "src/common/logging.hh"
@@ -157,13 +158,16 @@ const LatField latFields[] = {
 
 /** Append `<prefix><value>`; std::to_chars emits exactly the digits
  *  printf's %d would, so canonical strings stay byte-identical to the
- *  format()-built ones they replace. */
+ *  format()-built ones they replace. The prefix is a literal whose
+ *  length is known at compile time: every fleet node builds this
+ *  string for every candidate point of a sweep. */
+template <size_t N>
 void
-appendKV(std::string *out, const char *prefix, int value)
+appendKV(std::string *out, const char (&prefix)[N], int value)
 {
-    out->append(prefix);
-    char buf[16];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+    char buf[N + 16];
+    std::memcpy(buf, prefix, N - 1);
+    const auto r = std::to_chars(buf + N - 1, buf + sizeof(buf), value);
     out->append(buf, static_cast<size_t>(r.ptr - buf));
 }
 
@@ -237,6 +241,14 @@ MachineParams::canonical() const
     // vsnprintf's measure-then-write double pass dominated it.
     std::string out;
     out.reserve(512);
+    appendCanonical(&out);
+    return out;
+}
+
+void
+MachineParams::appendCanonical(std::string *outPtr) const
+{
+    std::string &out = *outPtr;
     appendKV(&out, "contexts=", contexts);
     out += " sched=";
     out += schedPolicyName(sched);
@@ -266,7 +278,6 @@ MachineParams::canonical() const
         out += field.key;
         appendKV(&out, "_v=", pair.vector);
     }
-    return out;
 }
 
 MachineParams

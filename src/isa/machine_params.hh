@@ -212,6 +212,9 @@ struct MachineParams
      */
     std::string canonical() const;
 
+    /** canonical(), appended to @p out (no string of its own). */
+    void appendCanonical(std::string *out) const;
+
     /** Inverse of canonical(); fatal()s on malformed input. */
     static MachineParams fromCanonical(const std::string &text);
 

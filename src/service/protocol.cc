@@ -1,13 +1,16 @@
 #include "src/service/protocol.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_set>
 
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -543,6 +546,87 @@ sweepRequestFromJson(const Json &request)
 }
 
 Json
+sweepRingToJson(const SweepRing &ring)
+{
+    Json j = Json::object();
+    Json nodes = Json::array();
+    for (const std::string &name : ring.nodes)
+        nodes.push(name);
+    j.set("nodes", std::move(nodes));
+    j.set("vnodes", ring.vnodes);
+    Json live = Json::array();
+    for (const bool alive : ring.live)
+        live.push(alive);
+    j.set("live", std::move(live));
+    j.set("self", static_cast<uint64_t>(ring.self));
+    return j;
+}
+
+bool
+sweepRingFromJson(const Json &json, SweepRing *out, std::string *field,
+                  std::string *error)
+{
+    const auto fail = [field, error](const char *name,
+                                     std::string message) {
+        *field = name;
+        *error = "bad ring: " + std::move(message);
+        return false;
+    };
+    if (json.type() != Json::Type::Object)
+        return fail("nodes", "not an object");
+    SweepRing ring;
+
+    const Json &nodes = json.get("nodes");
+    if (nodes.type() != Json::Type::Array || nodes.asArray().empty())
+        return fail("nodes", "no node list");
+    if (nodes.asArray().size() > maxRingNodes)
+        return fail("nodes", format("more than %zu nodes", maxRingNodes));
+    std::unordered_set<std::string> seen;
+    for (const Json &name : nodes.asArray()) {
+        if (name.type() != Json::Type::String || name.asString().empty())
+            return fail("nodes", "empty node name");
+        if (!seen.insert(name.asString()).second)
+            return fail("nodes",
+                        "duplicate node name '" + name.asString() + "'");
+        ring.nodes.push_back(name.asString());
+    }
+
+    const Json &vnodes = json.get("vnodes");
+    const double v = vnodes.type() == Json::Type::Number
+                         ? vnodes.asNumber()
+                         : 0.0;
+    if (v < 1 || v > maxRingVnodes || v != std::floor(v))
+        return fail("vnodes", format("vnode count must be an integer "
+                                     "in [1, %d]",
+                                     maxRingVnodes));
+    ring.vnodes = static_cast<int>(v);
+
+    const Json &live = json.get("live");
+    if (live.type() != Json::Type::Array ||
+        live.asArray().size() != ring.nodes.size())
+        return fail("live", "live mask needs one boolean per node");
+    for (const Json &alive : live.asArray()) {
+        if (alive.type() != Json::Type::Bool)
+            return fail("live", "live mask needs one boolean per node");
+        ring.live.push_back(alive.asBool());
+    }
+
+    const Json &self = json.get("self");
+    const double s = self.type() == Json::Type::Number
+                         ? self.asNumber()
+                         : -1.0;
+    if (s < 0 || s >= static_cast<double>(ring.nodes.size()) ||
+        s != std::floor(s))
+        return fail("self", "self index out of range");
+    ring.self = static_cast<size_t>(s);
+    if (!ring.live[ring.self])
+        return fail("self", "self is not live on the ring");
+
+    *out = std::move(ring);
+    return true;
+}
+
+Json
 sliceToJson(const SweepSlice &slice)
 {
     Json j = Json::object();
@@ -835,8 +919,22 @@ setNoDelay(int fd)
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/** Bound every blocking connect, send and recv on @p fd (no-op for
+ *  @p timeoutMs <= 0). */
+void
+setTimeouts(int fd, int timeoutMs)
+{
+    if (timeoutMs <= 0)
+        return;
+    timeval tv{};
+    tv.tv_sec = timeoutMs / 1000;
+    tv.tv_usec = (timeoutMs % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
 int
-connectTcp(const Endpoint &endpoint, std::string *error)
+connectTcp(const Endpoint &endpoint, std::string *error, int timeoutMs)
 {
     addrinfo *info = resolveTcp(endpoint, /*passive=*/false, error);
     if (!info)
@@ -850,6 +948,7 @@ connectTcp(const Endpoint &endpoint, std::string *error)
             lastErrno = errno;
             continue;
         }
+        setTimeouts(fd, timeoutMs);
         if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
             break;
         lastErrno = errno;
@@ -869,10 +968,9 @@ connectTcp(const Endpoint &endpoint, std::string *error)
     return fd;
 }
 
-} // namespace
-
 int
-connectToDaemon(const std::string &socketPath, std::string *error)
+connectUnix(const std::string &socketPath, std::string *error,
+            int timeoutMs)
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -890,6 +988,7 @@ connectToDaemon(const std::string &socketPath, std::string *error)
             *error = std::strerror(errno);
         return -1;
     }
+    setTimeouts(fd, timeoutMs);
     if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         if (error) {
@@ -902,12 +1001,21 @@ connectToDaemon(const std::string &socketPath, std::string *error)
     return fd;
 }
 
+} // namespace
+
 int
-connectToEndpoint(const Endpoint &endpoint, std::string *error)
+connectToDaemon(const std::string &socketPath, std::string *error)
+{
+    return connectUnix(socketPath, error, 0);
+}
+
+int
+connectToEndpoint(const Endpoint &endpoint, std::string *error,
+                  int timeoutMs)
 {
     if (endpoint.kind == Endpoint::Kind::Unix)
-        return connectToDaemon(endpoint.path, error);
-    return connectTcp(endpoint, error);
+        return connectUnix(endpoint.path, error, timeoutMs);
+    return connectTcp(endpoint, error, timeoutMs);
 }
 
 int

@@ -12,23 +12,24 @@
  *    "quiet":b}
  *   {"op":"sweep","id":n,"family":"<name>","scale":g,"quiet":b,
  *    "program":"...","contexts":n,"jobs":[...],"latencies":[...],
- *    "points":[i,...]}
+ *    "points":[i,...] | "ring":{...}}
  *     — a named sweep family (see sweepFamilies()), expanded
  *     *server-side*: the client sends ~100 bytes naming the sweep
  *     instead of megabytes of expanded specs. Family-specific fields
- *     beyond "family" and "scale" are optional. "points", when
- *     present, selects a subset of the expansion by global index —
- *     the fleet scatter path (src/fleet/): a router expands the
- *     family once, consistent-hashes each point's canonical spec
- *     across nodes, and sends every node only the indices it owns.
- *     The list must be strictly ascending and in range (otherwise a
- *     structured "badPoints" error, connection kept): the router's
- *     bounded relay relies on every node streaming in ascending
- *     global order. Result lines stream the subset in that order
- *     (seq numbers the subset; the ack echoes the full expansion
- *     size as "total"), so the router can map seq back to global
- *     index and fold one fleet-wide digest in global submission
- *     order.
+ *     beyond "family" and "scale" are optional. "points" or "ring"
+ *     selects a subset of the expansion — the fleet scatter path
+ *     (src/fleet/). "ring" (SweepRing) is a router's first round:
+ *     the node streams the points whose canonical spec the ring
+ *     assigns it (its ack then has "total" but no "count"; a
+ *     malformed ring answers a structured "badRing" error).
+ *     "points" names global indices explicitly — a reroute round —
+ *     and must be strictly ascending and in range (otherwise a
+ *     structured "badPoints" error). Either way the connection is
+ *     kept on error, the subset streams in ascending global order
+ *     (the router's bounded relay relies on it) with seq = the
+ *     global index, and the ack echoes the full expansion size as
+ *     "total", so the router folds one fleet-wide digest in global
+ *     submission order.
  *   {"op":"compare","id":n,"family":"<name>","scale":g,
  *    "program":"...","contexts":n,"jobs":[...],"latencies":[...]}
  *     — v5: cross-design comparison. The daemon expands the family,
@@ -65,9 +66,10 @@
  *     skipped, points already simulating finish and stay cached).
  *   {"op":"hello","wire":"json"|"binary"}
  *     — v6: per-connection content negotiation. The answer
- *     {"ok":true,"hello":true,"wire":w,"protocol":6} confirms the
- *     wire format this connection's streamed RESULT POINTS will use
- *     from then on. "binary" switches result lines to length-
+ *     {"ok":true,"hello":true,"wire":w,"protocol":6,"registry":h}
+ *     confirms the wire format this connection's streamed RESULT
+ *     POINTS will use from then on; h is sweepRegistryHash() in hex,
+ *     which a fleet router requires to match its own. "binary" switches result lines to length-
  *     prefixed canonical SimStats frames (see ResultFrame below);
  *     every control message (requests, acks, done lines, errors,
  *     compare answers) stays a JSON line in either mode. A client
@@ -153,6 +155,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/api/engine.hh"
 #include "src/api/sweep.hh"
@@ -401,6 +404,43 @@ Json sweepRequestToJson(const SweepRequest &request);
  *  malformed fields (the daemon answers that as a protocol error). */
 SweepRequest sweepRequestFromJson(const Json &request);
 
+/**
+ * The "ring" member of an owner-computes sweep request: the fleet's
+ * consistent-hash ring as the router saw it when the scatter round
+ * started, plus the receiving node's own place on it. The node builds
+ * the identical HashRing (src/fleet/ring.hh) and streams exactly the
+ * points whose canonical key that ring assigns to node @c self.
+ */
+struct SweepRing
+{
+    /** Ring identities (endpoint texts), in the router's order. */
+    std::vector<std::string> nodes;
+    /** Virtual points per node. */
+    int vnodes = 0;
+    /** Per node: still on the ring. */
+    std::vector<bool> live;
+    /** The receiving node's index into nodes (must be live). */
+    size_t self = 0;
+};
+
+/** Bounds a node enforces on a "ring" (its ring holds nodes x vnodes
+ *  points). */
+constexpr size_t maxRingNodes = 4096;
+constexpr int maxRingVnodes = 4096;
+
+Json sweepRingToJson(const SweepRing &ring);
+
+/**
+ * Decode and validate a "ring" member. Returns false, with @p field
+ * naming the offending member ("nodes", "vnodes", "live" or "self")
+ * and @p error saying what is wrong, for: a missing or empty node
+ * list, an empty or duplicate name, a vnode count outside
+ * [1, maxRingVnodes], a live mask that is not one boolean per node,
+ * or a self index that is out of range or not live. Never fatal()s.
+ */
+bool sweepRingFromJson(const Json &json, SweepRing *out,
+                       std::string *field, std::string *error);
+
 /** One slice of a sweep ack line. */
 Json sliceToJson(const SweepSlice &slice);
 
@@ -517,10 +557,13 @@ int connectToDaemon(const std::string &socketPath, std::string *error);
 /**
  * Connect to a daemon endpoint of either kind. TCP connections get
  * TCP_NODELAY (the protocol is small request lines; Nagle would add
- * 40ms stalls to every ping). Returns the connected fd or -1 (with
- * @p error set).
+ * 40ms stalls to every ping). @p timeoutMs > 0 bounds the connect
+ * and every later send and receive on the socket: one that waits
+ * longer fails with errno EAGAIN, like a lost connection. Returns the
+ * connected fd or -1 (with @p error set).
  */
-int connectToEndpoint(const Endpoint &endpoint, std::string *error);
+int connectToEndpoint(const Endpoint &endpoint, std::string *error,
+                      int timeoutMs = 0);
 
 /**
  * Bind + listen on @p endpoint. fatal()s when the address is

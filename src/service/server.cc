@@ -21,6 +21,7 @@
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
 #include "src/core/sim_error.hh"
+#include "src/fleet/ring.hh"
 #include "src/store/stats_codec.hh"
 
 namespace mtv
@@ -35,6 +36,15 @@ errorJson(const std::string &message)
     Json j = Json::object();
     j.set("error", message);
     return j;
+}
+
+/** sweepRegistryHash() as the hello answer's "registry" text. */
+const std::string &
+registryText()
+{
+    static const std::string text = format(
+        "%016llx", static_cast<unsigned long long>(sweepRegistryHash()));
+    return text;
 }
 
 /** An error that belongs to one multiplexed request. */
@@ -653,6 +663,7 @@ MtvService::handleRequest(const Json &request, ClientState &client)
             ok.set("hello", true);
             ok.set("wire", wanted);
             ok.set("protocol", serviceProtocolVersion);
+            ok.set("registry", registryText());
             return client.write(ok.dump());
         }
         if (op == "run")
@@ -775,7 +786,7 @@ MtvService::handleRun(const Json &request, ClientState &client)
     if (!acquireSlot(client))
         return false;
     admitBatch(client, id, std::move(specs), quiet, false,
-               admittedUs);
+               admittedUs, nullptr, {});
     return true;
 }
 
@@ -806,18 +817,49 @@ MtvService::handleSweep(const Json &request, ClientState &client)
         return client.write(err.dump());
     }
 
+    // "ring" makes this node one owner of an owner-computes scatter:
+    // it rebuilds the router's hash ring and streams only the points
+    // the ring assigns it. A malformed ring answers a structured
+    // error naming the bad member; the connection stays open.
+    BatchPoints selection;
+    if (request.has("ring")) {
+        SweepRing ring;
+        std::string field;
+        std::string problem;
+        if (request.has("points")) {
+            field = "points";
+            problem = "a sweep takes \"points\" or \"ring\", not both";
+        } else if (sweepRingFromJson(request.get("ring"), &ring, &field,
+                                     &problem)) {
+            auto hashRing =
+                std::make_shared<HashRing>(ring.nodes, ring.vnodes);
+            for (size_t n = 0; n < ring.nodes.size(); ++n) {
+                if (!ring.live[n])
+                    hashRing->removeNode(n);
+            }
+            selection.ring = std::move(hashRing);
+            selection.self = ring.self;
+        }
+        if (!selection.ring) {
+            Json err = requestErrorJson(id, problem);
+            err.set("badRing", field);
+            return client.write(err.dump());
+        }
+    }
+
     // Server-side expansion: the ~100-byte family request becomes the
     // full spec batch here, next to the engine, instead of being
     // serialized by every client.
     SweepBuilder sweep = expandSweep(sweepRequest);
 
     // "points" selects a subset of the expansion by global index —
-    // the fleet scatter path (a router sends each node only the
-    // indices it owns; seq then numbers the subset in given order).
-    // The list must be strictly ascending and in range: a router's
-    // bounded relay relies on every node streaming in ascending
-    // global order. A bad list answers a structured error naming the
-    // first offending position; the connection stays open.
+    // the fleet reroute path (a router sends a survivor the points a
+    // dead node left). Like a ring's share, the subset streams with
+    // seq = global index. The list must be strictly ascending and in
+    // range: a router's bounded relay relies on every node streaming
+    // in ascending global order. A bad list answers a structured
+    // error naming the first offending position; the connection
+    // stays open.
     std::vector<RunSpec> specs = sweep.take();
     const size_t total = specs.size();
     if (request.has("points")) {
@@ -825,6 +867,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
             request.get("points").asArray();
         std::vector<RunSpec> subset;
         subset.reserve(points.size());
+        selection.seqs.reserve(points.size());
         for (size_t k = 0; k < points.size(); ++k) {
             const uint64_t index = points[k].asU64();
             std::string problem;
@@ -847,14 +890,18 @@ MtvService::handleSweep(const Json &request, ClientState &client)
                 return client.write(err.dump());
             }
             subset.push_back(std::move(specs[index]));
+            selection.seqs.push_back(index);
         }
         specs = std::move(subset);
     }
 
+    // A ring's share is known only once it has been picked, so its
+    // ack carries no count; the done line does.
     Json ack = Json::object();
     ack.set("id", id);
     ack.set("ack", true);
-    ack.set("count", static_cast<uint64_t>(specs.size()));
+    if (!selection.ring)
+        ack.set("count", static_cast<uint64_t>(specs.size()));
     ack.set("total", static_cast<uint64_t>(total));
     Json slices = Json::array();
     for (const SweepSlice &slice : sweep.slices())
@@ -866,7 +913,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     if (!acquireSlot(client))
         return false;
     admitBatch(client, id, std::move(specs), quiet, true,
-               admittedUs);
+               admittedUs, nullptr, std::move(selection));
     return true;
 }
 
@@ -920,7 +967,7 @@ MtvService::handleCompare(const Json &request, ClientState &client)
     if (!acquireSlot(client))
         return false;
     admitBatch(client, id, sweep.take(), /*quiet=*/true,
-               /*sweep=*/true, admittedUs, std::move(compare));
+               /*sweep=*/true, admittedUs, std::move(compare), {});
     return true;
 }
 
@@ -928,7 +975,8 @@ void
 MtvService::admitBatch(ClientState &client, uint64_t id,
                        std::vector<RunSpec> specs, bool quiet,
                        bool sweep, uint64_t admittedUs,
-                       std::shared_ptr<const CompareJob> compare)
+                       std::shared_ptr<const CompareJob> compare,
+                       BatchPoints points)
 {
     client.reapRetired();
     const uint64_t streamId = client.nextStreamId++;
@@ -953,10 +1001,12 @@ MtvService::admitBatch(ClientState &client, uint64_t id,
         std::thread([this, &client, streamId, id,
                      specs = std::move(specs), quiet, token,
                      batchKey, sweep, admittedUs,
-                     compare = std::move(compare)]() mutable {
+                     compare = std::move(compare),
+                     points = std::move(points)]() mutable {
             streamBatch(client, streamId, id, std::move(specs),
                         quiet, std::move(token), batchKey, sweep,
-                        admittedUs, std::move(compare));
+                        admittedUs, std::move(compare),
+                        std::move(points));
         }));
 }
 
@@ -967,7 +1017,8 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                         std::shared_ptr<CancelToken> token,
                         uint64_t batchKey, bool sweep,
                         uint64_t admittedUs,
-                        std::shared_ptr<const CompareJob> compare)
+                        std::shared_ptr<const CompareJob> compare,
+                        BatchPoints points)
 {
     activeRequests_.fetch_add(1);
     obsInflightBatches_->add(1);
@@ -993,28 +1044,64 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // points of other in-flight requests coalesce inside the engine.
     // The progress hook feeds the daemon-wide completion counter the
     // moment a point finishes, seq order or not.
-    const size_t count = specs.size();
+    //
+    // The batch's points are specs[0, selected), in stream order; the
+    // candidates past `scanned` are not yet picked. Only a ring batch
+    // picks as it goes: each candidate costs its canonical key and a
+    // ring lookup, an owned one moves down into the picked prefix
+    // with its global index in seqs and its key in keys (reused by
+    // the engine's cache lookup), and the rest are dropped as they
+    // are passed — so point 0 waits for one window of the node's
+    // share, not all of it, and the expansion shrinks as it goes.
+    const size_t candidates = specs.size();
+    std::vector<uint64_t> seqs = std::move(points.seqs);
+    std::vector<std::string> keys;
+    size_t selected = points.ring ? 0 : candidates;
+    size_t scanned = selected;
+    const auto pick = [&](size_t want) {
+        while (selected < want && scanned < candidates) {
+            std::string key = specs[scanned].canonical();
+            if (points.ring->nodeFor(key) == points.self) {
+                if (selected != scanned)
+                    specs[selected] = std::move(specs[scanned]);
+                keys.push_back(std::move(key));
+                seqs.push_back(scanned);
+                ++selected;
+            } else {
+                RunSpec dropped = std::move(specs[scanned]);
+            }
+            ++scanned;
+        }
+    };
     const ExperimentEngine::SubmitHook progress =
         [this](const RunResult &) { completedPoints_.fetch_add(1); };
     std::deque<std::future<RunResult>> window;
     size_t submitted = 0;
     const auto refill = [&](size_t cursor) {
-        if (submitted - cursor > streamWindowPoints / 2 ||
-            submitted == count) {
+        if (submitted - cursor > streamWindowPoints / 2)
             return;
-        }
-        const size_t burst =
-            std::min(count, cursor + streamWindowPoints) - submitted;
+        const size_t want = cursor + streamWindowPoints;
+        if (points.ring)
+            pick(want);
+        const size_t burst = std::min(selected, want) - submitted;
+        if (burst == 0)
+            return;
         pointsInFlight_.fetch_add(burst);
         obsPointsInFlight_->add(static_cast<int64_t>(burst));
-        for (auto &future : engine_->submitAll(specs, submitted, burst,
-                                               progress, token,
-                                               client.lane)) {
+        for (auto &future :
+             engine_->submitAll(specs, submitted, burst, progress,
+                                token, client.lane,
+                                points.ring ? &keys : nullptr)) {
             window.push_back(std::move(future));
         }
+        for (size_t k = submitted; points.ring && k < submitted + burst;
+             ++k)
+            std::string().swap(keys[k]);
         submitted += burst;
-        if (submitted == count)
+        if (submitted == selected && scanned == candidates) {
             std::vector<RunSpec>().swap(specs);
+            std::vector<std::string>().swap(keys);
+        }
     };
 
     uint64_t simulated = 0;
@@ -1026,7 +1113,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     size_t completed = 0;
     std::vector<RunResult> collected;
     if (compare)
-        collected.reserve(count);
+        collected.reserve(candidates);
     // Encoded points waiting for one coalesced write. A point is
     // held back only while the NEXT future is already settled (a
     // warm sweep draining the cache), so a trickling stream still
@@ -1040,7 +1127,9 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         outbox.clear();
         return ok;
     };
-    for (size_t i = 0; i < count; ++i) {
+    for (size_t i = 0;; ++i) {
+        if (i == selected && scanned == candidates)
+            break;  // every point written
         if (token->cancelled()) {
             // A client's cancel op, or the reap of a vanished peer:
             // stop submitting and answer with a cancelled terminator.
@@ -1049,6 +1138,8 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             break;
         }
         refill(i);
+        if (window.empty())
+            break;  // the ring's share ended at the last pick
         RunResult result;
         try {
             result = window.front().get();
@@ -1103,15 +1194,16 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             collected.push_back(std::move(result));
             continue;
         }
+        const size_t seq = seqs.empty() ? i : seqs[i];
         if (binary) {
             const uint64_t encodeStartUs = monotonicMicros();
-            appendResultFrame(&outbox, result, id, i,
+            appendResultFrame(&outbox, result, id, seq,
                               quiet ? nullptr : blob);
             obsEncodeUs_[sweep][1]->observe(monotonicMicros() -
                                             encodeStartUs);
         } else {
             const uint64_t encodeStartUs = monotonicMicros();
-            outbox += resultToJson(result, id, i, !quiet, blob).dump();
+            outbox += resultToJson(result, id, seq, !quiet, blob).dump();
             outbox.push_back('\n');
             obsEncodeUs_[sweep][0]->observe(monotonicMicros() -
                                             encodeStartUs);
@@ -1133,7 +1225,9 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         }
     }
     // Whatever the window still holds is settled or skipped by the
-    // engine; points never submitted stay visible in "status".
+    // engine; points never submitted stay visible in "status" (for a
+    // ring batch, those it had picked).
+    const size_t count = selected;
     pointsInFlight_.fetch_sub(window.size());
     obsPointsInFlight_->add(-static_cast<int64_t>(window.size()));
     unsubmittedPoints_.fetch_add(count - submitted);

@@ -55,6 +55,8 @@
 namespace mtv
 {
 
+class HashRing;
+
 /** Configuration of one MtvService instance. */
 struct ServiceOptions
 {
@@ -188,6 +190,22 @@ class MtvService
         std::vector<SweepSlice> slices;
     };
 
+    /**
+     * Which of a batch's specs stream, and under which seq. By
+     * default every spec, seq = its position. With @c seqs the specs
+     * were already picked out of a sweep's expansion and seqs[k] is
+     * spec k's global index. With @c ring the specs are the whole
+     * expansion and the batch streams the share the ring assigns
+     * node @c self, picked as its window refills; seq is the global
+     * index.
+     */
+    struct BatchPoints
+    {
+        std::vector<uint64_t> seqs;
+        std::shared_ptr<const HashRing> ring;
+        size_t self = 0;
+    };
+
     void handleConnection(int fd);
     /** Serve one request; returns false when the connection should
      *  close (shutdown request or write failure). */
@@ -204,12 +222,13 @@ class MtvService
      *  cancel token, and start its streaming thread. @p sweep tags
      *  the op's latency series; @p admittedUs is the request's
      *  arrival timestamp (monotonicMicros()). A non-null @p compare
-     *  switches the stream to the one-line aggregated answer. */
+     *  switches the stream to the one-line aggregated answer;
+     *  @p points picks the streamed subset. */
     void admitBatch(ClientState &client, uint64_t id,
                     std::vector<RunSpec> specs, bool quiet,
                     bool sweep, uint64_t admittedUs,
-                    std::shared_ptr<const CompareJob> compare =
-                        nullptr);
+                    std::shared_ptr<const CompareJob> compare,
+                    BatchPoints points);
     /** Cancel every in-flight batch tagged @p requestId, on any
      *  connection; returns how many were hit. */
     uint64_t cancelBatches(uint64_t requestId);
@@ -223,16 +242,17 @@ class MtvService
     /** Block until the connection has a free batch slot (the
      *  protocol's backpressure); false when shutting down. */
     bool acquireSlot(ClientState &client);
-    /** Submit @p specs in a window of streamWindowPoints and stream
-     *  id-tagged results in submission order; runs on the dedicated
-     *  connection-stream thread keyed by @p streamId (retired for
-     *  reaping when done). */
+    /** Submit the @p points of @p specs in a window of
+     *  streamWindowPoints and stream id-tagged results in submission
+     *  order; runs on the dedicated connection-stream thread keyed by
+     *  @p streamId (retired for reaping when done). */
     void streamBatch(ClientState &client, uint64_t streamId,
                      uint64_t id, std::vector<RunSpec> specs,
                      bool quiet, std::shared_ptr<CancelToken> token,
                      uint64_t batchKey, bool sweep,
                      uint64_t admittedUs,
-                     std::shared_ptr<const CompareJob> compare);
+                     std::shared_ptr<const CompareJob> compare,
+                     BatchPoints points);
     /** Join threads whose connections have ended. Caller holds
      *  clientsMutex_. */
     void reapFinishedLocked();

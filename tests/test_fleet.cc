@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -407,9 +408,51 @@ TEST_F(FleetFixture, DeadEndpointAtStartReroutesToSurvivors)
     EXPECT_TRUE(again.deadNodes.empty());
 }
 
+/**
+ * Ends the test binary when a scope outlives @p seconds: a wedged
+ * relay holds threads no test can join, so a hang must fail loudly
+ * instead of running out the CI clock.
+ */
+class Watchdog
+{
+  public:
+    Watchdog(const char *what, int seconds)
+        : thread_([this, what, seconds] {
+              std::unique_lock<std::mutex> lock(mutex_);
+              if (!wake_.wait_for(lock, std::chrono::seconds(seconds),
+                                  [this] { return done_; })) {
+                  std::fprintf(stderr,
+                               "watchdog: %s did not finish within "
+                               "%d s\n",
+                               what, seconds);
+                  std::_Exit(1);
+              }
+          })
+    {
+    }
+
+    ~Watchdog()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        wake_.notify_all();
+        thread_.join();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
 /** How a FakeNode misbehaves. */
 enum class FakeMode
 {
+    /** Serves its request genuinely: a third-party node. */
+    Honest,
     /** Streams one genuine frame, then slams the connection — a node
      *  dying mid-stream after real progress. */
     HalfDead,
@@ -422,13 +465,26 @@ enum class FakeMode
     TornFrame,
     /** Streams every point genuinely but ends with a done digest
      *  that does not match the blobs it sent. */
-    WrongDigest
+    WrongDigest,
+    /** Answers hello with another build's sweep registry hash. */
+    ForeignRegistry,
+    /** Ring share: streams its points up to the first index past its
+     *  first point that the ring assigns to another node, then that
+     *  point, genuinely computed. */
+    StrayIndex,
+    /** Ring share: leaves out its first point and streams its second
+     *  genuinely, then ends. */
+    SkipOwned,
+    /** Accepts a connection and never answers — a wedged daemon. */
+    Silent
 };
 
 /**
  * A protocol impostor: accepts ONE connection, negotiates the wire
- * and serves the run request it receives with genuine engine results
- * framed exactly as a daemon frames them, misbehaving per FakeMode.
+ * and serves the run or sweep request it receives with genuine
+ * engine results framed exactly as a daemon frames them (a ring
+ * sweep streams the share the ring assigns it, seq = global index),
+ * misbehaving per FakeMode.
  */
 class FakeNode
 {
@@ -454,6 +510,11 @@ class FakeNode
 
     ~FakeNode()
     {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+        }
+        wake_.notify_all();
         ::shutdown(listenFd_, SHUT_RDWR);
         thread_.join();
         ::close(listenFd_);
@@ -463,6 +524,14 @@ class FakeNode
     /** Frames written to the router. */
     size_t served() const { return served_.load(); }
 
+    /** The batch request the fake received (null before one). */
+    Json
+    request() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return request_;
+    }
+
   private:
     void
     serveOne()
@@ -471,6 +540,11 @@ class FakeNode
         if (fd < 0)
             return;
         LineChannel channel(fd);
+        if (mode_ == FakeMode::Silent) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock, [this] { return stopping_; });
+            return;
+        }
         std::string line;
         Json request;
         std::string error;
@@ -486,24 +560,83 @@ class FakeNode
                                        ? "json"
                                        : "binary"));
         ok.set("protocol", static_cast<uint64_t>(6));
+        ok.set("registry",
+               mode_ == FakeMode::ForeignRegistry
+                   ? std::string("0123456789abcdef")
+                   : format("%016llx", static_cast<unsigned long long>(
+                                           sweepRegistryHash())));
         if (!channel.writeLine(ok.dump()) ||
             !channel.readLine(&line) ||
             !Json::parse(line, &request, &error)) {
             return;  // a JSON-only node never gets a request
         }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            request_ = request;
+        }
         const uint64_t id = request.get("id").asU64();
-        const auto &specs = request.get("specs").asArray();
+
+        // The points to serve: (seq, spec) in stream order.
+        std::vector<std::pair<uint64_t, RunSpec>> points;
+        if (request.getString("op") == "run") {
+            const auto &specs = request.get("specs").asArray();
+            for (size_t seq = 0; seq < specs.size(); ++seq)
+                points.emplace_back(
+                    seq, RunSpec::parse(specs[seq].asString()));
+        } else {
+            std::vector<RunSpec> expansion =
+                expandSweep(sweepRequestFromJson(request)).take();
+            SweepRing ring;
+            std::string field;
+            if (!sweepRingFromJson(request.get("ring"), &ring, &field,
+                                   &error)) {
+                return;
+            }
+            HashRing hashRing(ring.nodes, ring.vnodes);
+            for (size_t n = 0; n < ring.nodes.size(); ++n) {
+                if (!ring.live[n])
+                    hashRing.removeNode(n);
+            }
+            std::vector<uint64_t> owned;
+            std::vector<uint64_t> others;
+            for (size_t i = 0; i < expansion.size(); ++i) {
+                (hashRing.nodeFor(expansion[i].canonical()) == ring.self
+                     ? owned
+                     : others)
+                    .push_back(i);
+            }
+            if (mode_ == FakeMode::StrayIndex) {
+                // Its owned points up to the first foreign point past
+                // its first one, then that foreign point.
+                const uint64_t stray = *std::upper_bound(
+                    others.begin(), others.end(), owned.at(0));
+                owned.erase(std::upper_bound(owned.begin(), owned.end(),
+                                             stray),
+                            owned.end());
+                owned.push_back(stray);
+            } else if (mode_ == FakeMode::SkipOwned) {
+                owned = {owned.at(1)};
+            }
+            Json ack = Json::object();
+            ack.set("id", id);
+            ack.set("ack", true);
+            ack.set("total", static_cast<uint64_t>(expansion.size()));
+            if (!channel.writeLine(ack.dump()))
+                return;
+            for (const uint64_t global : owned)
+                points.emplace_back(global, expansion[global]);
+        }
+
         ExperimentEngine engine;
         uint64_t digest = 0xcbf29ce484222325ull;
-        for (size_t seq = 0; seq < specs.size(); ++seq) {
-            RunResult result =
-                engine.run(RunSpec::parse(specs[seq].asString()));
+        for (const auto &point : points) {
+            RunResult result = engine.run(point.second);
             const std::string blob = serializeSimStats(result.stats);
             digest = fnv1a64(blob.data(), blob.size(), digest);
             if (mode_ == FakeMode::WrongSpec)
-                result.specCanonical = specs[seq].asString() + " ";
+                result.specCanonical = point.second.canonical() + " ";
             std::string frame;
-            appendResultFrame(&frame, result, id, seq, &blob);
+            appendResultFrame(&frame, result, id, point.first, &blob);
             if (mode_ == FakeMode::TornFrame) {
                 // The payload's last byte (the blob's), just before
                 // the 8-byte trailer.
@@ -513,17 +646,24 @@ class FakeNode
                 return;
             ++served_;
             // The channel destructor closes the socket mid-stream.
-            if (mode_ != FakeMode::WrongDigest)
+            if (mode_ == FakeMode::HalfDead ||
+                mode_ == FakeMode::WrongSpec ||
+                mode_ == FakeMode::TornFrame) {
                 return;
+            }
         }
+        if (mode_ == FakeMode::WrongDigest)
+            digest ^= 1;
         Json done = Json::object();
         done.set("id", id);
         done.set("done", true);
-        done.set("count", static_cast<uint64_t>(specs.size()));
+        done.set("count", static_cast<uint64_t>(points.size()));
         done.set("digest",
                  format("%016llx",
-                        static_cast<unsigned long long>(digest ^ 1)));
+                        static_cast<unsigned long long>(digest)));
         channel.writeLine(done.dump());
+        // Hold the connection until the router hangs up.
+        channel.readLine(&line);
     }
 
     std::string path_;
@@ -532,6 +672,10 @@ class FakeNode
     std::thread thread_;
     /** Written by the serving thread, read by the test thread. */
     std::atomic<size_t> served_{0};
+    mutable std::mutex mutex_;
+    std::condition_variable wake_;
+    bool stopping_ = false;
+    Json request_;
 };
 
 TEST_F(FleetFixture, NodeDeathMidStreamReroutesUnfinishedPoints)
@@ -629,6 +773,217 @@ TEST_F(FleetFixture, CorruptNodeStreamsMarkTheNodeDead)
             << status[2].lastError;
         EXPECT_EQ(status[2].pointsServed, c.pointsKept ? census[2] : 0u);
     }
+}
+
+TEST_F(FleetFixture, ForeignRegistryNodeIsMarkedDeadAndRerouted)
+{
+    // A node built with other sweep families would expand the same
+    // request into other points: its hello gives it away, and the
+    // survivors recompute its whole slice.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::ForeignRegistry);
+    const auto specs = distinctSpecs(40);
+    const LocalFold expected = localFold(specs);
+
+    FleetRouter router({endpoints_[0], endpoints_[1], fakePath});
+    const auto census = ownershipCensus(router, specs, 3);
+    ASSERT_GT(census[2], 0u);
+
+    const FleetOutcome outcome = router.runSpecs(specs);
+    EXPECT_EQ(fake.served(), 0u);
+    EXPECT_EQ(outcome.digest, expected.digest);
+    EXPECT_EQ(outcome.rerouted, census[2]);
+    const auto status = router.status();
+    EXPECT_FALSE(status[2].alive);
+    EXPECT_NE(status[2].lastError.find("sweep registry mismatch: node "
+                                       "0123456789abcdef"),
+              std::string::npos)
+        << status[2].lastError;
+    EXPECT_EQ(status[2].pointsServed, 0u);
+}
+
+/** A "latency" sweep of @p points cheap single-job points. */
+SweepRequest
+cheapLatencySweep(int points)
+{
+    SweepRequest request;
+    request.family = "latency";
+    request.scale = testScale;
+    request.contexts = 2;
+    request.jobs = {"trfd"};
+    for (int i = 0; i < points; ++i)
+        request.latencies.push_back(30 + i);
+    return request;
+}
+
+TEST_F(FleetFixture, FirstRoundSendsTheRingAndNoPoints)
+{
+    // Owner-computes: round 1 carries the family and the ring — no
+    // point list — and a third-party node that picks its own share
+    // from it serves exactly what the router's ring assigns it.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::Honest);
+    const std::vector<std::string> fleet = {endpoints_[0],
+                                            endpoints_[1], fakePath};
+    const SweepRequest sweep = cheapLatencySweep(40);
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+
+    FleetRouter router(fleet);
+    const auto census = ownershipCensus(router, reference.specs(), 3);
+    ASSERT_GT(census[2], 0u);
+    const FleetOutcome outcome = router.runSweep(sweep);
+    EXPECT_EQ(outcome.digest, expected.digest);
+    EXPECT_EQ(outcome.rerouted, 0u);
+    EXPECT_TRUE(outcome.deadNodes.empty());
+    EXPECT_EQ(fake.served(), census[2]);
+    const auto status = router.status();
+    for (size_t n = 0; n < status.size(); ++n)
+        EXPECT_EQ(status[n].pointsServed, census[n]) << "node " << n;
+
+    const Json request = fake.request();
+    ASSERT_FALSE(request.isNull());
+    EXPECT_EQ(request.getString("op"), "sweep");
+    EXPECT_FALSE(request.has("points"));
+    ASSERT_TRUE(request.has("ring")) << request.dump();
+    SweepRing ring;
+    std::string field;
+    std::string error;
+    ASSERT_TRUE(
+        sweepRingFromJson(request.get("ring"), &ring, &field, &error))
+        << error;
+    EXPECT_EQ(ring.nodes, fleet);
+    EXPECT_EQ(ring.vnodes, FleetOptions().vnodesPerNode);
+    EXPECT_EQ(ring.live, std::vector<bool>(3, true));
+    EXPECT_EQ(ring.self, 2u);
+}
+
+TEST_F(FleetFixture, LyingRingNodesAreMarkedDeadAndRerouted)
+{
+    // A node's share is checked against the router's own ring: one
+    // that streams a point it does not own, or skips one it owns, is
+    // dead, keeps only the checked points it streamed before, and the
+    // batch still folds the local digest. Under a watchdog: a node
+    // skipping the point the relay's cursor waits on is the case that
+    // would deadlock credit if it went unnoticed.
+    const SweepRequest sweep = cheapLatencySweep(6 * streamWindowPoints);
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+    const struct
+    {
+        FakeMode mode;
+        const char *error;
+    } cases[] = {
+        {FakeMode::StrayIndex, "does not own"},
+        {FakeMode::SkipOwned, "skipped point"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.error);
+        const std::string fakePath = tempPath(8) + ".fake";
+        FakeNode fake(fakePath, c.mode);
+        FleetRouter router({endpoints_[0], endpoints_[1], fakePath});
+        const auto census =
+            ownershipCensus(router, reference.specs(), 3);
+        ASSERT_GT(census[2], 1u);
+
+        FleetOutcome outcome;
+        {
+            Watchdog watchdog("the relay through a lying node", 120);
+            outcome = router.runSweep(sweep);
+        }
+        EXPECT_EQ(outcome.digest, expected.digest);
+        const auto status = router.status();
+        EXPECT_FALSE(status[2].alive);
+        EXPECT_NE(status[2].lastError.find(c.error), std::string::npos)
+            << status[2].lastError;
+        // Everything it streamed before the lie was kept; the rest of
+        // its share was rerouted.
+        EXPECT_EQ(status[2].pointsServed, fake.served() - 1);
+        if (c.mode == FakeMode::SkipOwned) {
+            EXPECT_EQ(status[2].pointsServed, 0u);
+        }
+        EXPECT_EQ(outcome.rerouted, census[2] - status[2].pointsServed);
+        ASSERT_EQ(outcome.deadNodes.size(), 1u);
+        EXPECT_EQ(outcome.deadNodes[0], fakePath);
+    }
+}
+
+TEST_F(FleetFixture, RoutingDaemonRejectsAClientRing)
+{
+    // A routing daemon is not a node: like a "points" list, a "ring"
+    // from its client answers an error, and the connection stays.
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+    {
+        std::string error;
+        const int fd = connectToDaemon(fleet.socketPath(), &error);
+        ASSERT_GE(fd, 0) << error;
+        LineChannel channel(fd);
+        SweepRing ring;
+        ring.nodes = endpoints_;
+        ring.vnodes = 64;
+        ring.live = {true, true, true};
+        Json request = sweepRequestToJson(cheapLatencySweep(4));
+        request.set("op", "sweep");
+        request.set("id", 70);
+        request.set("ring", sweepRingToJson(ring));
+        std::string line;
+        ASSERT_TRUE(channel.writeLine(request.dump()));
+        ASSERT_TRUE(channel.readLine(&line));
+        Json answer;
+        ASSERT_TRUE(Json::parse(line, &answer, &error)) << error;
+        EXPECT_EQ(answer.get("id").asU64(), 70u);
+        EXPECT_NE(answer.getString("error").find("ring"),
+                  std::string::npos)
+            << line;
+        Json ping = Json::object();
+        ping.set("op", "ping");
+        ASSERT_TRUE(channel.writeLine(ping.dump()));
+        ASSERT_TRUE(channel.readLine(&line));
+        EXPECT_NE(line.find("\"pong\":true"), std::string::npos) << line;
+    }
+    fleet.stop();
+    serveThread.join();
+}
+
+TEST_F(FleetFixture, SilentNodeTimesOutAPingAndStopReturns)
+{
+    // A node that accepts a connection and never answers: a ping is
+    // bounded, marks it dead, and a routing daemon whose health
+    // monitor keeps pinging it still stops promptly.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::Silent);
+    const std::vector<std::string> fleet = {endpoints_[0],
+                                            endpoints_[1], fakePath};
+    Watchdog watchdog("pings of a silent node", 120);
+    {
+        FleetRouter router(fleet);
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_EQ(router.pingAll(), 2u);
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(10));
+        EXPECT_EQ(router.status()[2].lastError, "ping timed out");
+    }
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = fleet;
+    options.fleet.healthIntervalSeconds = 0.05;
+    FleetService service(options);
+    std::thread serveThread([&service] { service.serve(); });
+    for (int i = 0; i < 400 && service.router().status()[2].alive; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(service.router().status()[2].alive);
+    // The monitor goes on pinging the dead node (a healthy pong would
+    // revive it); stop() waits for at most one bounded ping.
+    const auto stopStart = std::chrono::steady_clock::now();
+    service.stop();
+    serveThread.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - stopStart,
+              std::chrono::seconds(10));
 }
 
 /** What a binary client read off one streamed request. */
@@ -851,46 +1206,6 @@ TEST_F(FleetFixture, RouterRelaysThroughAHalfDeadNode)
     fleet.stop();
     serveThread.join();
 }
-
-/**
- * Ends the test binary when a scope outlives @p seconds: a wedged
- * relay holds threads no test can join, so a hang must fail loudly
- * instead of running out the CI clock.
- */
-class Watchdog
-{
-  public:
-    Watchdog(const char *what, int seconds)
-        : thread_([this, what, seconds] {
-              std::unique_lock<std::mutex> lock(mutex_);
-              if (!wake_.wait_for(lock, std::chrono::seconds(seconds),
-                                  [this] { return done_; })) {
-                  std::fprintf(stderr,
-                               "watchdog: %s did not finish within "
-                               "%d s\n",
-                               what, seconds);
-                  std::_Exit(1);
-              }
-          })
-    {
-    }
-
-    ~Watchdog()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done_ = true;
-        }
-        wake_.notify_all();
-        thread_.join();
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    bool done_ = false;
-    std::thread thread_;
-};
 
 /** Per-bucket counts of the relay's parked-depth histogram (bounds
  *  in @p bounds; the last count is the overflow bucket). */

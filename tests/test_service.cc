@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include <sys/socket.h>
@@ -17,6 +18,8 @@
 
 #include "src/api/engine.hh"
 #include "src/common/logging.hh"
+#include "src/common/strutil.hh"
+#include "src/fleet/ring.hh"
 #include "src/obs/metrics.hh"
 #include "src/service/json.hh"
 #include "src/service/server.hh"
@@ -635,9 +638,9 @@ TEST_F(ServiceFixture, SweepErrorsAnswerWithoutKillingDaemon)
 
 TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
 {
-    // The fleet scatter path: "points" selects global indices of the
-    // server-side expansion, streamed back with subset-local seq
-    // numbers in the given (strictly ascending) order.
+    // The fleet reroute path: "points" selects global indices of the
+    // server-side expansion, streamed back in the given (strictly
+    // ascending) order with seq = the global index.
     SweepRequest request;
     request.family = "groupings";
     request.program = "trfd";
@@ -675,8 +678,8 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
         ASSERT_TRUE(Json::parse(text, &result, &error)) << error;
         ASSERT_FALSE(result.has("error"))
             << result.getString("error");
-        EXPECT_EQ(result.get("seq").asU64(), i);
-        // seq i of the stream is global point subset[i].
+        // The i-th line of the stream is global point subset[i].
+        EXPECT_EQ(result.get("seq").asU64(), subset[i]);
         EXPECT_EQ(result.getString("spec"),
                   local.specs()[subset[i]].canonical());
         EXPECT_EQ(hexDecode(result.getString("blob")),
@@ -745,6 +748,184 @@ TEST_F(ServiceFixture, SweepPointsMustBeStrictlyAscendingAndInRange)
     // Nothing was admitted, and the connection still answers.
     EXPECT_EQ(service_->activeRequests(), 0u);
     EXPECT_EQ(service_->pointsInFlight(), 0u);
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+}
+
+/** A "latency" sweep of @p points cheap single-job points. */
+SweepRequest
+cheapLatencySweep(int points)
+{
+    SweepRequest request;
+    request.family = "latency";
+    request.scale = testScale;
+    request.contexts = 2;
+    request.jobs = {"trfd"};
+    for (int i = 0; i < points; ++i)
+        request.latencies.push_back(30 + i);
+    return request;
+}
+
+/** A three-node ring as a router would send it to node @p self. */
+SweepRing
+threeNodeRing(size_t self)
+{
+    SweepRing ring;
+    ring.nodes = {"node-a:1", "node-b:2", "node-c:3"};
+    ring.vnodes = 64;
+    ring.live = {true, true, true};
+    ring.self = self;
+    return ring;
+}
+
+TEST_F(ServiceFixture, SweepRingStreamsTheNodesShareWithGlobalSeq)
+{
+    // The owner-computes scatter: a sweep with a "ring" streams
+    // exactly the points the ring assigns this node, in ascending
+    // global order, with seq = the global index. The hello answer
+    // names the family registry the node expands with.
+    const SweepRequest request = cheapLatencySweep(40);
+    SweepBuilder local = expandSweep(request);
+    ExperimentEngine localEngine;
+    const auto expected = localEngine.runAll(local.specs());
+    const SweepRing ring = threeNodeRing(1);
+    HashRing hashRing(ring.nodes, ring.vnodes);
+    std::vector<uint64_t> share;
+    for (size_t i = 0; i < local.specs().size(); ++i) {
+        if (hashRing.nodeFor(local.specs()[i].canonical()) == ring.self)
+            share.push_back(i);
+    }
+    ASSERT_GT(share.size(), 1u);
+    ASSERT_LT(share.size(), expected.size());
+
+    LineChannel channel = connect();
+    Json hello = Json::object();
+    hello.set("op", "hello");
+    EXPECT_EQ(roundTrip(channel, hello).getString("registry"),
+              format("%016llx", static_cast<unsigned long long>(
+                                    sweepRegistryHash())));
+
+    Json line = sweepRequestToJson(request);
+    line.set("op", "sweep");
+    line.set("id", 8);
+    line.set("ring", sweepRingToJson(ring));
+    ASSERT_TRUE(channel.writeLine(line.dump()));
+    // The share is known only once picked: the ack has no count.
+    std::string text;
+    ASSERT_TRUE(channel.readLine(&text));
+    Json ack;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, &ack, &error)) << error;
+    ASSERT_TRUE(ack.getBool("ack", false)) << text;
+    EXPECT_FALSE(ack.has("count"));
+    EXPECT_EQ(ack.get("total").asU64(), expected.size());
+    for (const uint64_t global : share) {
+        ASSERT_TRUE(channel.readLine(&text));
+        Json result;
+        ASSERT_TRUE(Json::parse(text, &result, &error)) << error;
+        ASSERT_FALSE(result.has("error")) << text;
+        EXPECT_EQ(result.get("seq").asU64(), global);
+        EXPECT_EQ(result.getString("spec"),
+                  local.specs()[global].canonical());
+        EXPECT_EQ(hexDecode(result.getString("blob")),
+                  serializeSimStats(expected[global].stats));
+    }
+    ASSERT_TRUE(channel.readLine(&text));
+    Json done;
+    ASSERT_TRUE(Json::parse(text, &done, &error)) << error;
+    EXPECT_TRUE(done.getBool("done", false)) << text;
+    EXPECT_EQ(done.get("count").asU64(), share.size());
+}
+
+TEST_F(ServiceFixture, MalformedRingAnswersAStructuredError)
+{
+    // A node must survive any "ring" a peer sends: each malformed one
+    // answers one error naming the bad member — no ack, no points —
+    // and the connection stays usable.
+    const SweepRequest request = cheapLatencySweep(5);
+    const auto ringWith = [](const std::function<void(Json &)> &edit) {
+        Json ring = sweepRingToJson(threeNodeRing(0));
+        edit(ring);
+        return ring;
+    };
+    const auto names = [](std::vector<std::string> list) {
+        Json array = Json::array();
+        for (const std::string &name : list)
+            array.push(name);
+        return array;
+    };
+    const struct
+    {
+        const char *what;
+        Json ring;
+        const char *field;
+    } cases[] = {
+        {"self out of range",
+         ringWith([](Json &r) { r.set("self", 3); }), "self"},
+        {"negative self", ringWith([](Json &r) { r.set("self", -1); }),
+         "self"},
+        {"self not live",
+         ringWith([](Json &r) {
+             Json live = Json::array();
+             live.push(false).push(true).push(true);
+             r.set("live", std::move(live));
+         }),
+         "self"},
+        {"no names", ringWith([&](Json &r) { r.set("nodes", names({})); }),
+         "nodes"},
+        {"empty name",
+         ringWith([&](Json &r) { r.set("nodes", names({"a", "", "c"})); }),
+         "nodes"},
+        {"duplicate names",
+         ringWith([&](Json &r) { r.set("nodes", names({"a", "b", "a"})); }),
+         "nodes"},
+        {"names not strings",
+         ringWith([](Json &r) { r.set("nodes", 7); }), "nodes"},
+        {"zero vnodes", ringWith([](Json &r) { r.set("vnodes", 0); }),
+         "vnodes"},
+        {"fractional vnodes",
+         ringWith([](Json &r) { r.set("vnodes", 1.5); }), "vnodes"},
+        {"huge vnodes",
+         ringWith([](Json &r) { r.set("vnodes", maxRingVnodes + 1); }),
+         "vnodes"},
+        {"short live mask",
+         ringWith([](Json &r) {
+             Json live = Json::array();
+             live.push(true);
+             r.set("live", std::move(live));
+         }),
+         "live"},
+        {"ring not an object", Json(std::string("ring")), "nodes"},
+    };
+    LineChannel channel = connect();
+    uint64_t id = 80;
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        Json line = sweepRequestToJson(request);
+        line.set("op", "sweep");
+        line.set("id", id);
+        line.set("ring", c.ring);
+        const Json answer = roundTrip(channel, line);
+        ASSERT_TRUE(answer.has("error")) << answer.dump();
+        EXPECT_EQ(answer.get("id").asU64(), id);
+        EXPECT_EQ(answer.getString("badRing"), c.field) << answer.dump();
+        ++id;
+    }
+    // "points" and "ring" together are refused the same way.
+    Json both = sweepRequestToJson(request);
+    both.set("op", "sweep");
+    both.set("id", id);
+    both.set("ring", sweepRingToJson(threeNodeRing(0)));
+    Json points = Json::array();
+    points.push(uint64_t{0});
+    both.set("points", std::move(points));
+    const Json answer = roundTrip(channel, both);
+    ASSERT_TRUE(answer.has("error")) << answer.dump();
+    EXPECT_EQ(answer.getString("badRing"), "points");
+
+    // Nothing was admitted, and the connection still answers.
+    EXPECT_EQ(service_->activeRequests(), 0u);
     Json ping = Json::object();
     ping.set("op", "ping");
     EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));

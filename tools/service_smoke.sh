@@ -118,12 +118,35 @@ echo "== SIGKILL a CLIENT mid-sweep: daemon must reap and stay up =="
 # A heavier, uncached scale so the killed client leaves real queued
 # work behind (the $SCALE points are all store-served by now).
 KILL_SCALE=3e-4
+completed() {
+    "$BUILD_DIR/mtvctl" --socket "$SOCKET" stats \
+        | grep -oE '"completedPoints":[0-9]+' | cut -d: -f2
+}
+BEFORE_KILL=$(completed)
 "$BUILD_DIR/mtvctl" --socket "$SOCKET" sweep --scale "$KILL_SCALE" \
     > "$WORK/killed_client.out" 2>&1 &
 CLIENT_PID=$!
-sleep 1
-kill -9 "$CLIENT_PID" 2>/dev/null || true
+# Kill the client as soon as the daemon has completed a point of its
+# sweep: the batch is then under way with most of it still queued,
+# however fast the host simulates.
+KILLED=0
+for _ in $(seq 1 600); do
+    kill -0 "$CLIENT_PID" 2>/dev/null || break
+    NOW=$(completed) || NOW=$BEFORE_KILL
+    if [ "${NOW:-0}" -gt "$BEFORE_KILL" ]; then
+        kill -9 "$CLIENT_PID" 2>/dev/null || true
+        KILLED=1
+        break
+    fi
+    sleep 0.05
+done
 wait "$CLIENT_PID" 2>/dev/null || true
+if [ "$KILLED" != 1 ]; then
+    echo "FAIL: the client's sweep ended (or stalled) before the daemon \
+completed a point of it"
+    cat "$WORK/killed_client.out"
+    exit 1
+fi
 
 # The daemon must answer status immediately and, once the reap
 # settles, report the abandoned batch and its freed points.
