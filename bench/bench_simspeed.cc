@@ -7,20 +7,21 @@
  * ExperimentEngine (memoize off) so every iteration pays for a real
  * simulation instead of a cache lookup.
  *
- * The BM_Kernel* pairs run the same configuration under the
- * cycle-stepped and the event-driven kernel; the ratio of their
- * sim_cycles/s counters is the event kernel's speedup (the CI
- * kernel-parity job records both into BENCH_simspeed.json). The
- * headline pair is the Figure 10 latency sweep's worst point —
- * memory latency 100 on the reference machine — where the stepped
- * kernel spends almost every cycle discovering that nothing can
- * dispatch.
+ * Every benchmark without a kernel in its name runs the engine's
+ * default kernel (the batched fast lane). The BM_Kernel* pairs run
+ * the same configuration under the cycle-stepped reference and the
+ * batched fast lane; the ratio of their sim_cycles/s counters is the
+ * fast lane's speedup (the CI kernel-parity job records both into
+ * BENCH_simspeed.json). The headline pair is the Figure 10 latency
+ * sweep's worst point — memory latency 100 on the reference machine
+ * — where the stepped kernel spends almost every cycle discovering
+ * that nothing can dispatch.
  *
- * The BM_Shape{Event,Batched}/<shape> pairs run one machine shape each under the event
- * kernel and the batched fast lane: dual-scalar decode, decode width
- * 2, the decoupled slip window, the bounded rename pool (each a
- * 4-context job queue) and a 4-context group run (the suite-grouping
- * shape). CI ratchets every batched/event ratio at >= 1.
+ * The BM_Shape{Stepped,Batched}/<shape> pairs run one machine shape
+ * each under both kernels: dual-scalar decode, decode width 2, the
+ * decoupled slip window, the bounded rename pool (each a 4-context
+ * job queue) and a 4-context group run (the suite-grouping shape).
+ * CI ratchets every batched/stepped ratio.
  */
 
 #include <benchmark/benchmark.h>
@@ -38,7 +39,7 @@ using namespace mtv;
 constexpr double speedScale = 2e-5;
 
 mtv::EngineOptions
-uncached(SimKernel kernel = SimKernel::Event)
+uncached(SimKernel kernel = EngineOptions{}.kernel)
 {
     EngineOptions options;
     options.workers = 1;    // the benchmark loop provides the timing
@@ -75,7 +76,7 @@ runSpec(benchmark::State &state, const RunSpec &spec, SimKernel kernel)
 
 void
 runMachine(benchmark::State &state, const MachineParams &params,
-           SimKernel kernel = SimKernel::Event,
+           SimKernel kernel = EngineOptions{}.kernel,
            double scale = speedScale)
 {
     runSpec(state,
@@ -166,20 +167,13 @@ BM_EngineBatch(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 
-// ----- stepped vs event kernel (bit-identical results; see
+// ----- stepped vs batched kernel (bit-identical results; see
 // tests/test_golden.cc) -----
 
 void
 BM_KernelStepped_Fig10Lat100(benchmark::State &state)
 {
     runMachine(state, fig10Latency100(), SimKernel::Stepped,
-               kernelScale);
-}
-
-void
-BM_KernelEvent_Fig10Lat100(benchmark::State &state)
-{
-    runMachine(state, fig10Latency100(), SimKernel::Event,
                kernelScale);
 }
 
@@ -199,14 +193,6 @@ BM_KernelStepped_Mth4Lat100(benchmark::State &state)
 }
 
 void
-BM_KernelEvent_Mth4Lat100(benchmark::State &state)
-{
-    MachineParams p = MachineParams::multithreaded(4);
-    p.memLatency = 100;
-    runMachine(state, p, SimKernel::Event, kernelScale);
-}
-
-void
 BM_KernelBatched_Mth4Lat100(benchmark::State &state)
 {
     MachineParams p = MachineParams::multithreaded(4);
@@ -217,10 +203,10 @@ BM_KernelBatched_Mth4Lat100(benchmark::State &state)
 /**
  * The whole Figure 10 latency sweep through runAll() — the workload
  * the batched kernel exists for: each of the 7 points is one engine
- * task, run through the pre-decoded fast lane on the batched engine
- * and through the event kernel on the event engine. The ratio of
- * their sim_cycles/s is the fast lane's headline number; CI ratchets
- * it with perf_gate.py --min-ratio.
+ * task, run through the fast lane on the batched engine and cycle by
+ * cycle on the stepped engine. The ratio of their sim_cycles/s is
+ * the fast lane's headline number; CI ratchets it with
+ * perf_gate.py --min-ratio.
  */
 void
 runFig10Sweep(benchmark::State &state, SimKernel kernel)
@@ -253,9 +239,9 @@ runFig10Sweep(benchmark::State &state, SimKernel kernel)
 }
 
 void
-BM_KernelEvent_Fig10Sweep(benchmark::State &state)
+BM_KernelStepped_Fig10Sweep(benchmark::State &state)
 {
-    runFig10Sweep(state, SimKernel::Event);
+    runFig10Sweep(state, SimKernel::Stepped);
 }
 
 void
@@ -264,7 +250,7 @@ BM_KernelBatched_Fig10Sweep(benchmark::State &state)
     runFig10Sweep(state, SimKernel::Batched);
 }
 
-// ----- event vs batched per machine shape -----
+// ----- stepped vs batched per machine shape -----
 
 RunSpec
 shapeSpec(const std::string &shape)
@@ -291,9 +277,9 @@ shapeSpec(const std::string &shape)
 }
 
 void
-BM_ShapeEvent(benchmark::State &state, const std::string &shape)
+BM_ShapeStepped(benchmark::State &state, const std::string &shape)
 {
-    runSpec(state, shapeSpec(shape), SimKernel::Event);
+    runSpec(state, shapeSpec(shape), SimKernel::Stepped);
 }
 
 void
@@ -308,26 +294,27 @@ BENCHMARK(BM_DualScalar);
 BENCHMARK(BM_WorkloadGeneration);
 BENCHMARK(BM_EngineBatch)->UseManualTime();
 BENCHMARK(BM_KernelStepped_Fig10Lat100);
-BENCHMARK(BM_KernelEvent_Fig10Lat100);
 BENCHMARK(BM_KernelBatched_Fig10Lat100);
 BENCHMARK(BM_KernelStepped_Mth4Lat100);
-BENCHMARK(BM_KernelEvent_Mth4Lat100);
 BENCHMARK(BM_KernelBatched_Mth4Lat100);
-BENCHMARK(BM_KernelEvent_Fig10Sweep)->UseManualTime();
+BENCHMARK(BM_KernelStepped_Fig10Sweep)->UseManualTime();
 BENCHMARK(BM_KernelBatched_Fig10Sweep)->UseManualTime();
-BENCHMARK_CAPTURE(BM_ShapeEvent, DualScalar, std::string("DualScalar"));
+BENCHMARK_CAPTURE(BM_ShapeStepped, DualScalar,
+                  std::string("DualScalar"));
 BENCHMARK_CAPTURE(BM_ShapeBatched, DualScalar, std::string("DualScalar"));
-BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Decode2, std::string("Mth4Decode2"));
+BENCHMARK_CAPTURE(BM_ShapeStepped, Mth4Decode2,
+                  std::string("Mth4Decode2"));
 BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Decode2,
                   std::string("Mth4Decode2"));
-BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Decouple4,
+BENCHMARK_CAPTURE(BM_ShapeStepped, Mth4Decouple4,
                   std::string("Mth4Decouple4"));
 BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Decouple4,
                   std::string("Mth4Decouple4"));
-BENCHMARK_CAPTURE(BM_ShapeEvent, Mth4Rename4, std::string("Mth4Rename4"));
+BENCHMARK_CAPTURE(BM_ShapeStepped, Mth4Rename4,
+                  std::string("Mth4Rename4"));
 BENCHMARK_CAPTURE(BM_ShapeBatched, Mth4Rename4,
                   std::string("Mth4Rename4"));
-BENCHMARK_CAPTURE(BM_ShapeEvent, Group4, std::string("Group4"));
+BENCHMARK_CAPTURE(BM_ShapeStepped, Group4, std::string("Group4"));
 BENCHMARK_CAPTURE(BM_ShapeBatched, Group4, std::string("Group4"));
 
 } // namespace

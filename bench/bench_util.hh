@@ -57,10 +57,10 @@ benchWorkers()
 
 /**
  * Simulation kernel for a bench: the engine default (the batched
- * fast lane), overridable with MTV_KERNEL=stepped|event|batched.
- * All three kernels produce bit-identical figures (the CI
- * kernel-parity job diffs a bench's output under each), so this
- * knob exists for A/B validation and speedup measurement only.
+ * fast lane), overridable with MTV_KERNEL=stepped|batched. Both
+ * kernels produce bit-identical figures (the CI kernel-parity job
+ * diffs a bench's output under each), so this knob exists for A/B
+ * validation and speedup measurement only.
  */
 inline SimKernel
 benchKernel()
@@ -69,14 +69,12 @@ benchKernel()
         const std::string v = env;
         if (v == "stepped")
             return SimKernel::Stepped;
-        if (v == "event")
-            return SimKernel::Event;
         if (v == "batched")
             return SimKernel::Batched;
         if (!v.empty()) {
             std::fprintf(stderr,
                          "warn: ignoring invalid MTV_KERNEL '%s' "
-                         "(want stepped|event|batched)\n",
+                         "(want stepped|batched)\n",
                          env);
         }
     }

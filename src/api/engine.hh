@@ -120,9 +120,9 @@ struct EngineOptions
     int workers = 0;
     /**
      * Which simulation kernel executes the specs. The batched fast
-     * lane (the default), the event-driven kernel and the
-     * cycle-stepped reference produce bit-identical SimStats (guarded
-     * by tests/test_golden.cc and the CI kernel-parity job), so this
+     * lane (the default) and the cycle-stepped reference produce
+     * bit-identical SimStats (guarded by tests/test_golden.cc,
+     * tests/test_kernel_diff.cc and the CI kernel-parity job), so this
      * knob exists purely for A/B validation and speed measurement; it
      * is deliberately *not* part of RunSpec keys — results from any
      * kernel are interchangeable in the cache and the result store.

@@ -91,8 +91,8 @@ struct RunSpec
     /**
      * The machine the kernels actually simulate: `params` with the
      * extension axes folded in (validated). Every kernel consumes
-     * specs through this, so Stepped, Event and Batched honor the
-     * axes identically.
+     * specs through this, so Stepped and Batched honor the axes
+     * identically.
      */
     MachineParams effectiveParams() const;
 

@@ -1,24 +1,22 @@
 /**
  * @file
  * The batched kernel's per-point fast lane: a transliteration of
- * the event kernel — VectorSim::runEvent plus
- * DispatchUnit::planAny/planDispatch/commit — over pre-decoded
- * programs, for every machine shape: one or several decode slots,
- * dual-scalar decode, the decoupled slip window and the bounded
- * rename pool. Every check, charge and ready-time write below mirrors
- * its original check-for-check; the golden digests
- * (tests/test_golden.cc), the differential test
- * (tests/test_kernel_diff.cc) and the CI kernel-parity job hold the
- * two in agreement. When you change dispatch semantics in
- * src/core/dispatch.cc or run machinery in src/core/sim.cc, change
- * the mirror here.
+ * the stepped kernel — VectorSim::runStepped plus
+ * DispatchUnit::planAny/planDispatch/commit — over packed programs,
+ * for every machine shape: one or several decode slots, dual-scalar
+ * decode, the decoupled slip window and the bounded rename pool.
+ * Every check, charge and ready-time write below mirrors its
+ * original check-for-check; the golden digests (tests/test_golden.cc),
+ * the differential test (tests/test_kernel_diff.cc) and the CI
+ * kernel-parity job hold the two in agreement. When you change
+ * dispatch semantics in src/core/dispatch.cc or run machinery in
+ * src/core/sim.cc, change the mirror here.
  *
- * The one deliberate difference is how a fully blocked machine finds
- * its next cycle. The event kernel folds every pending ready-time of
- * every context into one wakeup (Scheduler::nextWakeup). The fast
- * lane jumps to the minimum over contexts of each context's own
- * threshold — the cycle its first failing dispatch check can pass —
- * which every failed plan already computes (DESIGN.md section 1.3).
+ * The one deliberate difference is time: where the stepped kernel
+ * evaluates every cycle, a fully blocked machine here jumps to the
+ * minimum over contexts of each context's own threshold — the cycle
+ * its first failing dispatch check can pass — which every failed
+ * plan already computes (DESIGN.md section 1.3).
  */
 
 #include "src/core/batch_kernel.hh"
@@ -137,7 +135,7 @@ canSlipPast(const DecodedInst &cand, const DecodedInst &prior)
 
 /**
  * One point's machine over pre-decoded programs. Equivalent to
- * VectorSim(params, SimKernel::Event) on the same point.
+ * VectorSim(params, SimKernel::Stepped) on the same point.
  *
  * @tparam Slip  The machine decouples (decoupleDepth > 0): the fetch
  *               window is deeper than one and vector memory
@@ -233,9 +231,9 @@ class FastLane
 
   private:
     /**
-     * One iteration of the event-kernel loop (see runEvent()), with
-     * the fully-blocked jump taken to the earliest per-context
-     * threshold the decode cycle gathered in wake_.
+     * One cycle of the stepped loop (see VectorSim::runStepped()),
+     * except that a fully blocked machine jumps to the earliest
+     * per-context threshold the decode cycle gathered in wake_.
      */
     void
     advanceMulti()
@@ -261,8 +259,8 @@ class FastLane
             // Every context blocked, each on a check that cannot pass
             // before its own threshold (nothing commits meanwhile), so
             // no reason, fetch or termination test changes before the
-            // earliest one: the event kernel's wakeups inside the span
-            // would re-block identically.
+            // earliest one: every stepped cycle inside the span would
+            // re-block identically.
             const uint64_t watchdogAt =
                 lastDispatchCycle_ + stallLimit_ + 1;
             uint64_t wake = wake_.next;
@@ -395,17 +393,17 @@ class FastLane
 
     /**
      * Integrate the unaccounted region [histPending_, to) into the
-     * joint-state histogram. Unit occupations only change at commits
-     * (see PipelineSet::integrateInto), so deferring the integration
+     * joint-state histogram. Unit occupations only change at commits,
+     * so deferring the integration
      * until just before the next commit — across any number of
      * blocked spans and non-dispatch step cycles — produces the same
-     * counts as the event kernel's span-by-span accounting, with one
-     * integrator pass per dispatch instead of one per span.
+     * counts as the stepped kernel's per-cycle samples, with one
+     * integrator pass per dispatch instead of one per cycle.
      *
-     * The integration itself restates PipelineSet::integrateInto with
-     * the busy intervals clamped up front and the one-interval case
-     * (a lone load port covering a memory wait — most of a reference
-     * machine's cycles) resolved without the generic edge sort.
+     * The busy intervals are clamped up front, and the one-interval
+     * case (a lone load port covering a memory wait — most of a
+     * reference machine's cycles) is resolved without the generic
+     * edge sort.
      */
     void
     flushHist(uint64_t to)
@@ -1286,37 +1284,26 @@ runFastLane(const MachineParams &params, FastLaneRun kind,
             const std::vector<InstructionSource *> &sources,
             uint64_t maxInstructions)
 {
+    // A truncated run never fetches past its budget, so its pack
+    // stops there too.
+    const size_t packLimit =
+        kind == FastLaneRun::Single ? maxInstructions : 0;
     std::vector<LaneProgram> programs;
     programs.reserve(sources.size());
-    for (const InstructionSource *source : sources) {
+    for (InstructionSource *source : sources) {
         auto stream = source->sharedStream();
         if (!stream)
-            break;
+            stream = packSource(*source, packLimit);
         programs.push_back({source->name(), std::move(stream)});
     }
-    if (programs.size() == sources.size()) {
-        if (params.decoupleDepth > 0) {
-            return FastLane<true>(params, kind, maxInstructions,
-                                  std::move(programs))
-                .run();
-        }
-        return FastLane<false>(params, kind, maxInstructions,
-                               std::move(programs))
+    if (params.decoupleDepth > 0) {
+        return FastLane<true>(params, kind, maxInstructions,
+                              std::move(programs))
             .run();
     }
-
-    // Sources without a packed stream (trace files, in-memory
-    // vectors) simulate through the event kernel: slower, never wrong.
-    VectorSim sim(params, SimKernel::Event);
-    switch (kind) {
-      case FastLaneRun::Single:
-        return sim.runSingle(*sources[0], maxInstructions);
-      case FastLaneRun::Group:
-        return sim.runGroup(sources);
-      case FastLaneRun::JobQueue:
-        return sim.runJobQueue(sources);
-    }
-    panic("bad FastLaneRun %d", static_cast<int>(kind));
+    return FastLane<false>(params, kind, maxInstructions,
+                           std::move(programs))
+        .run();
 }
 
 } // namespace mtv

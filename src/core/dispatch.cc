@@ -439,97 +439,6 @@ DispatchUnit::commit(Context &ctx, const DispatchPlan &plan,
 }
 
 void
-DispatchUnit::considerWakeups(const Context &ctx, EventMin &em) const
-{
-    for (size_t k = 0; k < ctx.window.size(); ++k) {
-        const Instruction &inst = ctx.window[k];
-        // Behind the head, planAny() only ever probes vector memory
-        // instructions (decoupled slip); nothing else's resources can
-        // matter before the head dispatches.
-        if (k > 0 && !(isVector(inst.op) && isMemory(inst.op)))
-            continue;
-
-        const FuClass fu = fuClass(inst.op);
-        if (fu == FuClass::Scalar) {
-            for (const uint8_t reg : {inst.srcA, inst.srcB, inst.dst}) {
-                if (reg != noReg)
-                    em.consider(ctx.scalarReady[reg]);
-            }
-            if (isMemory(inst.op)) {
-                for (const MemPort *port : mem_.portsFor(inst.op))
-                    em.consider(port->bus.freeCycle());
-            }
-            continue;
-        }
-
-        if (fu == FuClass::VecAny || fu == FuClass::VecFu2) {
-            em.consider(pipes_.fu2().freeCycle());
-            if (fu == FuClass::VecAny)
-                em.consider(pipes_.fu1().freeCycle());
-            for (const uint8_t src : {inst.srcA, inst.srcB}) {
-                if (src == noReg)
-                    continue;
-                const VRegTiming &reg = ctx.vregs[src];
-                if (!reg.chainable)
-                    em.consider(reg.writeDone);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(src)].nextEventAfter(em.now));
-                }
-            }
-            if (inst.op == Opcode::VReduce) {
-                if (inst.dst != noReg)
-                    em.consider(ctx.scalarReady[inst.dst]);
-            } else if (params_.renameBounded()) {
-                // The blocked predicate is "dst idle OR slot free";
-                // both arms are stored-time comparisons.
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                em.consider(ctx.minRenameSlot(params_.renameDepth));
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-            continue;
-        }
-
-        for (const MemPort *port : mem_.portsFor(inst.op))
-            em.consider(port->nextEventAfter(em.now));
-        if (fu == FuClass::VecLoad) {
-            if (params_.renameBounded()) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                em.consider(ctx.minRenameSlot(params_.renameDepth));
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-        } else {
-            const VRegTiming &src = ctx.vregs[inst.srcA];
-            if (!src.chainable)
-                em.consider(src.writeDone);
-            if (params_.modelBankPorts) {
-                em.consider(
-                    ctx.banks[vregBank(inst.srcA)].nextEventAfter(
-                        em.now));
-            }
-        }
-    }
-}
-
-void
 DispatchUnit::clear()
 {
     dispatches_ = vecOpsFu1_ = vecOpsFu2_ = decoupledSlips_ = 0;

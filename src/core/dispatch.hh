@@ -10,9 +10,10 @@
  * resource* as a BlockReason otherwise. Commit applies a plan:
  * reserves units/ports/registers and updates the dispatch counters.
  * Every predicate planning evaluates is a comparison of a stored
- * ready-time against `now`, which is what makes the event-driven
- * kernel sound: while no ready-time expires, a blocked plan stays
- * blocked for the same reason.
+ * ready-time against `now`, which is what makes the fast lane's span
+ * skipping sound: while no ready-time expires, a blocked plan stays
+ * blocked for the same reason. This is the stepped kernel's dispatch
+ * stage; src/core/batch_kernel.cc mirrors it check for check.
  */
 
 #ifndef MTV_CORE_DISPATCH_HH
@@ -75,20 +76,6 @@ class DispatchUnit
 
     /** Commit @p plan: reserve resources, update scoreboards, stats. */
     void commit(Context &ctx, const DispatchPlan &plan, uint64_t now);
-
-    /**
-     * Feed every ready-time that planAny() could compare against
-     * `now` for this context into @p em: the resources referenced by
-     * the window head and by every decoupled-slip candidate (unit
-     * and port free-cycles, source/destination register horizons,
-     * bank ports, scalar scoreboard entries). This is the event
-     * kernel's wakeup set — a superset of the times the reachable
-     * checks examine, so no block reason or feasibility flip can
-     * precede the earliest of them (waking early is harmless; waking
-     * late would break bit-identity). Kept next to planDispatch() so
-     * the two stay in sync check for check.
-     */
-    void considerWakeups(const Context &ctx, EventMin &em) const;
 
     /** Reset the dispatch counters. */
     void clear();

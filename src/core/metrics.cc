@@ -1,46 +1,9 @@
 #include "src/core/metrics.hh"
 
-#include <algorithm>
-
 #include "src/common/logging.hh"
 
 namespace mtv
 {
-
-void
-accumulateJointStates(std::array<uint64_t, numFuStates> &hist,
-                      uint64_t from, uint64_t to,
-                      const UnitSpan *units, size_t count)
-{
-    if (from >= to)
-        return;
-    // Segment [from, to) at every clamped interval edge; within a
-    // segment the joint state is constant.
-    uint64_t edges[2 * 16 + 2];
-    size_t numEdges = 0;
-    MTV_ASSERT(count <= 16);
-    edges[numEdges++] = from;
-    edges[numEdges++] = to;
-    for (size_t i = 0; i < count; ++i) {
-        if (units[i].from > from && units[i].from < to)
-            edges[numEdges++] = units[i].from;
-        if (units[i].until > from && units[i].until < to)
-            edges[numEdges++] = units[i].until;
-    }
-    std::sort(edges, edges + numEdges);
-    for (size_t e = 0; e + 1 < numEdges; ++e) {
-        const uint64_t start = edges[e];
-        const uint64_t end = edges[e + 1];
-        if (start == end)
-            continue;
-        int bits = 0;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].from <= start && start < units[i].until)
-                bits |= 1 << units[i].bit;
-        }
-        hist[static_cast<size_t>(bits)] += end - start;
-    }
-}
 
 const char *
 blockReasonName(BlockReason reason)

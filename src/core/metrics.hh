@@ -42,30 +42,6 @@ constexpr int numFuStates = 8;
 /** Render state @p index as the paper's tuple, e.g. "<FU2, , LD>". */
 std::string fuStateName(int index);
 
-/**
- * One unit's busy interval for joint-state integration: the unit
- * drives @p bit of the state tuple and is busy over [from, until).
- * Several spans may drive the same bit (the LD bit is the OR of
- * every memory port's pipe).
- */
-struct UnitSpan
-{
-    int bit = 0;
-    uint64_t from = 0;
-    uint64_t until = 0;
-};
-
-/**
- * Add the cycles [from, to) to @p hist exactly as per-cycle sampling
- * of the given unit occupations would: each cycle lands in the bucket
- * whose bits are the units busy that cycle. Used by the event-driven
- * kernel to integrate the joint-state histogram over skipped idle
- * spans in O(units log units) instead of O(cycles).
- */
-void accumulateJointStates(std::array<uint64_t, numFuStates> &hist,
-                           uint64_t from, uint64_t to,
-                           const UnitSpan *units, size_t count);
-
 /** Per-context accounting. */
 struct ThreadStats
 {

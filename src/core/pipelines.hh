@@ -3,11 +3,9 @@
  * PipelineSet: the machine's two vector arithmetic pipelines plus the
  * joint busy-state accounting of the paper's (FU2, FU1, LD) tuple.
  *
- * Like the memory ports, the pipes report the cycle they next change
- * state (nextEventAfter) so the event-driven kernel never polls them,
- * and the joint-state histogram can be either sampled one cycle at a
- * time (the stepped kernel) or integrated over a whole idle span
- * (the event kernel) with bit-identical results.
+ * The stepped kernel samples the joint-state histogram one cycle at
+ * a time; the fast lane integrates it over whole spans
+ * (src/core/batch_kernel.cc) with bit-identical results.
  */
 
 #ifndef MTV_CORE_PIPELINES_HH
@@ -55,16 +53,6 @@ class PipelineSet
     {
         ++hist[static_cast<size_t>(stateBitsAt(now, mem))];
     }
-
-    /**
-     * Add the cycles [from, to) to @p hist, bit-identically to
-     * sampling each cycle. Occupations never change while the decode
-     * stage is blocked (only a commit occupies a unit), so the busy
-     * intervals captured here are exact for the whole span.
-     */
-    void integrateInto(std::array<uint64_t, numFuStates> &hist,
-                       uint64_t from, uint64_t to,
-                       const MemSystem &mem) const;
 
   private:
     PipeUnit fu1_;

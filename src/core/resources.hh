@@ -13,8 +13,8 @@ namespace mtv
 
 /**
  * Running minimum of pending ready-times strictly after a reference
- * cycle — the accumulator the event-driven kernel's wakeup
- * computation folds resource report times into.
+ * cycle — the accumulator the fast lane folds each blocked context's
+ * unblock threshold into.
  */
 struct EventMin
 {
@@ -104,20 +104,6 @@ struct VRegTiming
         return writeDone <= cycle && readBusy <= cycle;
     }
 
-    /**
-     * Earliest cycle strictly after @p now at which a dispatch
-     * predicate over this register (completeAt/idleAt) can change,
-     * or 0 when none is pending. prodFirst is deliberately excluded:
-     * it shifts a chained plan's timing but never gates feasibility.
-     */
-    uint64_t
-    nextEventAfter(uint64_t now) const
-    {
-        EventMin em(now);
-        em.consider(writeDone);
-        em.consider(readBusy);
-        return em.next;
-    }
 };
 
 /**
@@ -151,19 +137,6 @@ struct BankPorts
 
     bool writeFreeAt(uint64_t cycle) const { return writeUntil <= cycle; }
 
-    /**
-     * Earliest cycle strictly after @p now at which a port of this
-     * bank frees, or 0 when none is pending.
-     */
-    uint64_t
-    nextEventAfter(uint64_t now) const
-    {
-        EventMin em(now);
-        em.consider(readUntil[0]);
-        em.consider(readUntil[1]);
-        em.consider(writeUntil);
-        return em.next;
-    }
 };
 
 /** Bank index of a vector register (registers are paired). */

@@ -13,7 +13,6 @@ const char *
 simKernelName(SimKernel kernel)
 {
     switch (kernel) {
-      case SimKernel::Event: return "event";
       case SimKernel::Stepped: return "stepped";
       case SimKernel::Batched: return "batched";
     }
@@ -58,7 +57,7 @@ VectorSim::runSingle(InstructionSource &source, uint64_t maxInstructions)
     contexts_[0].source = &source;
     contexts_[0].stats.program = source.name();
     source.reset();
-    return run();
+    return runStepped();
 }
 
 SimStats
@@ -88,7 +87,7 @@ VectorSim::runGroup(const std::vector<InstructionSource *> &programs)
         ctx.restartable = i != 0;
         ctx.stats.program = programs[i]->name();
     }
-    return run();
+    return runStepped();
 }
 
 SimStats
@@ -116,7 +115,7 @@ VectorSim::runJobQueue(const std::vector<InstructionSource *> &jobs)
              static_cast<int>(&ctx - contexts_.data()), 0, 0});
         ++nextJob_;
     }
-    return run();
+    return runStepped();
 }
 
 // ---------------------------------------------------------------------
@@ -130,7 +129,6 @@ VectorSim::resetMachine(RunMode mode)
     mem_.clear();
     pipes_.clear();
     dispatch_.clear();
-    scheduler_.clear();
     for (auto &ctx : contexts_)
         ctx = Context{};
     currentThread_ = 0;
@@ -167,15 +165,9 @@ VectorSim::done(uint64_t now) const
     return now >= maxCompletion;
 }
 
-SimStats
-VectorSim::run()
-{
-    return kernel_ == SimKernel::Stepped ? runStepped() : runEvent();
-}
-
 /**
  * The reference kernel: evaluate decode every cycle. Kept as the
- * executable specification the event kernel is validated against.
+ * executable specification the fast lane is validated against.
  */
 SimStats
 VectorSim::runStepped()
@@ -190,54 +182,6 @@ VectorSim::runStepped()
         decodeCycle(now);
         pipes_.sampleInto(stateHist_, now, mem_);
         ++now;
-        primeFetch(now);
-        checkWatchdog(now);
-    }
-    return takeStats(now);
-}
-
-/**
- * The event-driven kernel. While anything can dispatch it runs the
- * exact per-cycle code of the stepped kernel; once every context is
- * blocked it asks the scheduler for the earliest pending ready-time
- * and jumps there, bulk-accounting the skipped span. Soundness: all
- * wakeups are computed from state that is immutable while blocked
- * (only a commit writes ready-times), so no decode outcome — and no
- * per-cycle statistic — can differ from stepping (see the proof
- * sketch in DESIGN.md section 1.2).
- */
-SimStats
-VectorSim::runEvent()
-{
-    uint64_t now = 0;
-    primeFetch(0);
-    while (!done(now)) {
-        const bool dispatched = decodeCycle(now);
-        bool anyReady = false;
-        if (!dispatched) {
-            for (const BlockReason why : scanWhy_)
-                anyReady |= why == BlockReason::None;
-        }
-        if (dispatched || anyReady) {
-            // Progress this cycle or next: step like the reference.
-            pipes_.sampleInto(stateHist_, now, mem_);
-            ++now;
-            primeFetch(now);
-            checkWatchdog(now);
-            continue;
-        }
-        // Every context blocked (cycle `now` already charged by
-        // decodeCycle). Jump to the earliest cycle anything can
-        // change; an eventless machine is wedged, so fast-forward
-        // straight to the watchdog.
-        const uint64_t watchdogAt =
-            lastDispatchCycle_ + stallLimit_ + 1;
-        uint64_t wake =
-            scheduler_.nextWakeup(now, dispatch_, contexts_);
-        if (wake == 0 || wake > watchdogAt)
-            wake = watchdogAt;
-        accountIdleSpan(now, wake);
-        now = wake;
         primeFetch(now);
         checkWatchdog(now);
     }
@@ -342,53 +286,6 @@ VectorSim::scanContexts(uint64_t now)
         }
         scanWhy_[c] = why;
     }
-}
-
-void
-VectorSim::accountIdleSpan(uint64_t from, uint64_t to)
-{
-    // Joint-state histogram over [from, to): cycle `from` was decoded
-    // but not yet sampled; later cycles are skipped entirely.
-    pipes_.integrateInto(stateHist_, from, to, mem_);
-    const uint64_t skipped = to - from - 1;
-    if (skipped == 0)
-        return;
-    decodeIdle_ += skipped;
-    // Block reasons are frozen over the span: every predicate behind
-    // them compares a pending ready-time against `now`, and the jump
-    // target is no later than the earliest such time.
-    for (int c = 0; c < params_.contexts; ++c) {
-        MTV_ASSERT(scanWhy_[c] != BlockReason::None);
-        contexts_[c].stats.blocked[static_cast<size_t>(scanWhy_[c])] +=
-            skipped;
-    }
-    if (!multiSlot() && params_.sched == SchedPolicy::RoundRobin)
-        advanceRoundRobin(skipped);
-}
-
-void
-VectorSim::advanceRoundRobin(uint64_t steps)
-{
-    // Replicate `steps` single-cycle switchThread() advances: the
-    // holder walks the has-work contexts in cyclic index order.
-    int active[8];
-    int m = 0;
-    MTV_ASSERT(params_.contexts <= 8);
-    for (int c = 0; c < params_.contexts; ++c) {
-        if (contexts_[c].hasWork())
-            active[m++] = c;
-    }
-    if (m == 0)
-        return;
-    // Position of the first active index strictly after the holder
-    // (cyclic), i.e. where one step lands.
-    int p0 = 0;
-    while (p0 < m && active[p0] <= currentThread_)
-        ++p0;
-    if (p0 == m)
-        p0 = 0;
-    currentThread_ =
-        active[(p0 + (steps - 1)) % static_cast<uint64_t>(m)];
 }
 
 void

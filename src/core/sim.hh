@@ -19,24 +19,20 @@
  *
  * The machine is decomposed into components (DESIGN.md section 1):
  * MemSystem (ports + main memory), PipelineSet (the two arithmetic
- * pipes + joint-state accounting), DispatchUnit (pure planning +
- * commit) and Scheduler (next-event extraction). VectorSim owns the
- * run machinery — fetch, thread selection, termination — and drives
- * the components through one of two kernels:
+ * pipes + joint-state accounting) and DispatchUnit (pure planning +
+ * commit). VectorSim owns the run machinery — fetch, thread
+ * selection, termination — and runs one of two kernels:
  *
- *  - SimKernel::Stepped evaluates decode every cycle (the historical
- *    loop, kept as the executable specification);
- *  - SimKernel::Event (VectorSim's default; engines and the daemon
- *    default to the SimKernel::Batched fast lane, which falls back
- *    to this kernel only for sources without a packed stream) runs
- *    the same per-cycle code
- *    while anything can dispatch, but when every context is blocked
- *    it jumps `now` straight to the earliest pending ready-time and
- *    integrates the per-cycle accounting over the skipped span.
+ *  - SimKernel::Batched (the default everywhere) hands the run to
+ *    the fast lane (src/core/batch_kernel.hh), which packs any
+ *    source without a packed stream first;
+ *  - SimKernel::Stepped evaluates decode every cycle through the
+ *    components here: the executable specification and the oracle
+ *    every fast-lane change is checked against.
  *
  * Both kernels produce bit-identical SimStats (guarded by
- * tests/test_golden.cc and the CI kernel-parity job); the event
- * kernel is simply faster the longer the memory latency.
+ * tests/test_golden.cc, tests/test_kernel_diff.cc and the CI
+ * kernel-parity job); the fast lane is simply faster.
  *
  * Timing model summary (see DESIGN.md section 3.3): dispatch is
  * in-order per thread (except the decoupled slip), one instruction
@@ -57,7 +53,6 @@
 #include "src/core/dispatch.hh"
 #include "src/core/metrics.hh"
 #include "src/core/pipelines.hh"
-#include "src/core/scheduler.hh"
 #include "src/isa/machine_params.hh"
 #include "src/memsys/mem_system.hh"
 #include "src/trace/source.hh"
@@ -87,15 +82,12 @@ enum class RunMode : uint8_t
 /** Which advancement strategy the simulator runs. */
 enum class SimKernel : uint8_t
 {
-    /** Event-driven: skip spans where no context can dispatch. */
-    Event,
     /** Cycle-stepped: evaluate decode every cycle (the reference). */
     Stepped,
     /**
-     * Per-point fast lane over pre-decoded programs
-     * (src/core/batch_kernel.hh), for every machine shape; falls back
-     * to Event only for sources without a packed stream.
-     * Bit-identical to Event/Stepped (tests/test_golden.cc,
+     * Per-point fast lane over packed programs
+     * (src/core/batch_kernel.hh), for every machine shape and every
+     * source. Bit-identical to Stepped (tests/test_golden.cc,
      * tests/test_kernel_diff.cc).
      */
     Batched
@@ -110,7 +102,7 @@ class VectorSim
   public:
     /** Build a machine; @p params is validated (fatal on user error). */
     explicit VectorSim(const MachineParams &params,
-                       SimKernel kernel = SimKernel::Event);
+                       SimKernel kernel = SimKernel::Batched);
 
     VectorSim(const VectorSim &) = delete;
     VectorSim &operator=(const VectorSim &) = delete;
@@ -152,9 +144,7 @@ class VectorSim
   private:
     // --- run machinery ---
     void resetMachine(RunMode mode);
-    SimStats run();
     SimStats runStepped();
-    SimStats runEvent();
     bool done(uint64_t now) const;
 
     /**
@@ -169,16 +159,6 @@ class VectorSim
 
     /** Fill scanWhy_: each context's block reason at @p now. */
     void scanContexts(uint64_t now);
-
-    /**
-     * Bulk-account the fully-blocked cycles (from, to) — the decode
-     * side of each skipped cycle, using the scanWhy_ reasons frozen
-     * over the span — plus the joint-state histogram over [from, to).
-     */
-    void accountIdleSpan(uint64_t from, uint64_t to);
-
-    /** Replicate @p steps round-robin holder advances in one go. */
-    void advanceRoundRobin(uint64_t steps);
 
     /** Throw SimError when @p now is past the no-dispatch watchdog. */
     void checkWatchdog(uint64_t now);
@@ -225,7 +205,6 @@ class VectorSim
     MemSystem mem_;
     PipelineSet pipes_;
     DispatchUnit dispatch_;
-    Scheduler scheduler_;
 
     // --- shared machine state ---
     std::vector<Context> contexts_;

@@ -7,6 +7,8 @@
 #include <optional>
 #include <unordered_set>
 
+#include <sys/socket.h>
+
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
 #include "src/service/json.hh"
@@ -36,10 +38,11 @@ validatedNodeNames(const std::vector<std::string> &endpointTexts)
     return endpointTexts;
 }
 
-/** How long a ping may take to connect, send and answer. A live
- *  daemon pongs from its connection thread in well under a
- *  millisecond; a node silent this long is wedged, and the health
- *  monitor (and every stop() that joins it) must not wait on it. */
+/** How long a ping, or a batch connection's connect and hello, may
+ *  take. A live daemon answers both from its connection thread in
+ *  well under a millisecond; a node silent this long is wedged, and
+ *  the health monitor (and every stop() that joins it) and the batch
+ *  must not wait on it. */
 constexpr int pingTimeoutMs = 2000;
 
 /** Histogram bounds for the relay's parked-payload depth: zero,
@@ -419,6 +422,10 @@ FleetRouter::markDead(size_t index, const std::string &error)
         return;
     node.alive = false;
     node.lastError = error;
+    // A reader blocked on this node's stream sees EOF, gives up its
+    // subset, and the next round reroutes it.
+    for (const int fd : node.batchFds)
+        ::shutdown(fd, SHUT_RDWR);
     ring_.removeNode(index);
     deadDuringBatch_.push_back(node.name);
     obsDeadMarks_->inc();
@@ -550,6 +557,40 @@ FleetRouter::stopHealthMonitor()
         monitor_.join();
 }
 
+/** Lists an open batch socket in its node's batchFds while it lives,
+ *  so markDead() can shut it down; declared after the socket's
+ *  channel, so it is unlisted before the channel closes the fd. */
+class FleetRouter::BatchSocket
+{
+  public:
+    BatchSocket(FleetRouter &router, size_t node, int fd)
+        : router_(router), node_(node), fd_(fd)
+    {
+        std::lock_guard<std::mutex> lock(router_.membershipMutex_);
+        Node &n = router_.nodes_[node_];
+        n.batchFds.push_back(fd_);
+        // Marked dead since the round began: fail now, not on a
+        // stream nothing would end.
+        if (!n.alive)
+            ::shutdown(fd_, SHUT_RDWR);
+    }
+
+    ~BatchSocket()
+    {
+        std::lock_guard<std::mutex> lock(router_.membershipMutex_);
+        std::vector<int> &fds = router_.nodes_[node_].batchFds;
+        fds.erase(std::find(fds.begin(), fds.end(), fd_));
+    }
+
+    BatchSocket(const BatchSocket &) = delete;
+    BatchSocket &operator=(const BatchSocket &) = delete;
+
+  private:
+    FleetRouter &router_;
+    size_t node_;
+    int fd_;
+};
+
 bool
 FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                           const std::vector<size_t> &indices,
@@ -562,8 +603,12 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
         std::lock_guard<std::mutex> lock(membershipMutex_);
         endpoint = nodes_[nodeIndex].endpoint;
     }
+    // Connect and hello are bounded like a ping; the stream is not,
+    // since a cold point may legitimately take long. A node that
+    // goes silent mid-stream is ended by markDead(), once the health
+    // monitor finds it so.
     std::string error;
-    const int fd = connectToEndpoint(endpoint, &error);
+    const int fd = connectToEndpoint(endpoint, &error, pingTimeoutMs);
     if (fd < 0) {
         markDead(nodeIndex, error);
         return false;
@@ -573,6 +618,7 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
     // (cancel tokens + lane drop), so the abandoned slice stops
     // simulating for nobody.
     LineChannel channel(fd);
+    const BatchSocket listed(*this, nodeIndex, fd);
 
     constexpr uint64_t id = 1;
     size_t &received = *served;
@@ -600,10 +646,14 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
         hello.set("op", "hello");
         hello.set("wire", "binary");
         std::string line;
+        errno = 0;
         if (!channel.writeLine(hello.dump()) ||
             !channel.readLine(&line)) {
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                fatal("hello timed out");
             fatal("connection lost during hello");
         }
+        setSocketTimeouts(fd, 0);
         Json answer;
         std::string parseError;
         if (!Json::parse(line, &answer, &parseError))

@@ -214,14 +214,20 @@ class FleetRouter
         bool alive = true;
         std::string lastError;
         uint64_t pointsServed = 0;
+        /** Open batch sockets (streamSubset), shut down by
+         *  markDead(). */
+        std::vector<int> batchFds;
     };
+
+    class BatchSocket;
 
     /** Mutable state of one gather in progress (shared by the node
      *  reader threads of one scatter round). */
     struct Gather;
 
-    /** Mark @p index dead (sticky) and drop it from the ring; no-op
-     *  when already dead. Caller must NOT hold membershipMutex_. */
+    /** Mark @p index dead (sticky), drop it from the ring and shut
+     *  down its open batch sockets; no-op when already dead. Caller
+     *  must NOT hold membershipMutex_. */
     void markDead(size_t index, const std::string &error);
 
     /** The inverse: put a healthy-again node back on the ring; no-op
@@ -250,7 +256,8 @@ class FleetRouter
 
     FleetOptions options_;
 
-    /** Guards nodes_, ring_ and deadDuringBatch_. */
+    /** Guards nodes_ (their batchFds too), ring_ and
+     *  deadDuringBatch_. */
     mutable std::mutex membershipMutex_;
     std::vector<Node> nodes_;
     HashRing ring_;

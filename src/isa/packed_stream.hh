@@ -1,15 +1,17 @@
 /**
  * @file
- * The packed instruction stream: the one stored form of an in-memory
- * program run.
+ * The packed instruction stream: the one form of a program run the
+ * fast lane walks.
  *
  * Each dynamic instruction is validated and decoded once, when the
  * stream is built, into a 12-byte DecodedInst — functional-unit
  * class, predicate flags, operands, clamped vector length, stride —
  * kept beside its 8-byte base address in a parallel array (20 bytes
- * per instruction, against 24 for a raw Instruction). The batched
- * kernel's fast lane walks the decoded records directly; everything
- * that consumes Instruction records (the event and stepped kernels,
+ * per instruction, against 24 for a raw Instruction). Synthetic
+ * programs are generated straight into one; any other source is
+ * packed before a fast-lane run (packSource, src/trace/source.hh).
+ * The batched kernel's fast lane walks the decoded records directly;
+ * everything that consumes Instruction records (the stepped kernel,
  * trace writers, analyzers) gets each one rebuilt bit for bit by at().
  */
 

@@ -7,8 +7,8 @@
  * Ports are *reporting* resources, not polled ones: besides the
  * point-in-time freeAt()/busyAt() queries the dispatch logic uses,
  * every port exposes the cycle at which it next changes state
- * (nextEventAfter), which is what lets the event-driven kernel jump
- * over idle spans instead of re-asking "free yet?" every cycle.
+ * (nextEventAfter), which is what lets the fast lane jump over idle
+ * spans instead of re-asking "free yet?" every cycle.
  */
 
 #ifndef MTV_MEMSYS_MEM_SYSTEM_HH

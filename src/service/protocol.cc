@@ -919,20 +919,6 @@ setNoDelay(int fd)
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/** Bound every blocking connect, send and recv on @p fd (no-op for
- *  @p timeoutMs <= 0). */
-void
-setTimeouts(int fd, int timeoutMs)
-{
-    if (timeoutMs <= 0)
-        return;
-    timeval tv{};
-    tv.tv_sec = timeoutMs / 1000;
-    tv.tv_usec = (timeoutMs % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 int
 connectTcp(const Endpoint &endpoint, std::string *error, int timeoutMs)
 {
@@ -948,7 +934,8 @@ connectTcp(const Endpoint &endpoint, std::string *error, int timeoutMs)
             lastErrno = errno;
             continue;
         }
-        setTimeouts(fd, timeoutMs);
+        if (timeoutMs > 0)
+            setSocketTimeouts(fd, timeoutMs);
         if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
             break;
         lastErrno = errno;
@@ -988,7 +975,8 @@ connectUnix(const std::string &socketPath, std::string *error,
             *error = std::strerror(errno);
         return -1;
     }
-    setTimeouts(fd, timeoutMs);
+    if (timeoutMs > 0)
+        setSocketTimeouts(fd, timeoutMs);
     if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         if (error) {
@@ -1002,6 +990,16 @@ connectUnix(const std::string &socketPath, std::string *error,
 }
 
 } // namespace
+
+void
+setSocketTimeouts(int fd, int timeoutMs)
+{
+    timeval tv{};
+    tv.tv_sec = timeoutMs / 1000;
+    tv.tv_usec = (timeoutMs % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
 
 int
 connectToDaemon(const std::string &socketPath, std::string *error)

@@ -566,6 +566,12 @@ int connectToEndpoint(const Endpoint &endpoint, std::string *error,
                       int timeoutMs = 0);
 
 /**
+ * Bound every later blocking send and receive on @p fd by
+ * @p timeoutMs, as connectToEndpoint() does; 0 lifts the bound.
+ */
+void setSocketTimeouts(int fd, int timeoutMs);
+
+/**
  * Bind + listen on @p endpoint. fatal()s when the address is
  * unusable. For TCP, @p endpoint.port may be 0 (ephemeral); the
  * returned Endpoint carries the actually-bound port — how tests and

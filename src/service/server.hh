@@ -84,8 +84,7 @@ struct ServiceOptions
     /** Engine memory-cache entry cap; 0 = unbounded. */
     size_t maxCacheEntries = 0;
     /** Simulation kernel the engine runs (mtvd --kernel; the batched
-     *  fast lane by default). All three produce bit-identical
-     *  results. */
+     *  fast lane by default). Both produce bit-identical results. */
     SimKernel kernel = SimKernel::Batched;
 };
 

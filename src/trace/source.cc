@@ -18,4 +18,16 @@ materialize(InstructionSource &source, size_t limit)
     return out;
 }
 
+std::shared_ptr<const PackedStream>
+packSource(InstructionSource &source, size_t limit)
+{
+    source.reset();
+    auto stream = std::make_shared<PackedStream>();
+    Instruction inst;
+    while ((!limit || stream->size() < limit) && source.next(inst))
+        stream->push_back(inst);
+    source.reset();
+    return stream;
+}
+
 } // namespace mtv

@@ -46,10 +46,10 @@ class InstructionSource
     /**
      * The whole run as one immutable packed stream, when the source
      * holds it in memory anyway (synthetic programs do; file readers
-     * return nullptr). The batched kernel's fast lane walks such a
-     * stream's pre-decoded records directly and retains this pointer
-     * for the run. Sources without a packed stream simulate through
-     * the event kernel instead — slower, never wrong.
+     * and VectorSource return nullptr). The batched kernel's fast
+     * lane walks such a stream's pre-decoded records directly and
+     * retains this pointer for the run; it packs any other source
+     * first (packSource).
      */
     virtual std::shared_ptr<const PackedStream>
     sharedStream() const
@@ -100,6 +100,16 @@ class VectorSource : public InstructionSource
  */
 std::vector<Instruction> materialize(InstructionSource &source,
                                      size_t limit = 0);
+
+/**
+ * Drain @p source into a packed stream (resetting it first and
+ * afterwards): 20 bytes per instruction. Each instruction is
+ * validated as it is packed (checkOperands), so a bad operand fails
+ * with the same fatal() a fetch of it would raise.
+ * @param limit stop after this many instructions (0 = unlimited).
+ */
+std::shared_ptr<const PackedStream> packSource(InstructionSource &source,
+                                               size_t limit = 0);
 
 } // namespace mtv
 

@@ -259,9 +259,9 @@ TEST(Engine, UncachedModeNeverHits)
 
 TEST(Engine, KernelSelectionIsBitIdentical)
 {
-    // The A/B knob behind the event-driven kernel: an engine pinned
-    // to the stepped reference must reproduce the default engine's
-    // stats field for field, on every run methodology.
+    // The A/B knob behind the fast lane: an engine pinned to the
+    // stepped reference must reproduce the default engine's stats
+    // field for field, on every run methodology.
     const std::vector<RunSpec> specs = {
         RunSpec::single("flo52", MachineParams::reference(),
                         testScale),
@@ -273,19 +273,13 @@ TEST(Engine, KernelSelectionIsBitIdentical)
     EngineOptions stepped;
     stepped.workers = 1;
     stepped.kernel = SimKernel::Stepped;
-    EngineOptions event;
-    event.workers = 1;
-    event.kernel = SimKernel::Event;
     ExperimentEngine a(stepped);
-    ExperimentEngine b(event);
     ExperimentEngine c(1);
     EXPECT_EQ(a.kernel(), SimKernel::Stepped);
-    EXPECT_EQ(b.kernel(), SimKernel::Event);
     EXPECT_EQ(c.kernel(), SimKernel::Batched);
     for (const RunSpec &spec : specs) {
         SCOPED_TRACE(spec.canonical());
         const SimStats reference = a.run(spec).stats;
-        expectSameStats(reference, b.run(spec).stats);
         expectSameStats(reference, c.run(spec).stats);
     }
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests for the batched kernel's per-point fast lane
  * (src/core/batch_kernel.hh) behind the engine: runAll() and submit()
- * on a SimKernel::Batched engine match the event kernel field for
+ * on a SimKernel::Batched engine match the stepped kernel field for
  * field (the invariant tests/test_golden.cc pins with digests; here
  * pinned with the stats codec), cancellation fails only its own
  * point, and the fast lane pins no program stream it no longer runs.
@@ -54,7 +54,7 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
 // runAll
 // ---------------------------------------------------------------------
 
-TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
+TEST(BatchEngine, RunAllMixedFamiliesMatchSteppedReference)
 {
     // Two interleaved program families plus the awkward members: a
     // fetch-truncated point (cache-exempt) and a dual-scalar machine
@@ -78,7 +78,9 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
     ExperimentEngine batched(batchedOptions());
     const auto results = batched.runAll(specs);
 
-    ExperimentEngine reference;  // event kernel, spec at a time
+    EngineOptions steppedOptions(1);
+    steppedOptions.kernel = SimKernel::Stepped;
+    ExperimentEngine reference(steppedOptions);  // spec at a time
     ASSERT_EQ(results.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
         EXPECT_EQ(results[i].spec, specs[i]);

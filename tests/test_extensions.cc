@@ -12,6 +12,7 @@
 #include "src/common/logging.hh"
 #include "src/core/sim.hh"
 #include "src/driver/runner.hh"
+#include "src/store/stats_codec.hh"
 #include "src/trace/source.hh"
 
 namespace mtv
@@ -534,10 +535,10 @@ TEST(BoundedRenaming, ExhaustedPoolSitsBetweenNoneAndInfinite)
     EXPECT_LT(oneCycles, noneCycles);  // one spare still helps
 }
 
-TEST(BoundedRenaming, SteppedAndEventKernelsAgree)
+TEST(BoundedRenaming, SteppedAndBatchedKernelsAgree)
 {
-    // The bounded-rename wakeup predicate must be exact: a late wake
-    // in the event kernel would break bit-identity with the stepped
+    // The bounded-rename unblock threshold must be exact: a late jump
+    // in the fast lane would break bit-identity with the stepped
     // reference.
     const std::vector<Instruction> stream = {
         makeVectorArith(Opcode::VAdd, 2, 0, 0, 128),
@@ -551,10 +552,10 @@ TEST(BoundedRenaming, SteppedAndEventKernelsAgree)
         p.renameDepth = depth;
         VectorSource steppedSrc("bounded", stream);
         VectorSim stepped(p, SimKernel::Stepped);
-        VectorSource eventSrc("bounded", stream);
-        VectorSim event(p, SimKernel::Event);
-        EXPECT_EQ(stepped.runSingle(steppedSrc).cycles,
-                  event.runSingle(eventSrc).cycles)
+        VectorSource batchedSrc("bounded", stream);
+        VectorSim batched(p, SimKernel::Batched);
+        EXPECT_EQ(serializeSimStats(stepped.runSingle(steppedSrc)),
+                  serializeSimStats(batched.runSingle(batchedSrc)))
             << "depth " << depth;
     }
 }

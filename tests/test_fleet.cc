@@ -476,7 +476,11 @@ enum class FakeMode
      *  genuinely, then ends. */
     SkipOwned,
     /** Accepts a connection and never answers — a wedged daemon. */
-    Silent
+    Silent,
+    /** Answers hello and acks a sweep (a run has no ack), then
+     *  streams nothing and holds the connection open — a daemon that
+     *  wedges mid-batch. */
+    AckThenSilent
 };
 
 /**
@@ -625,6 +629,11 @@ class FakeNode
                 return;
             for (const uint64_t global : owned)
                 points.emplace_back(global, expansion[global]);
+        }
+        if (mode_ == FakeMode::AckThenSilent) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock, [this] { return stopping_; });
+            return;
         }
 
         ExperimentEngine engine;
@@ -984,6 +993,77 @@ TEST_F(FleetFixture, SilentNodeTimesOutAPingAndStopReturns)
     serveThread.join();
     EXPECT_LT(std::chrono::steady_clock::now() - stopStart,
               std::chrono::seconds(10));
+}
+
+TEST_F(FleetFixture, SilentNodeTimesOutABatchHelloAndReroutes)
+{
+    // A node that accepts a batch connection and never answers its
+    // hello is dead once a ping's bound has passed; the batch
+    // completes on the survivors.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::Silent);
+    const std::vector<std::string> fleet = {endpoints_[0],
+                                            endpoints_[1], fakePath};
+    const auto specs = distinctSpecs(40);
+    const LocalFold expected = localFold(specs);
+
+    Watchdog watchdog("a batch over a silent node", 120);
+    FleetRouter router(fleet);
+    const auto census = ownershipCensus(router, specs, 3);
+    ASSERT_GT(census[2], 0u);
+    const FleetOutcome outcome = router.runSpecs(specs);
+    EXPECT_EQ(outcome.digest, expected.digest);
+    EXPECT_EQ(outcome.rerouted, census[2]);
+    ASSERT_EQ(outcome.deadNodes.size(), 1u);
+    EXPECT_EQ(outcome.deadNodes[0], fakePath);
+    const auto status = router.status();
+    EXPECT_FALSE(status[2].alive);
+    EXPECT_EQ(status[2].lastError, "hello timed out");
+    EXPECT_EQ(status[2].pointsServed, 0u);
+}
+
+TEST_F(FleetFixture, NodeSilentAfterItsAckIsEndedByTheHealthMonitor)
+{
+    // The stream itself has no read timeout (a cold point may take
+    // long). A node that acks and then goes silent is ended by the
+    // health monitor instead: its pings time out, marking it dead
+    // shuts down its batch socket, and its share reroutes.
+    const std::string fakePath = tempPath(8) + ".fake";
+    FakeNode fake(fakePath, FakeMode::AckThenSilent);
+    const std::vector<std::string> fleet = {endpoints_[0],
+                                            endpoints_[1], fakePath};
+    const SweepRequest sweep = cheapLatencySweep(40);
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+
+    Watchdog watchdog("a batch over a node silent after its ack", 120);
+    FleetOptions options;
+    options.healthIntervalSeconds = 0.05;
+    FleetRouter router(fleet, options);
+    const auto census = ownershipCensus(router, reference.specs(), 3);
+    ASSERT_GT(census[2], 0u);
+    // The fake serves one connection: ping it only once that is the
+    // batch's.
+    std::thread monitorStarter([&router, &fake] {
+        while (fake.request().isNull())
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        router.startHealthMonitor();
+    });
+    const FleetOutcome outcome = router.runSweep(sweep);
+    monitorStarter.join();
+    router.stopHealthMonitor();
+    EXPECT_EQ(outcome.digest, expected.digest);
+    EXPECT_EQ(outcome.rerouted, census[2]);
+    ASSERT_EQ(outcome.deadNodes.size(), 1u);
+    EXPECT_EQ(outcome.deadNodes[0], fakePath);
+    EXPECT_EQ(fake.served(), 0u);
+    const Json request = fake.request();
+    ASSERT_FALSE(request.isNull());
+    EXPECT_TRUE(request.has("ring")) << request.dump();
+    const auto status = router.status();
+    EXPECT_FALSE(status[2].alive);
+    EXPECT_EQ(status[2].lastError, "ping timed out");
+    EXPECT_EQ(status[2].pointsServed, 0u);
 }
 
 /** What a binary client read off one streamed request. */

@@ -2,13 +2,13 @@
  * @file
  * Golden-digest regression test: pins the FNV-1a digest of the
  * canonical SimStats blob for one representative configuration of
- * every figure/table/ablation/extension bench, and checks that ALL
- * THREE kernels — cycle-stepped, event-driven and batched — reproduce
- * each digest bit-exactly.
+ * every figure/table/ablation/extension bench, and checks that BOTH
+ * kernels — the cycle-stepped spec and the batched fast lane —
+ * reproduce each digest bit-exactly.
  *
- * This is the end-to-end guard behind the event kernel: any change
- * to dispatch order, idle accounting, the joint-state histogram or
- * the stats codec shows up as a digest mismatch here, long before a
+ * This is the end-to-end guard behind the fast lane: any change to
+ * dispatch order, idle accounting, the joint-state histogram or the
+ * stats codec shows up as a digest mismatch here, long before a
  * figure quietly drifts.
  *
  * The pinned values are a contract: they only change when the
@@ -80,7 +80,7 @@ struct GoldenCase
 {
     const char *name;   ///< which bench this configuration mirrors
     RunSpec spec;
-    uint64_t digest;    ///< pinned stepped==event digest
+    uint64_t digest;    ///< pinned stepped==batched digest
 };
 
 /**
@@ -263,9 +263,7 @@ goldenCases()
     }
     // RunSpec extension axes (the ext-* sweep families): one pin per
     // axis plus the fully-combined point, all on the same job-queue
-    // slice so the folds are the only difference. The decouple and
-    // rename pins exercise the batched kernel's per-point Event
-    // fallback; the multiport pin stays on the fast lane.
+    // slice so the folds are the only difference.
     cases.push_back({"axis_multiport3",
                      RunSpec::jobQueue(shortJobs(),
                                        MachineParams::multithreaded(2),
@@ -306,21 +304,17 @@ TEST(Golden, KernelParityAndPinnedDigests)
         SCOPED_TRACE(std::string(c.name) + ": " + c.spec.canonical());
         const uint64_t stepped =
             digestOf(simulate(c.spec, SimKernel::Stepped));
-        const uint64_t event =
-            digestOf(simulate(c.spec, SimKernel::Event));
         const uint64_t batched =
             digestOf(simulate(c.spec, SimKernel::Batched));
-        // The tentpole guarantees: event skipping is invisible, and
-        // the batched fast lane (or its fallback) equally so.
-        EXPECT_EQ(stepped, event);
-        EXPECT_EQ(event, batched);
+        // The fast lane's span skipping is invisible in the stats.
+        EXPECT_EQ(stepped, batched);
         if (print) {
             std::printf("    %-28s 0x%llxull\n", c.name,
-                        static_cast<unsigned long long>(event));
+                        static_cast<unsigned long long>(stepped));
             continue;
         }
         // The regression pin: neither kernel drifts over time.
-        EXPECT_EQ(c.digest, event);
+        EXPECT_EQ(c.digest, stepped);
     }
 }
 
@@ -335,7 +329,7 @@ TEST(Golden, SerializationIsCanonical)
     const RunSpec spec =
         RunSpec::single("flo52", MachineParams::reference(),
                         goldenScale);
-    const SimStats a = simulate(spec, SimKernel::Event);
+    const SimStats a = simulate(spec, SimKernel::Batched);
     const SimStats b = simulate(spec, SimKernel::Stepped);
     EXPECT_EQ(serializeSimStats(a), serializeSimStats(b));
     const SimStats back = deserializeSimStats(serializeSimStats(a));

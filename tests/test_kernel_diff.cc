@@ -2,7 +2,8 @@
  * @file
  * Differential kernel test: every registered sweep family, under
  * every scheduling policy, simulated by the batched fast lane and by
- * the event kernel, must produce byte-identical canonical SimStats.
+ * the stepped kernel (the executable spec), must produce
+ * byte-identical canonical SimStats.
  *
  * Where test_golden.cc pins one hand-picked configuration per bench,
  * this test crosses the whole sweep surface the service serves —
@@ -12,6 +13,10 @@
  * reach on their own: dual-scalar and decode-width-2 job queues, and
  * the fetch-truncated single runs behind every group point's speedup
  * (the F_i reference terms of section 4.1).
+ *
+ * The stepped side is slow, so CMakeLists.txt runs this binary as
+ * several ctest entries, each a gtest filter over a group of
+ * families.
  */
 
 #include <gtest/gtest.h>
@@ -68,14 +73,14 @@ simulate(const RunSpec &spec, SimKernel kernel)
 void
 expectKernelsAgree(const RunSpec &spec)
 {
-    const SimStats event = simulate(spec, SimKernel::Event);
+    const SimStats stepped = simulate(spec, SimKernel::Stepped);
     const SimStats batched = simulate(spec, SimKernel::Batched);
-    EXPECT_EQ(serializeSimStats(event), serializeSimStats(batched))
-        << "batched differs from event on " << spec.canonical();
+    EXPECT_EQ(serializeSimStats(stepped), serializeSimStats(batched))
+        << "batched differs from stepped on " << spec.canonical();
     if (spec.mode != SpecMode::Group)
         return;
     for (size_t i = 1; i < spec.programs.size(); ++i) {
-        const uint64_t partial = event.threads[i].instructionsThisRun;
+        const uint64_t partial = stepped.threads[i].instructionsThisRun;
         if (partial == 0)
             continue;
         expectKernelsAgree(RunSpec::reference(
@@ -102,7 +107,7 @@ class KernelDiff : public ::testing::TestWithParam<std::string>
 {
 };
 
-TEST_P(KernelDiff, BatchedMatchesEventUnderEveryPolicy)
+TEST_P(KernelDiff, BatchedMatchesSteppedUnderEveryPolicy)
 {
     const std::vector<RunSpec> specs = familySpecs(GetParam());
     ASSERT_FALSE(specs.empty());
@@ -136,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(KernelDiffShapes, MultiSlotJobQueuesMatchEvent)
+TEST(KernelDiffShapes, MultiSlotJobQueuesMatchStepped)
 {
     MachineParams width2 = MachineParams::multithreaded(4);
     width2.decodeWidth = 2;
@@ -155,7 +160,7 @@ TEST(KernelDiffShapes, MultiSlotJobQueuesMatchEvent)
     }
 }
 
-TEST(KernelDiffShapes, TruncatedSingleRunsMatchEvent)
+TEST(KernelDiffShapes, TruncatedSingleRunsMatchStepped)
 {
     // Fetch budgets that stop a run at its first instruction, inside
     // a decoupled window and near the end of the program.
@@ -169,7 +174,7 @@ TEST(KernelDiffShapes, TruncatedSingleRunsMatchEvent)
         for (const std::string program : {"flo52", "trfd", "bdna"}) {
             const uint64_t full =
                 simulate(RunSpec::single(program, p, diffScale),
-                         SimKernel::Event)
+                         SimKernel::Stepped)
                     .dispatches;
             for (const uint64_t budget :
                  {uint64_t{1}, uint64_t{3}, full / 2, full - 1}) {

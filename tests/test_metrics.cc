@@ -11,6 +11,7 @@
 #include "src/core/metrics.hh"
 #include "src/core/resources.hh"
 #include "src/core/sim_error.hh"
+#include "src/memsys/mem_system.hh"
 
 namespace mtv
 {
@@ -67,48 +68,6 @@ TEST(Metrics, IdleFractionCountsLdClearStates)
     EXPECT_DOUBLE_EQ(s.memPortIdleFraction(), 0.5);
 }
 
-/**
- * Span integration must agree exactly with per-cycle sampling for
- * arbitrary overlapping unit occupations — this is what lets the
- * event kernel account the (FU2, FU1, LD) histogram over skipped
- * idle spans.
- */
-TEST(Metrics, JointStateIntegrationMatchesSampling)
-{
-    // FU2 busy [3, 9), FU1 busy [5, 7), two LD pipes [0, 4) and
-    // [2, 11) (the LD bit is their OR).
-    const UnitSpan units[] = {
-        {2, 3, 9}, {1, 5, 7}, {0, 0, 4}, {0, 2, 11}};
-    const size_t count = sizeof(units) / sizeof(units[0]);
-
-    std::array<uint64_t, numFuStates> sampled{};
-    for (uint64_t cycle = 1; cycle < 14; ++cycle) {
-        int bits = 0;
-        for (const auto &u : units) {
-            if (u.from <= cycle && cycle < u.until)
-                bits |= 1 << u.bit;
-        }
-        ++sampled[static_cast<size_t>(bits)];
-    }
-
-    std::array<uint64_t, numFuStates> integrated{};
-    accumulateJointStates(integrated, 1, 14, units, count);
-    EXPECT_EQ(integrated, sampled);
-
-    // Splitting the span anywhere must not change the totals.
-    std::array<uint64_t, numFuStates> split{};
-    accumulateJointStates(split, 1, 6, units, count);
-    accumulateJointStates(split, 6, 14, units, count);
-    EXPECT_EQ(split, sampled);
-
-    // Empty and inverted spans are no-ops.
-    std::array<uint64_t, numFuStates> empty{};
-    accumulateJointStates(empty, 5, 5, units, count);
-    accumulateJointStates(empty, 7, 3, units, count);
-    for (const uint64_t v : empty)
-        EXPECT_EQ(v, 0u);
-}
-
 TEST(Metrics, SimErrorCarriesBlockedContexts)
 {
     std::vector<BlockedContext> blocked;
@@ -131,21 +90,15 @@ TEST(Metrics, SimErrorCarriesBlockedContexts)
 
 TEST(Resources, ReportedNextEvents)
 {
-    VRegTiming reg;
-    reg.writeDone = 40;
-    reg.readBusy = 25;
-    EXPECT_EQ(reg.nextEventAfter(10), 25u);
-    EXPECT_EQ(reg.nextEventAfter(25), 40u);
-    EXPECT_EQ(reg.nextEventAfter(40), 0u);
-
-    BankPorts bank;
-    bank.readUntil[0] = 8;
-    bank.readUntil[1] = 12;
-    bank.writeUntil = 10;
-    EXPECT_EQ(bank.nextEventAfter(0), 8u);
-    EXPECT_EQ(bank.nextEventAfter(8), 10u);
-    EXPECT_EQ(bank.nextEventAfter(11), 12u);
-    EXPECT_EQ(bank.nextEventAfter(12), 0u);
+    MemPort port;
+    port.pipe.occupy(5, 25);
+    port.bus.reserve(5, 3);
+    const uint64_t busFree = port.bus.freeCycle();
+    ASSERT_GT(busFree, 5u);
+    ASSERT_LT(busFree, 25u);
+    EXPECT_EQ(port.nextEventAfter(4), busFree);
+    EXPECT_EQ(port.nextEventAfter(busFree), 25u);
+    EXPECT_EQ(port.nextEventAfter(25), 0u);
 
     EventMin em(10);
     em.consider(9);   // not pending

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for src/trace: sources, binary/text trace files, and the
- * analyzer (Table 3 statistics + IDEAL bound).
+ * Unit tests for src/trace: sources, binary/text trace files, the
+ * pack step that gives any source a fast-lane run, and the analyzer
+ * (Table 3 statistics + IDEAL bound).
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "src/core/sim.hh"
+#include "src/store/stats_codec.hh"
 #include "src/trace/analyzer.hh"
 #include "src/trace/source.hh"
 #include "src/trace/trace_file.hh"
@@ -205,6 +208,77 @@ TEST(TraceFileDeath, StreamingTruncationFailsAtTheLostRecord)
         },
         testing::ExitedWithCode(1), "truncated");
     std::remove(path.c_str());
+}
+
+/** Canonical stats bytes of a run of @p sources: a single run with
+ *  fetch budget @p budget for one source, else a group run. */
+std::string
+runBytes(const MachineParams &params, SimKernel kernel,
+         const std::vector<InstructionSource *> &sources,
+         uint64_t budget = 0)
+{
+    VectorSim sim(params, kernel);
+    return serializeSimStats(sources.size() == 1
+                                 ? sim.runSingle(*sources[0], budget)
+                                 : sim.runGroup(sources));
+}
+
+TEST(PackSource, StreamingTraceRunsBitIdenticallyUnderBothKernels)
+{
+    // A trace file holds no packed stream: the default kernel packs
+    // it before the run. Its stats must equal the stepped run of the
+    // same trace and the fast-lane run of the program it was written
+    // from — single, as a group beside an in-memory companion, and
+    // fetch-truncated.
+    const SimKernel fast = VectorSim(MachineParams::reference()).kernel();
+    EXPECT_EQ(fast, SimKernel::Batched);
+
+    const std::string path = tempPath("mtv_test_trace_sim.mtv");
+    auto program = makeProgram("flo52", 2e-5);
+    writeTrace(*program, path);
+    TraceReader trace(path, TraceReadMode::Streaming);
+    auto companionProgram = makeProgram("swm256", 2e-5);
+    VectorSource companion("swm256", materialize(*companionProgram));
+
+    const MachineParams reference = MachineParams::reference();
+    const MachineParams two = MachineParams::multithreaded(2);
+    const uint64_t budget = program->count() / 2;
+    struct Case
+    {
+        const char *what;
+        const MachineParams &params;
+        std::vector<InstructionSource *> traced;
+        std::vector<InstructionSource *> synthetic;
+        uint64_t budget;
+    };
+    const Case cases[] = {
+        {"single", reference, {&trace}, {program.get()}, 0},
+        {"group", two, {&trace, &companion},
+         {program.get(), companionProgram.get()}, 0},
+        {"truncated", reference, {&trace}, {program.get()}, budget},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const std::string packed =
+            runBytes(c.params, fast, c.traced, c.budget);
+        EXPECT_EQ(packed, runBytes(c.params, SimKernel::Stepped,
+                                   c.traced, c.budget));
+        EXPECT_EQ(packed, runBytes(c.params, fast, c.synthetic,
+                                   c.budget));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(PackSourceDeath, RejectsAnOutOfRangeOperandLikeAFetch)
+{
+    // The pack step validates every instruction as a fetch did, so a
+    // VectorSource with a bad register still fails the run loudly.
+    std::vector<Instruction> bad = sampleInstructions();
+    bad.push_back(makeVectorArith(Opcode::VAdd, numVRegs, 0, 2, 64));
+    VectorSource src("bad", bad);
+    VectorSim sim(MachineParams::reference());
+    EXPECT_EXIT({ sim.runSingle(src); }, testing::ExitedWithCode(1),
+                "out-of-range register");
 }
 
 TEST(TraceFile, TextTraceRoundTripsEveryInstruction)

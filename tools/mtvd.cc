@@ -8,16 +8,16 @@
  * Usage:
  *   mtvd [--socket PATH] [--tcp HOST:PORT] [--store DIR] [--shards N]
  *        [--workers N] [--cache-cap N]
- *        [--kernel stepped|event|batched] [--quiet]
+ *        [--kernel stepped|batched] [--quiet]
  *   mtvd --route EP1,EP2,... [--socket PATH] [--tcp HOST:PORT]
  *        [--quiet]
  *
  * --tcp adds a TCP listener next to the unix socket (same protocol;
  * the fleet transport). --tcp-ephemeral HOST binds a kernel-chosen
  * port instead — tests and the fleet smoke script read it back from
- * the startup line. --kernel selects the simulation kernel (all
- * three are bit-identical; the default, batched, runs each point
- * through the pre-decoded fast lane).
+ * the startup line. --kernel selects the simulation kernel (the two
+ * are bit-identical; the default, batched, runs each point through
+ * the fast lane, and stepped is the cycle-by-cycle reference).
  * --route turns this mtvd into a thin fleet router over the listed
  * node endpoints ("HOST:PORT" or socket paths): it owns no engine,
  * so the engine flags (--store, --shards, --workers, --cache-cap,
@@ -64,7 +64,7 @@ usage()
     std::fprintf(stderr,
                  "usage: mtvd [--socket PATH] [--tcp HOST:PORT] "
                  "[--store DIR] [--shards N] [--workers N] "
-                 "[--cache-cap N] [--kernel stepped|event|batched] "
+                 "[--cache-cap N] [--kernel stepped|batched] "
                  "[--quiet]\n"
                  "       (--kernel defaults to batched)\n"
                  "       mtvd --route EP1,EP2,... [--socket PATH] "
@@ -136,15 +136,17 @@ main(int argc, char **argv)
             engineFlagSeen = true;
         } else if (arg == "--kernel") {
             const std::string name = value();
-            if (name == "stepped")
+            if (name == "stepped") {
                 options.kernel = SimKernel::Stepped;
-            else if (name == "event")
-                options.kernel = SimKernel::Event;
-            else if (name == "batched")
+            } else if (name == "batched") {
                 options.kernel = SimKernel::Batched;
-            else
-                fatal("--kernel wants stepped|event|batched, got "
-                      "'%s'", name.c_str());
+            } else {
+                std::fprintf(stderr,
+                             "mtvd: --kernel wants stepped|batched, "
+                             "got '%s'\n",
+                             name.c_str());
+                return usage();
+            }
             engineFlagSeen = true;
         } else if (arg == "--quiet") {
             setLogLevel(LogLevel::Quiet);

@@ -19,7 +19,7 @@ sim_cycles/s of fresh NAME_B (':' separates the names because
 benchmark names themselves contain '/'). Unlike the baseline
 comparison this is hardware-independent (both sides ran on the same
 machine minutes apart), so it pins speedup claims — e.g. the batched
-kernel's >= 3x over the event kernel on the Figure 10 sweep —
+kernel's >= 15.3x over the stepped kernel on the Figure 10 sweep —
 without a calibrated baseline.
 """
 
