@@ -1,13 +1,6 @@
 #include "src/fleet/fleet_service.hh"
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <map>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -18,22 +11,6 @@ namespace mtv
 
 namespace
 {
-
-Json
-errorJson(const std::string &message)
-{
-    Json j = Json::object();
-    j.set("error", message);
-    return j;
-}
-
-Json
-requestErrorJson(uint64_t id, const std::string &message)
-{
-    Json j = errorJson(message);
-    j.set("id", id);
-    return j;
-}
 
 /**
  * Relays the router's global-order point stream to one client. On a
@@ -46,11 +23,9 @@ requestErrorJson(uint64_t id, const std::string &message)
 class RelayWriter
 {
   public:
-    RelayWriter(LineChannel &channel, uint64_t id, bool quiet,
-                WireFormat wire, Counter *writeStallUs)
-        : channel_(channel), id_(id), quiet_(quiet),
-          binary_(wire == WireFormat::Binary),
-          writeStallUs_(writeStallUs)
+    RelayWriter(Connection &conn, uint64_t id, bool quiet)
+        : conn_(conn), id_(id), quiet_(quiet),
+          binary_(conn.wire() == WireFormat::Binary)
     {
     }
 
@@ -58,7 +33,7 @@ class RelayWriter
     void
     relay(size_t global, std::string &payload, bool moreReady)
     {
-        if (writeFailed_)
+        if (conn_.writeFailed())
             return;
         if (binary_ && !quiet_) {
             setResultFrameHeader(&payload, id_, global);
@@ -102,28 +77,23 @@ class RelayWriter
                 dead.push(name);
             done.set("deadNodes", std::move(dead));
         }
-        return !writeFailed_ && channel_.writeLine(done.dump());
+        return conn_.writeLine(done.dump());
     }
 
   private:
     void
     flush()
     {
-        if (outbox_.empty() || writeFailed_)
-            return;
-        const uint64_t startUs = monotonicMicros();
-        writeFailed_ = !channel_.writeBytes(outbox_);
-        writeStallUs_->inc(monotonicMicros() - startUs);
+        if (!outbox_.empty())
+            conn_.writeBytes(outbox_);
         outbox_.clear();
     }
 
-    LineChannel &channel_;
+    Connection &conn_;
     uint64_t id_;
     bool quiet_;
     bool binary_;
-    Counter *writeStallUs_;
     std::string outbox_;
-    bool writeFailed_ = false;
 };
 
 } // namespace
@@ -131,303 +101,89 @@ class RelayWriter
 FleetService::FleetService(FleetServiceOptions options)
     : router_(options.nodes, options.fleet)
 {
-    obsWriteStallUs_ = MetricsRegistry::instance().counter(
-        "fleet_write_stall_us_total");
-    socketPath_ = options.socketPath.empty() ? defaultSocketPath()
-                                             : options.socketPath;
-
-    // Same stale-socket policy as MtvService: only a *connectable*
-    // socket means a live daemon; a leftover file is unlinked.
-    std::string connectError;
-    const int probe = connectToDaemon(socketPath_, &connectError);
-    if (probe >= 0) {
-        ::close(probe);
-        fatal("another mtvd is already serving '%s'",
-              socketPath_.c_str());
-    }
-    ::unlink(socketPath_.c_str());
-
-    Listener unixListener;
-    unixListener.endpoint = Endpoint::unixSocket(socketPath_);
-    unixListener.fd =
-        listenOnEndpoint(unixListener.endpoint, nullptr);
-    listeners_.push_back(unixListener);
-
-    if (!options.tcpHost.empty()) {
-        Listener tcpListener;
-        tcpListener.fd = listenOnEndpoint(
-            Endpoint::tcp(options.tcpHost, options.tcpPort),
-            &tcpListener.endpoint);
-        tcpPort_ = tcpListener.endpoint.port;
-        listeners_.push_back(tcpListener);
-    }
-}
-
-FleetService::~FleetService()
-{
-    stop();
-    teardownClients();
-    router_.stopHealthMonitor();
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::close(listener.fd);
-    }
-    ::unlink(socketPath_.c_str());
-}
-
-void
-FleetService::joinFinishedLocked()
-{
-    for (auto &thread : finishedClients_)
-        thread.join();
-    finishedClients_.clear();
-}
-
-void
-FleetService::teardownClients()
-{
-    // Joins happen OUTSIDE clientsMutex_: a connection thread's last
-    // act is to lock it and retire its own handle.
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        for (auto &client : activeClients_) {
-            ::shutdown(client.first, SHUT_RDWR);
-            threads.push_back(std::move(client.second));
-        }
-        activeClients_.clear();
-        for (auto &thread : finishedClients_)
-            threads.push_back(std::move(thread));
-        finishedClients_.clear();
-    }
-    for (auto &thread : threads)
-        thread.join();
-}
-
-void
-FleetService::stop()
-{
-    // Async-signal-safe (mtvd wires this to SIGTERM/SIGINT): flag +
-    // shutdown only.
-    stopping_.store(true);
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::shutdown(listener.fd, SHUT_RDWR);
-    }
+    core_ = std::make_unique<ConnectionCore>(options, coreService());
 }
 
 void
 FleetService::serve()
 {
-    for (const Listener &listener : listeners_) {
-        inform("mtvd: routing for %zu nodes, listening on %s",
-               router_.nodeCount(),
-               listener.endpoint.describe().c_str());
-    }
     // Dead nodes are discovered between requests too, not only when
     // a scatter trips over them.
     router_.startHealthMonitor();
-
-    std::vector<pollfd> fds;
-    fds.reserve(listeners_.size());
-    for (const Listener &listener : listeners_)
-        fds.push_back(pollfd{listener.fd, POLLIN, 0});
-    while (!stopping_.load()) {
-        for (pollfd &p : fds)
-            p.revents = 0;
-        const int ready = ::poll(fds.data(), fds.size(), 500);
-        if (stopping_.load())
-            break;
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (ready == 0)
-            continue;
-        for (size_t i = 0; i < fds.size(); ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP)))
-                continue;
-            const int fd = ::accept(listeners_[i].fd, nullptr,
-                                    nullptr);
-            if (fd < 0) {
-                if (stopping_.load())
-                    break;
-                if (errno == EMFILE || errno == ENFILE ||
-                    errno == ECONNABORTED || errno == EPROTO) {
-                    warn("mtvd: accept failed: %s — retrying",
-                         std::strerror(errno));
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(100));
-                }
-                continue;
-            }
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            joinFinishedLocked();
-            activeClients_.emplace(
-                fd,
-                std::thread([this, fd] { handleConnection(fd); }));
-        }
-    }
-
+    core_->serve();
     router_.stopHealthMonitor();
-    teardownClients();
 }
 
-void
-FleetService::handleConnection(int fd)
+ConnectionCore::Service
+FleetService::coreService()
 {
-    LineChannel channel(fd);
-    WireFormat wire = WireFormat::Json;
-    std::string line;
-    while (!stopping_.load()) {
-        const LineChannel::MessageKind kind =
-            channel.readMessage(&line);
-        if (kind == LineChannel::MessageKind::Eof)
-            break;
-        if (kind != LineChannel::MessageKind::Line) {
-            // Frames flow router->client only; same policy as a
-            // regular daemon — one structured error, clean close.
-            Json err = errorJson(
-                "binary frame on the request channel");
-            err.set("badFrame", true);
-            channel.writeLine(err.dump());
-            break;
+    ConnectionCore::Service service;
+    service.writeStallUs = MetricsRegistry::instance().counter(
+        "fleet_write_stall_us_total");
+    service.banner =
+        format(" (routing for %zu nodes)", router_.nodeCount());
+    service.ops["ping"] = [this](const Json &, Connection &conn) {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("pong", true);
+        ok.set("protocol", serviceProtocolVersion);
+        ok.set("fleet", true);
+        ok.set("nodes", static_cast<uint64_t>(router_.nodeCount()));
+        ok.set("alive", static_cast<uint64_t>(router_.aliveCount()));
+        Json families = Json::array();
+        for (const SweepFamilyInfo &family : sweepFamilies())
+            families.push(family.name);
+        ok.set("sweepFamilies", std::move(families));
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["status"] = [this](const Json &, Connection &conn) {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("fleet", true);
+        Json nodes = Json::array();
+        for (const FleetNodeStatus &s : router_.status()) {
+            Json node = Json::object();
+            node.set("endpoint", s.name);
+            node.set("alive", s.alive);
+            if (!s.lastError.empty())
+                node.set("error", s.lastError);
+            node.set("served", s.pointsServed);
+            nodes.push(std::move(node));
         }
-        if (line.empty())
-            continue;
-        Json request;
-        std::string parseError;
-        if (!Json::parse(line, &request, &parseError)) {
-            if (!channel.writeLine(errorJson(parseError).dump()))
-                break;
-            continue;
-        }
-        if (!handleRequest(request, channel, wire))
-            break;
-    }
-    // Hand our own thread handle to the finished list; during
-    // teardown the entry may already be gone (the teardown side owns
-    // it then).
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    auto self = activeClients_.find(fd);
-    if (self != activeClients_.end()) {
-        finishedClients_.push_back(std::move(self->second));
-        activeClients_.erase(self);
-    }
-}
-
-bool
-FleetService::handleRequest(const Json &request, LineChannel &channel,
-                            WireFormat &wire)
-{
-    try {
-        // Client input (and downstream-node fatality: a fleet with
-        // zero live nodes left) reports through fatal(); either must
-        // answer this client, not kill the router.
-        ScopedFatalAsException fatalScope;
-        const std::string op = request.getString("op");
-        if (op == "hello") {
-            // Same negotiation a regular daemon offers. Nodes
-            // always stream binary to the router; a JSON client's
-            // points are re-encoded on the way out.
-            const std::string wanted =
-                request.has("wire") ? request.getString("wire")
-                                    : "json";
-            if (wanted != "json" && wanted != "binary") {
-                return channel.writeLine(
-                    errorJson("unknown wire format '" + wanted +
-                              "' (expected json or binary)")
-                        .dump());
-            }
-            wire = wanted == "binary" ? WireFormat::Binary
-                                      : WireFormat::Json;
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", wanted);
-            ok.set("protocol", serviceProtocolVersion);
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "ping") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("pong", true);
-            ok.set("protocol", serviceProtocolVersion);
-            ok.set("fleet", true);
-            ok.set("nodes",
-                   static_cast<uint64_t>(router_.nodeCount()));
-            ok.set("alive",
-                   static_cast<uint64_t>(router_.aliveCount()));
-            Json families = Json::array();
-            for (const SweepFamilyInfo &family : sweepFamilies())
-                families.push(family.name);
-            ok.set("sweepFamilies", std::move(families));
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "status") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("fleet", true);
-            Json nodes = Json::array();
-            for (const FleetNodeStatus &s : router_.status()) {
-                Json node = Json::object();
-                node.set("endpoint", s.name);
-                node.set("alive", s.alive);
-                if (!s.lastError.empty())
-                    node.set("error", s.lastError);
-                node.set("served", s.pointsServed);
-                nodes.push(std::move(node));
-            }
-            ok.set("nodes", std::move(nodes));
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "metrics")
-            return handleMetrics(request, channel);
-        if (op == "sweep")
-            return handleSweep(request, channel, wire);
-        if (op == "compare")
-            return handleCompare(request, channel);
-        if (op == "run")
-            return handleRun(request, channel, wire);
-        if (op == "shutdown") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("stopping", true);
-            channel.writeLine(ok.dump());
-            inform("mtvd: shutdown requested by client");
-            stop();
-            return false;
-        }
-        if (op == "stats" || op == "clear" || op == "cancel") {
-            // The router owns no engine: nothing to clear, no cache
-            // counters, and in-flight bookkeeping lives node-side.
-            return channel.writeLine(
+        ok.set("nodes", std::move(nodes));
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["metrics"] = [this](const Json &, Connection &conn) {
+        return handleMetrics(conn);
+    };
+    service.ops["sweep"] = [this](const Json &request, Connection &conn) {
+        return handleSweep(request, conn);
+    };
+    service.ops["compare"] = [this](const Json &request,
+                                    Connection &conn) {
+        return handleCompare(request, conn);
+    };
+    service.ops["run"] = [this](const Json &request, Connection &conn) {
+        return handleRun(request, conn);
+    };
+    // The router owns no engine: nothing to clear, no cache counters,
+    // and in-flight bookkeeping lives node-side.
+    for (const char *op : {"stats", "clear", "cancel"}) {
+        service.ops[op] = [op](const Json &, Connection &conn) {
+            return conn.writeLine(
                 errorJson(format("op '%s' is not served by a fleet "
                                  "router — talk to a node directly",
-                                 op.c_str()))
+                                 op))
                     .dump());
-        }
-        return channel.writeLine(
-            errorJson(op.empty() ? "request names no op"
-                                 : "unknown op '" + op + "'")
-                .dump());
-    } catch (const FatalError &e) {
-        return channel.writeLine(
-            requestErrorJson(
-                request.get("id").type() == Json::Type::Number
-                    ? static_cast<uint64_t>(
-                          request.getNumber("id"))
-                    : 0,
-                e.what())
-                .dump());
+        };
     }
+    return service;
 }
 
 bool
-FleetService::handleMetrics(const Json &request, LineChannel &channel)
+FleetService::handleMetrics(Connection &conn)
 {
-    (void)request;  // prom exposition is per-node; nothing to forward
+    // Prom exposition is per-node; nothing of the request to forward.
     Json ok = Json::object();
     ok.set("ok", true);
     ok.set("fleet", true);
@@ -513,24 +269,22 @@ FleetService::handleMetrics(const Json &request, LineChannel &channel)
     for (const auto &total : totals)
         totalsJson.set(total.first, total.second);
     ok.set("totals", std::move(totalsJson));
-    return channel.writeLine(ok.dump());
+    return conn.writeLine(ok.dump());
 }
 
 bool
-FleetService::handleSweep(const Json &request, LineChannel &channel,
-                          WireFormat wire)
+FleetService::handleSweep(const Json &request, Connection &conn)
 {
-    const uint64_t id = request.get("id").asU64();
+    const uint64_t id = safeRequestId(request);
     if (request.has("points") || request.has("ring")) {
         // A router is not a node: the scatter path terminates here.
-        return channel.writeLine(
+        return conn.writeLine(
             requestErrorJson(id, "a fleet router does not accept "
                                  "point subsets or a ring")
                 .dump());
     }
     const SweepRequest sweep = sweepRequestFromJson(request);
-    RelayWriter writer(channel, id, request.getBool("quiet", false),
-                       wire, obsWriteStallUs_);
+    RelayWriter writer(conn, id, request.getBool("quiet", false));
 
     bool ackOk = true;
     const FleetOutcome outcome = router_.runSweep(
@@ -549,7 +303,7 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
             for (const SweepSlice &slice : slices)
                 sliceArray.push(sliceToJson(slice));
             ack.set("slices", std::move(sliceArray));
-            ackOk = channel.writeLine(ack.dump());
+            ackOk = conn.writeLine(ack.dump());
         });
 
     // A failed write means the client vanished mid-stream.
@@ -557,10 +311,9 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
 }
 
 bool
-FleetService::handleCompare(const Json &request,
-                            LineChannel &channel)
+FleetService::handleCompare(const Json &request, Connection &conn)
 {
-    const uint64_t id = request.get("id").asU64();
+    const uint64_t id = safeRequestId(request);
     const SweepRequest sweep = sweepRequestFromJson(request);
 
     // Comparability is checked against the local expansion before
@@ -578,7 +331,7 @@ FleetService::handleCompare(const Json &request,
                         "' is not design-parallel and cannot be "
                         "compared");
             err.set("notComparable", sweep.family);
-            return channel.writeLine(err.dump());
+            return conn.writeLine(err.dump());
         }
     }
 
@@ -613,22 +366,20 @@ FleetService::handleCompare(const Json &request,
          compareDesigns(outcome.slices, results))
         rows.push(compareRowToJson(row));
     ok.set("rows", std::move(rows));
-    return channel.writeLine(ok.dump());
+    return conn.writeLine(ok.dump());
 }
 
 bool
-FleetService::handleRun(const Json &request, LineChannel &channel,
-                        WireFormat wire)
+FleetService::handleRun(const Json &request, Connection &conn)
 {
-    const uint64_t id = request.get("id").asU64();
+    const uint64_t id = safeRequestId(request);
     std::vector<RunSpec> specs;
     for (const Json &spec : request.get("specs").asArray())
         specs.push_back(RunSpec::parse(spec.asString()));
     if (specs.empty())
         fatal("run request carries no specs");
 
-    RelayWriter writer(channel, id, request.getBool("quiet", false),
-                       wire, obsWriteStallUs_);
+    RelayWriter writer(conn, id, request.getBool("quiet", false));
     const FleetOutcome outcome = router_.runSpecs(
         specs, [&writer](size_t global, std::string &payload,
                          bool moreReady) {

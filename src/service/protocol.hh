@@ -577,7 +577,7 @@ void setSocketTimeouts(int fd, int timeoutMs);
  * returned Endpoint carries the actually-bound port — how tests and
  * the fleet smoke script get collision-free ports. @p backlog is the
  * listen(2) queue. The unix-socket variant does NOT unlink or probe
- * the path; MtvService owns that policy.
+ * the path; ConnectionCore owns that policy.
  */
 int listenOnEndpoint(const Endpoint &endpoint, Endpoint *bound,
                      int backlog = 64);

@@ -1,22 +1,12 @@
 #include "src/service/server.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <thread>
 #include <vector>
-
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -29,32 +19,6 @@ namespace mtv
 
 namespace
 {
-
-Json
-errorJson(const std::string &message)
-{
-    Json j = Json::object();
-    j.set("error", message);
-    return j;
-}
-
-/** sweepRegistryHash() as the hello answer's "registry" text. */
-const std::string &
-registryText()
-{
-    static const std::string text = format(
-        "%016llx", static_cast<unsigned long long>(sweepRegistryHash()));
-    return text;
-}
-
-/** An error that belongs to one multiplexed request. */
-Json
-requestErrorJson(uint64_t id, const std::string &message)
-{
-    Json j = errorJson(message);
-    j.set("id", id);
-    return j;
-}
 
 /**
  * A wedged simulation as a structured error response: the message
@@ -83,97 +47,19 @@ simErrorJson(uint64_t id, const SimError &e)
     return j;
 }
 
-/**
- * The request id, tolerating absent or malformed ids (0): the id
- * must be extractable even on the error path, where fatal() no
- * longer throws.
- */
-uint64_t
-safeRequestId(const Json &request)
-{
-    const Json &id = request.get("id");
-    if (id.type() != Json::Type::Number)
-        return 0;
-    const double v = id.asNumber();
-    if (v < 0 || v != std::floor(v) || v > 9.007199254740992e15)
-        return 0;
-    return static_cast<uint64_t>(v);
-}
-
 } // namespace
 
 /**
  * Everything one connection's read loop shares with its streaming
- * threads: the channel (writes serialized by writeMutex), the batch
- * slot accounting, and the streaming threads themselves (joined by
- * the read loop before the connection closes).
+ * threads: the connection (writes serialized by the core's funnel),
+ * the batch slot accounting, and the streaming threads themselves
+ * (joined by the close hook before the connection closes).
  */
-struct MtvService::ClientState
+struct MtvService::ClientState : Connection::State
 {
-    ClientState(MtvService *service, int fd)
-        : service(service), channel(fd)
-    {
-    }
+    explicit ClientState(Connection &conn) : conn(conn) {}
 
-    /** Thread-safe line write; false when the peer is gone. */
-    bool
-    write(const std::string &line)
-    {
-        return writeOut(line, /*frame=*/false);
-    }
-
-    /** Thread-safe write of pre-encoded frame bytes (no newline). */
-    bool
-    writeFrameBytes(const std::string &bytes)
-    {
-        return writeOut(bytes, /*frame=*/true);
-    }
-
-    bool
-    writeOut(const std::string &bytes, bool frame)
-    {
-        // Write-stall accounting covers the whole funnel: waiting on
-        // the per-connection write mutex (another stream holds it)
-        // plus the blocking send itself (slow reader, full socket
-        // buffer). Two clock reads per line, next to a syscall.
-        const uint64_t startUs = monotonicMicros();
-        bool ok;
-        {
-            std::lock_guard<std::mutex> lock(writeMutex);
-            if (writeFailed.load())
-                return false;
-            ok = frame ? channel.writeBytes(bytes)
-                       : channel.writeLine(bytes);
-            const uint64_t sent = channel.bytesWritten();
-            service->obsBytesSent_->inc(sent - lastBytesSent);
-            lastBytesSent = sent;
-            if (!ok) {
-                // Sticky: once the peer is gone, the read loop must
-                // stop admitting its pipelined requests (simulating
-                // batches nobody can receive) and close the
-                // connection. Reap immediately — every in-flight
-                // batch of this connection is now simulating for
-                // nobody.
-                writeFailed.store(true);
-                service->obsWriteFailures_->inc();
-                service->reapClient(*this);
-            }
-        }
-        service->obsWriteStallUs_->inc(monotonicMicros() - startUs);
-        return ok;
-    }
-
-    MtvService *service;
-    LineChannel channel;
-    std::mutex writeMutex;
-    std::atomic<bool> writeFailed{false};
-    /** channel.bytesWritten() already fed to the byte counter
-     *  (guarded by writeMutex). */
-    uint64_t lastBytesSent = 0;
-
-    /** Result-point wire format of this connection, set by the
-     *  "hello" op (the streaming threads read it per batch). */
-    std::atomic<WireFormat> wire{WireFormat::Json};
+    Connection &conn;
 
     /** This connection's engine scheduling lane. */
     LaneId lane = ExperimentEngine::defaultLane;
@@ -222,9 +108,6 @@ struct MtvService::ClientState
 
 MtvService::MtvService(ServiceOptions options)
 {
-    socketPath_ = options.socketPath.empty() ? defaultSocketPath()
-                                             : options.socketPath;
-
     if (!options.storeDir.empty()) {
         store_ = std::make_shared<ResultStore>(options.storeDir,
                                                options.storeShards);
@@ -262,242 +145,127 @@ MtvService::MtvService(ServiceOptions options)
     obsPointsInFlight_ = reg.gauge("service_points_in_flight");
     obsUnsubmittedPoints_ =
         reg.counter("service_unsubmitted_points_total");
-    obsConnections_ = reg.gauge("service_connections");
-    obsConnectionsTotal_ = reg.counter("service_connections_total");
-    obsWriteStallUs_ = reg.counter("service_write_stall_us_total");
-    obsWriteFailures_ = reg.counter("service_write_failures_total");
-    obsBytesSent_ = reg.counter("service_bytes_sent");
-    obsBytesReceived_ = reg.counter("service_bytes_received");
-
-    // A leftover socket file from a killed daemon would block bind();
-    // only a *connectable* socket means a live daemon.
-    std::string connectError;
-    const int probe = connectToDaemon(socketPath_, &connectError);
-    if (probe >= 0) {
-        ::close(probe);
-        fatal("another mtvd is already serving '%s'",
-              socketPath_.c_str());
-    }
-    ::unlink(socketPath_.c_str());
-
-    Listener unixListener;
-    unixListener.endpoint = Endpoint::unixSocket(socketPath_);
-    unixListener.fd =
-        listenOnEndpoint(unixListener.endpoint, nullptr);
-    listeners_.push_back(unixListener);
-
-    if (!options.tcpHost.empty()) {
-        Listener tcpListener;
-        tcpListener.fd = listenOnEndpoint(
-            Endpoint::tcp(options.tcpHost, options.tcpPort),
-            &tcpListener.endpoint);
-        tcpPort_ = tcpListener.endpoint.port;
-        listeners_.push_back(tcpListener);
-    }
+    core_ = std::make_unique<ConnectionCore>(options, coreService());
 }
 
-MtvService::~MtvService()
+MtvService::ClientState &
+MtvService::stateOf(Connection &conn)
 {
-    stop();
-    // serve() may never have run; make teardown idempotent here.
-    teardownClients();
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::close(listener.fd);
-    }
-    ::unlink(socketPath_.c_str());
+    return static_cast<ClientState &>(*conn.state);
 }
 
-void
-MtvService::reapFinishedLocked()
+ConnectionCore::Service
+MtvService::coreService()
 {
-    for (auto &thread : finishedClients_)
-        thread.join();
-    finishedClients_.clear();
-}
-
-void
-MtvService::teardownClients()
-{
-    // Bound shutdown latency: queued-but-unstarted engine work is
-    // dropped (its futures break, which the streaming threads treat
-    // as "shutting down"); only the simulations already running
-    // finish.
-    const size_t dropped = engine_->discardQueued();
-    if (dropped > 0) {
-        inform("mtvd: dropped %zu queued runs at shutdown",
-               dropped);
-    }
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        for (auto &client : activeClients_) {
-            ::shutdown(client.first, SHUT_RDWR);
-            threads.push_back(std::move(client.second));
+    ConnectionCore::Service service;
+    service.writeStallUs =
+        MetricsRegistry::instance().counter("service_write_stall_us_total");
+    service.banner = format(" (%d workers%s)", engine_->workers(),
+                            store_ ? ", persistent store" : "");
+    service.open = [this](Connection &conn) {
+        auto client = std::make_unique<ClientState>(conn);
+        client->clientId = nextClientId_.fetch_add(1);
+        client->lane = engine_->openLane();
+        conn.state = std::move(client);
+    };
+    // Every in-flight batch of a connection whose write failed is now
+    // simulating for nobody: reap at the first failed write.
+    service.writeFailed = [this](Connection &conn) {
+        reapClient(stateOf(conn));
+    };
+    service.close = [this](Connection &conn) {
+        // The peer is gone (or the daemon is stopping): cancel the
+        // connection's batches and drop its queued engine work so
+        // abandoned points free their worker slots instead of
+        // simulating for nobody — and so the joins below are quick.
+        ClientState &client = stateOf(conn);
+        reapClient(client);
+        engine_->closeLane(client.lane);
+        // In-flight batches drain before the connection closes:
+        // their threads hold references to it. A gone peer makes
+        // their writes fail fast; daemon shutdown breaks their
+        // futures.
+        for (auto &stream : client.streams) {
+            if (stream.second.joinable())
+                stream.second.join();
         }
-        activeClients_.clear();
-        for (auto &thread : finishedClients_)
-            threads.push_back(std::move(thread));
-        finishedClients_.clear();
-    }
-    for (auto &thread : threads)
-        thread.join();
-}
+    };
+    service.teardown = [this] {
+        // Bound shutdown latency: queued-but-unstarted engine work is
+        // dropped (its futures break, which the streaming threads
+        // treat as "shutting down"); only the simulations already
+        // running finish.
+        const size_t dropped = engine_->discardQueued();
+        if (dropped > 0)
+            inform("mtvd: dropped %zu queued runs at shutdown", dropped);
+    };
 
-void
-MtvService::serve()
-{
-    for (const Listener &listener : listeners_) {
-        inform("mtvd: listening on %s (%d workers%s)",
-               listener.endpoint.describe().c_str(),
-               engine_->workers(),
-               store_ ? ", persistent store" : "");
-    }
-    // One accept loop over every listener (unix + TCP): poll for a
-    // readable listening socket, accept, hand the connection its
-    // thread. Both transports feed the identical per-connection
-    // protocol path.
-    std::vector<pollfd> fds;
-    fds.reserve(listeners_.size());
-    for (const Listener &listener : listeners_)
-        fds.push_back(pollfd{listener.fd, POLLIN, 0});
-    while (!stopping_.load()) {
-        for (pollfd &p : fds)
-            p.revents = 0;
-        const int ready = ::poll(fds.data(), fds.size(), 500);
-        if (stopping_.load())
-            break;
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;  // the listen set is genuinely broken
+    service.ops["run"] = [this](const Json &request, Connection &conn) {
+        return handleRun(request, stateOf(conn));
+    };
+    service.ops["sweep"] = [this](const Json &request, Connection &conn) {
+        return handleSweep(request, stateOf(conn));
+    };
+    service.ops["compare"] = [this](const Json &request,
+                                    Connection &conn) {
+        return handleCompare(request, stateOf(conn));
+    };
+    service.ops["ping"] = [this](const Json &, Connection &conn) {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("pong", true);
+        ok.set("protocol", serviceProtocolVersion);
+        ok.set("workers", engine_->workers());
+        Json families = Json::array();
+        for (const SweepFamilyInfo &family : sweepFamilies())
+            families.push(family.name);
+        ok.set("sweepFamilies", std::move(families));
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["stats"] = [this](const Json &, Connection &conn) {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("workers", engine_->workers());
+        Json counters = Json::object();
+        counters.set("activeRequests", activeRequests_.load());
+        counters.set("completedPoints", completedPoints_.load());
+        ok.set("service", std::move(counters));
+        ok.set("cache", engineStatsToJson(*engine_));
+        ok.set("store", store_ ? storeStatsToJson(*store_) : Json());
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["status"] = [this](const Json &, Connection &conn) {
+        return conn.writeLine(statusJson().dump());
+    };
+    service.ops["metrics"] = [](const Json &request, Connection &conn) {
+        const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("metrics", metricsToJson(snap));
+        if (request.getBool("prom", false))
+            ok.set("prom", renderProm(snap));
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["cancel"] = [this](const Json &request, Connection &conn) {
+        const uint64_t target = safeRequestId(request);
+        if (target == 0) {
+            return conn.writeLine(errorJson("cancel needs the request id "
+                                            "of the batch to cancel")
+                                      .dump());
         }
-        if (ready == 0)
-            continue;
-        for (size_t i = 0; i < fds.size(); ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP)))
-                continue;
-            const int fd = ::accept(listeners_[i].fd, nullptr,
-                                    nullptr);
-            if (fd < 0) {
-                if (stopping_.load())
-                    break;
-                if (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK) {
-                    continue;
-                }
-                if (errno == EMFILE || errno == ENFILE ||
-                    errno == ECONNABORTED || errno == EPROTO) {
-                    // Transient pressure (fd exhaustion, aborted
-                    // handshake) must not take the shared daemon
-                    // down; back off and keep serving.
-                    warn("mtvd: accept failed: %s — retrying",
-                         std::strerror(errno));
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(100));
-                    continue;
-                }
-                continue;
-            }
-            if (listeners_[i].endpoint.kind == Endpoint::Kind::Tcp) {
-                // Nagle would stall every small response line by up
-                // to 40ms; the protocol is latency-bound lines.
-                int one = 1;
-                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-            }
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            reapFinishedLocked();  // no dead-thread accumulation
-            activeClients_.emplace(
-                fd,
-                std::thread([this, fd] { handleConnection(fd); }));
-        }
-    }
-
-    // Teardown on the serve thread: kick every open connection, then
-    // wait for its thread to finish cleanly.
-    teardownClients();
-}
-
-void
-MtvService::stop()
-{
-    // Kept async-signal-safe (mtvd calls this from SIGTERM/SIGINT):
-    // flag + shutdown only; joining happens on the serve() thread.
-    stopping_.store(true);
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::shutdown(listener.fd, SHUT_RDWR);
-    }
-}
-
-void
-MtvService::handleConnection(int fd)
-{
-    ClientState client(this, fd);
-    client.clientId = nextClientId_.fetch_add(1);
-    client.lane = engine_->openLane();
-    obsConnections_->add(1);
-    obsConnectionsTotal_->inc();
-    std::string line;
-    uint64_t lastBytesReceived = 0;
-    while (!stopping_.load() && !client.writeFailed.load()) {
-        const LineChannel::MessageKind kind =
-            client.channel.readMessage(&line);
-        const uint64_t received = client.channel.bytesRead();
-        obsBytesReceived_->inc(received - lastBytesReceived);
-        lastBytesReceived = received;
-        if (kind == LineChannel::MessageKind::Eof)
-            break;
-        if (kind != LineChannel::MessageKind::Line) {
-            // Result frames flow server->client only; a frame (or
-            // frame-marker garbage) on the request channel means the
-            // peer lost the framing. One structured error, then a
-            // clean close — resynchronizing an unframed byte stream
-            // is not possible.
-            Json err = errorJson(
-                "binary frame on the request channel");
-            err.set("badFrame", true);
-            client.write(err.dump());
-            break;
-        }
-        if (line.empty())
-            continue;
-        Json request;
-        std::string parseError;
-        if (!Json::parse(line, &request, &parseError)) {
-            if (!client.write(errorJson(parseError).dump()))
-                break;
-            continue;
-        }
-        if (!handleRequest(request, client))
-            break;
-    }
-    // The peer is gone (or the daemon is stopping): cancel the
-    // connection's batches and drop its queued engine work so
-    // abandoned points free their worker slots instead of simulating
-    // for nobody — and so the joins below are quick.
-    reapClient(client);
-    engine_->closeLane(client.lane);
-    obsConnections_->add(-1);
-    // In-flight batches drain before the channel closes: their
-    // threads hold pointers into this stack frame. A gone peer makes
-    // their writes fail fast; daemon shutdown breaks their futures.
-    for (auto &stream : client.streams) {
-        if (stream.second.joinable())
-            stream.second.join();
-    }
-    // Move our own thread handle to the finished list (joined by the
-    // accept loop or teardown) while the descriptor is still open, so
-    // teardown can never shutdown() a recycled fd; the channel closes
-    // it after. During teardown the entry may already be gone — the
-    // teardown thread owns the handle then.
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    auto self = activeClients_.find(fd);
-    if (self != activeClients_.end()) {
-        finishedClients_.push_back(std::move(self->second));
-        activeClients_.erase(self);
-    }
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("cancelled", cancelBatches(target));
+        return conn.writeLine(ok.dump());
+    };
+    service.ops["clear"] = [this](const Json &, Connection &conn) {
+        engine_->clear();
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("cleared", true);
+        return conn.writeLine(ok.dump());
+    };
+    return service;
 }
 
 void
@@ -628,140 +396,17 @@ MtvService::statusJson()
 }
 
 bool
-MtvService::handleRequest(const Json &request, ClientState &client)
-{
-    try {
-        // Client input flows through fatal()-reporting validation
-        // (JSON shape, RunSpec::parse, findProgram, expandSweep); a
-        // user error must answer this client, not kill the daemon.
-        ScopedFatalAsException fatalScope;
-
-        const std::string op = request.getString("op");
-        if (op == "hello") {
-            // Wire negotiation (protocol v6): the client asks for a
-            // result-point encoding; everything else on the stream
-            // stays JSON lines. An unknown value answers an error and
-            // leaves the connection on JSON — old daemons answer
-            // "unknown op" here, which v6 clients treat the same way.
-            const std::string wanted =
-                request.has("wire") ? request.getString("wire")
-                                    : "json";
-            WireFormat wire;
-            if (wanted == "json")
-                wire = WireFormat::Json;
-            else if (wanted == "binary")
-                wire = WireFormat::Binary;
-            else {
-                return client.write(
-                    errorJson("unknown wire format '" + wanted +
-                              "' (expected json or binary)")
-                        .dump());
-            }
-            client.wire.store(wire);
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", wanted);
-            ok.set("protocol", serviceProtocolVersion);
-            ok.set("registry", registryText());
-            return client.write(ok.dump());
-        }
-        if (op == "run")
-            return handleRun(request, client);
-        if (op == "sweep")
-            return handleSweep(request, client);
-        if (op == "compare")
-            return handleCompare(request, client);
-        if (op == "ping") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("pong", true);
-            ok.set("protocol", serviceProtocolVersion);
-            ok.set("workers", engine_->workers());
-            Json families = Json::array();
-            for (const SweepFamilyInfo &family : sweepFamilies())
-                families.push(family.name);
-            ok.set("sweepFamilies", std::move(families));
-            return client.write(ok.dump());
-        }
-        if (op == "stats") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("workers", engine_->workers());
-            Json service = Json::object();
-            service.set("activeRequests", activeRequests_.load());
-            service.set("completedPoints", completedPoints_.load());
-            ok.set("service", std::move(service));
-            ok.set("cache", engineStatsToJson(*engine_));
-            ok.set("store",
-                   store_ ? storeStatsToJson(*store_) : Json());
-            return client.write(ok.dump());
-        }
-        if (op == "status")
-            return client.write(statusJson().dump());
-        if (op == "metrics") {
-            const MetricsSnapshot snap =
-                MetricsRegistry::instance().snapshot();
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("metrics", metricsToJson(snap));
-            if (request.getBool("prom", false))
-                ok.set("prom", renderProm(snap));
-            return client.write(ok.dump());
-        }
-        if (op == "cancel") {
-            const uint64_t target = safeRequestId(request);
-            if (target == 0) {
-                return client.write(
-                    errorJson("cancel needs the request id of the "
-                              "batch to cancel")
-                        .dump());
-            }
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("cancelled", cancelBatches(target));
-            return client.write(ok.dump());
-        }
-        if (op == "clear") {
-            engine_->clear();
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("cleared", true);
-            return client.write(ok.dump());
-        }
-        if (op == "shutdown") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("stopping", true);
-            client.write(ok.dump());
-            inform("mtvd: shutdown requested by client");
-            stop();
-            return false;
-        }
-        client.write(errorJson("unknown op '" + op + "'").dump());
-        return true;
-    } catch (const FatalError &e) {
-        // Validation failed before a batch was admitted; a request
-        // id, when present, routes the error to its sender.
-        Json j = errorJson(e.what());
-        if (request.has("id"))
-            j.set("id", safeRequestId(request));
-        return client.write(j.dump());
-    }
-}
-
-bool
 MtvService::acquireSlot(ClientState &client)
 {
     // The protocol's backpressure: with every slot streaming, the
     // read loop parks here, stops draining the socket, and the
     // client's sends eventually block.
     std::unique_lock<std::mutex> lock(client.slotMutex);
-    client.slotCv.wait(lock, [this, &client] {
-        return stopping_.load() || client.writeFailed.load() ||
+    client.slotCv.wait(lock, [&client] {
+        return !client.conn.live() ||
                client.inflight < maxInflightRequestsPerConnection;
     });
-    if (stopping_.load() || client.writeFailed.load())
+    if (!client.conn.live())
         return false;
     ++client.inflight;
     return true;
@@ -814,7 +459,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
         for (const SweepFamilyInfo &family : sweepFamilies())
             families.push(family.name);
         err.set("families", std::move(families));
-        return client.write(err.dump());
+        return client.conn.writeLine(err.dump());
     }
 
     // "ring" makes this node one owner of an owner-computes scatter:
@@ -843,7 +488,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
         if (!selection.ring) {
             Json err = requestErrorJson(id, problem);
             err.set("badRing", field);
-            return client.write(err.dump());
+            return client.conn.writeLine(err.dump());
         }
     }
 
@@ -887,7 +532,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
                 Json err = requestErrorJson(id, problem);
                 err.set("badPoints", static_cast<uint64_t>(k));
                 err.set("total", static_cast<uint64_t>(total));
-                return client.write(err.dump());
+                return client.conn.writeLine(err.dump());
             }
             subset.push_back(std::move(specs[index]));
             selection.seqs.push_back(index);
@@ -907,7 +552,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     for (const SweepSlice &slice : sweep.slices())
         slices.push(sliceToJson(slice));
     ack.set("slices", std::move(slices));
-    if (!client.write(ack.dump()))
+    if (!client.conn.writeLine(ack.dump()))
         return false;
 
     if (!acquireSlot(client))
@@ -936,7 +581,7 @@ MtvService::handleCompare(const Json &request, ClientState &client)
         for (const SweepFamilyInfo &family : sweepFamilies())
             families.push(family.name);
         err.set("families", std::move(families));
-        return client.write(err.dump());
+        return client.conn.writeLine(err.dump());
     }
 
     SweepBuilder sweep = expandSweep(sweepRequest);
@@ -956,7 +601,7 @@ MtvService::handleCompare(const Json &request, ClientState &client)
                     "' is not design-parallel and cannot be "
                     "compared");
         err.set("notComparable", sweepRequest.family);
-        return client.write(err.dump());
+        return client.conn.writeLine(err.dump());
     }
 
     auto compare = std::make_shared<CompareJob>();
@@ -1027,7 +672,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // in-flight stream must not flip the encoding mid-stream (the
     // ack's ordering guarantee is per-request, not per-connection).
     const bool binary =
-        client.wire.load() == WireFormat::Binary && !compare;
+        client.conn.wire() == WireFormat::Binary && !compare;
 
     // Submit in a bounded window, then consume the futures in
     // submission order, writing each point as its result lands: at
@@ -1123,7 +768,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     const auto flushOutbox = [&]() {
         if (outbox.empty())
             return true;
-        const bool ok = client.writeFrameBytes(outbox);
+        const bool ok = client.conn.writeBytes(outbox);
         outbox.clear();
         return ok;
     };
@@ -1157,12 +802,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             // full, but never worth the daemon's life.
             warn("mtvd: %s", e.what());
             flushOutbox();
-            client.write(simErrorJson(id, e).dump());
+            client.conn.writeLine(simErrorJson(id, e).dump());
             aborted = true;
             break;
         } catch (const FatalError &e) {
             flushOutbox();
-            client.write(requestErrorJson(id, e.what()).dump());
+            client.conn.writeLine(requestErrorJson(id, e.what()).dump());
             aborted = true;
             break;
         }
@@ -1261,7 +906,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("cancelled", true);
         done.set("count", static_cast<uint64_t>(count));
         done.set("completed", static_cast<uint64_t>(completed));
-        client.write(done.dump());
+        client.conn.writeLine(done.dump());
     } else if (!aborted && compare) {
         // The compare answer: one aggregated line, the digest folded
         // over the same blobs the equivalent sweep would stream.
@@ -1285,12 +930,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                  compareDesigns(compare->slices, collected))
                 rows.push(compareRowToJson(row));
             ok.set("rows", std::move(rows));
-            if (client.write(ok.dump())) {
+            if (client.conn.writeLine(ok.dump())) {
                 obsDoneUs_[sweep]->observe(monotonicMicros() -
                                            admittedUs);
             }
         } catch (const FatalError &e) {
-            client.write(requestErrorJson(id, e.what()).dump());
+            client.conn.writeLine(requestErrorJson(id, e.what()).dump());
         }
     } else if (!aborted) {
         Json done = Json::object();
@@ -1303,7 +948,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("digest", format("%016llx",
                                   static_cast<unsigned long long>(
                                       digest)));
-        if (client.write(done.dump())) {
+        if (client.conn.writeLine(done.dump())) {
             // Request→done latency, clean completions only: aborted
             // and cancelled streams are deliberately partial and
             // would pollute the series with early exits.

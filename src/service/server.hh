@@ -2,39 +2,30 @@
  * @file
  * MtvService: the engine room of the `mtvd` daemon. Owns one
  * ExperimentEngine (optionally backed by a persistent, sharded
- * ResultStore), listens on a unix stream socket (and, when
- * configured, a TCP endpoint — the fleet transport) through one
- * poll()-based accept loop, and serves the multiplexed streaming
- * JSON protocol of src/service/protocol.hh to any number of
- * concurrent clients on either transport.
+ * ResultStore) and serves the engine ops of src/service/protocol.hh
+ * through a ConnectionCore (src/service/connection_core.hh), which
+ * owns the listeners, connection threads, read loop, write funnel and
+ * request envelope.
  *
- * Concurrency model: one thread per connection reads and validates
- * requests; each batch request ("run" or server-side-expanded
- * "sweep") then streams from its own thread, so one connection can
- * keep several sweeps in flight. All response lines of a connection
- * funnel through one write mutex; a connection admits at most
- * maxInflightRequestsPerConnection concurrent batches — the read
- * loop stops consuming requests until a slot frees, which is the
- * protocol's backpressure — and each batch keeps at most
- * streamWindowPoints points submitted ahead of its write cursor, so
- * a slow reader holds back its own batch, not daemon memory. All
- * clients share the engine's memory cache, in-flight coalescing map
- * and store — N clients requesting the same spec cost one
- * simulation. Client errors (bad JSON, unknown programs, malformed
- * specs, unknown sweep families) are answered with {"error":...} and
- * never take the daemon down; validation runs under
- * ScopedFatalAsException.
+ * Per connection the service keeps an engine scheduling lane
+ * (weighted round-robin across lanes — no client can
+ * head-of-line-block another), the cancel tokens of its batches, and
+ * its batch slots: each batch request ("run", "sweep", "compare")
+ * streams from its own thread, at most
+ * maxInflightRequestsPerConnection at once — the read loop stops
+ * consuming requests until a slot frees, which is the protocol's
+ * backpressure — and each batch keeps at most streamWindowPoints
+ * points submitted ahead of its write cursor, so a slow reader holds
+ * back its own batch, not daemon memory. All clients share the
+ * engine's memory cache, in-flight coalescing map and store.
  *
- * Request lifecycle: each connection gets its own engine scheduling
- * lane (weighted round-robin across lanes — no client can
- * head-of-line-block another) and every admitted batch carries a
- * CancelToken, registered service-wide so a "cancel" op from any
- * connection can hit it by request id. The moment a connection's
- * peer vanishes — a write fails (sticky writeFailed) or its socket
+ * Every batch's CancelToken is registered service-wide, so a "cancel"
+ * op from any connection can hit it by request id. The moment a
+ * connection's peer vanishes — its first write fails or its socket
  * closes — the service reaps the connection: all its tokens are
  * cancelled and its lane's queued engine work is dropped, so
- * abandoned sweeps free their worker slots instead of simulating
- * for nobody.
+ * abandoned sweeps free their worker slots instead of simulating for
+ * nobody.
  */
 
 #ifndef MTV_SERVICE_SERVER_HH
@@ -44,11 +35,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/api/engine.hh"
+#include "src/service/connection_core.hh"
 #include "src/service/protocol.hh"
 #include "src/store/result_store.hh"
 
@@ -57,20 +48,10 @@ namespace mtv
 
 class HashRing;
 
-/** Configuration of one MtvService instance. */
-struct ServiceOptions
+/** Configuration of one MtvService instance: where it listens
+ *  (ListenOptions) plus its engine and store. */
+struct ServiceOptions : ListenOptions
 {
-    /** Unix socket path to listen on. Empty = defaultSocketPath(). */
-    std::string socketPath;
-    /**
-     * TCP listen host ("mtvd --tcp HOST:PORT"); empty = unix socket
-     * only. Both listeners serve the identical protocol; TCP is what
-     * lets mtvd nodes form a fleet across machines (src/fleet/).
-     */
-    std::string tcpHost;
-    /** TCP listen port; 0 = ephemeral (tests/smoke read the bound
-     *  port back via MtvService::tcpPort()). */
-    int tcpPort = 0;
     /**
      * Result-store directory backing the engine; empty = in-memory
      * only (results die with the daemon).
@@ -98,7 +79,6 @@ class MtvService
      * another live daemon already serves the socket.
      */
     explicit MtvService(ServiceOptions options);
-    ~MtvService();
 
     MtvService(const MtvService &) = delete;
     MtvService &operator=(const MtvService &) = delete;
@@ -108,7 +88,7 @@ class MtvService
      * request). Blocks; run it on the main thread (mtvd) or a
      * dedicated one (tests).
      */
-    void serve();
+    void serve() { core_->serve(); }
 
     /**
      * Ask serve() to return: stops accepting, shuts down client
@@ -116,7 +96,7 @@ class MtvService
      * from signal context (the heavy lifting happens on the serve()
      * thread).
      */
-    void stop();
+    void stop() { core_->stop(); }
 
     /** The engine all connections share. */
     ExperimentEngine &engine() { return *engine_; }
@@ -125,11 +105,11 @@ class MtvService
     const std::shared_ptr<ResultStore> &store() const { return store_; }
 
     /** Path the daemon is listening on. */
-    const std::string &socketPath() const { return socketPath_; }
+    const std::string &socketPath() const { return core_->socketPath(); }
 
     /** Bound TCP port (the kernel's choice for an ephemeral bind),
      *  or 0 when no TCP listener was configured. */
-    int tcpPort() const { return tcpPort_; }
+    int tcpPort() const { return core_->tcpPort(); }
 
     /** Batch requests currently streaming, across all connections. */
     uint64_t activeRequests() const { return activeRequests_.load(); }
@@ -166,6 +146,7 @@ class MtvService
     /** Per-connection state shared by the read loop and the
      *  request-streaming threads (defined in server.cc). */
     struct ClientState;
+    static ClientState &stateOf(Connection &conn);
 
     /** One in-flight batch in the service-wide registry ("cancel"
      *  targets and "status" per-connection accounting). */
@@ -205,10 +186,8 @@ class MtvService
         size_t self = 0;
     };
 
-    void handleConnection(int fd);
-    /** Serve one request; returns false when the connection should
-     *  close (shutdown request or write failure). */
-    bool handleRequest(const Json &request, ClientState &client);
+    /** The engine ops, for the ConnectionCore. */
+    ConnectionCore::Service coreService();
     /** Validate a "run" batch and start its streaming thread. */
     bool handleRun(const Json &request, ClientState &client);
     /** Expand a "sweep" request server-side, ack it, and start its
@@ -252,28 +231,9 @@ class MtvService
                      uint64_t admittedUs,
                      std::shared_ptr<const CompareJob> compare,
                      BatchPoints points);
-    /** Join threads whose connections have ended. Caller holds
-     *  clientsMutex_. */
-    void reapFinishedLocked();
-    /** Shut down remaining connections, drop queued engine work, and
-     *  join every client thread (serve() teardown and destructor). */
-    void teardownClients();
 
-    /** One listening socket (unix or TCP) the accept loop polls. */
-    struct Listener
-    {
-        int fd = -1;
-        Endpoint endpoint;
-    };
-
-    std::string socketPath_;
     std::shared_ptr<ResultStore> store_;
     std::unique_ptr<ExperimentEngine> engine_;
-    /** All listeners (unix socket always; TCP when configured),
-     *  served by one poll()-based accept loop. */
-    std::vector<Listener> listeners_;
-    int tcpPort_ = 0;
-    std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> activeRequests_{0};
     std::atomic<uint64_t> completedPoints_{0};
     std::atomic<uint64_t> cancelledBatches_{0};
@@ -288,17 +248,9 @@ class MtvService
     std::mutex batchesMutex_;
     std::unordered_map<uint64_t, BatchInfo> batches_;
 
-    std::mutex clientsMutex_;
-    /** Live connections: fd -> serving thread. */
-    std::unordered_map<int, std::thread> activeClients_;
-    /** Threads whose connection ended, awaiting a cheap join (reaped
-     *  on every accept so the daemon never accumulates dead ones). */
-    std::vector<std::thread> finishedClients_;
-
-    // Process-wide observability handles (src/obs/metrics.hh),
-    // request→first-point and request→done latency per op plus
-    // connection/write-path health. ClientState::write() reaches
-    // obsWriteStallUs_/obsWriteFailures_ through its service pointer.
+    // Process-wide observability handles (src/obs/metrics.hh):
+    // request→first-point and request→done latency per op, encode
+    // time and window occupancy.
     Histogram *obsFirstPointUs_[2] = {nullptr, nullptr}; ///< [sweep]
     Histogram *obsDoneUs_[2] = {nullptr, nullptr};       ///< [sweep]
     /** Per-point result encode latency, [sweep][binary wire]. */
@@ -307,12 +259,11 @@ class MtvService
     Gauge *obsInflightBatches_ = nullptr;
     Gauge *obsPointsInFlight_ = nullptr;
     Counter *obsUnsubmittedPoints_ = nullptr;
-    Gauge *obsConnections_ = nullptr;
-    Counter *obsConnectionsTotal_ = nullptr;
-    Counter *obsWriteStallUs_ = nullptr;
-    Counter *obsWriteFailures_ = nullptr;
-    Counter *obsBytesSent_ = nullptr;
-    Counter *obsBytesReceived_ = nullptr;
+
+    /** Declared last, so it is destroyed first: its teardown joins
+     *  every connection thread while the engine and the batch
+     *  registry still exist. */
+    std::unique_ptr<ConnectionCore> core_;
 };
 
 } // namespace mtv

@@ -958,6 +958,72 @@ TEST_F(FleetFixture, RoutingDaemonRejectsAClientRing)
     serveThread.join();
 }
 
+TEST_F(FleetFixture, RoutingDaemonOverTcpAnswersWarmSweepsPromptly)
+{
+    // A routing daemon's accepted TCP sockets carry TCP_NODELAY like a
+    // node's. Without it each line after the first of a response
+    // waits for the client's delayed ACK: a warm quiet 14-point sweep
+    // over TCP took a median of ~44 ms against ~2 ms over the unix
+    // socket. The bound is on the difference of the two medians, so
+    // it holds in a sanitizer build too, where both paths are slower.
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.tcpHost = "127.0.0.1";
+    options.tcpPort = 0;  // kernel-chosen
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+    {
+        std::string error;
+        const int tcpFd = connectToEndpoint(
+            Endpoint::tcp("127.0.0.1", fleet.tcpPort()), &error);
+        ASSERT_GE(tcpFd, 0) << error;
+        LineChannel tcp(tcpFd);
+        const int unixFd = connectToDaemon(fleet.socketPath(), &error);
+        ASSERT_GE(unixFd, 0) << error;
+        LineChannel local(unixFd);
+        SweepRequest sweep;
+        sweep.family = "ext-multiport";
+        sweep.scale = 1e-5;
+        uint64_t id = 0;
+        const auto sweepMs = [&](LineChannel &channel) {
+            Json request = sweepRequestToJson(sweep);
+            request.set("op", "sweep");
+            request.set("id", ++id);
+            request.set("quiet", true);
+            const auto start = std::chrono::steady_clock::now();
+            EXPECT_TRUE(channel.writeLine(request.dump()));
+            std::string line;
+            while (channel.readLine(&line)) {
+                Json answer;
+                EXPECT_TRUE(Json::parse(line, &answer, &error)) << error;
+                EXPECT_FALSE(answer.has("error")) << line;
+                if (answer.has("error") || answer.getBool("done", false))
+                    break;
+            }
+            return std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                .count();
+        };
+        const auto median = [](std::vector<double> ms) {
+            std::sort(ms.begin(), ms.end());
+            return (ms[ms.size() / 2 - 1] + ms[ms.size() / 2]) / 2;
+        };
+        sweepMs(local);  // cold: fills the nodes' caches
+        std::vector<double> tcpMs;
+        std::vector<double> unixMs;
+        for (int i = 0; i < 10; ++i) {
+            tcpMs.push_back(sweepMs(tcp));
+            unixMs.push_back(sweepMs(local));
+        }
+        EXPECT_LT(median(tcpMs) - median(unixMs), 10.0)
+            << "TCP median " << median(tcpMs) << " ms, unix median "
+            << median(unixMs) << " ms";
+    }
+    fleet.stop();
+    serveThread.join();
+}
+
 TEST_F(FleetFixture, SilentNodeTimesOutAPingAndStopReturns)
 {
     // A node that accepts a connection and never answers: a ping is

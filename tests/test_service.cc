@@ -4,7 +4,9 @@
  * ScopedFatalAsException guard, and a live in-process mtvd loopback —
  * daemon results must be bit-identical to in-process runs, malformed
  * client input must be answered (not crash the daemon), and request
- * batches must stream back in submission order.
+ * batches must stream back in submission order. The request-envelope
+ * tests run twice: against a node and against a routing daemon in
+ * front of it.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "src/api/engine.hh"
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
+#include "src/fleet/fleet_service.hh"
 #include "src/fleet/ring.hh"
 #include "src/obs/metrics.hh"
 #include "src/service/json.hh"
@@ -269,39 +272,6 @@ TEST_F(ServiceFixture, RunBatchStreamsInOrderAndBitIdentical)
     EXPECT_EQ(done.get("count").asU64(), specs.size());
     // The duplicate third spec was coalesced/served by the cache.
     EXPECT_GE(done.get("cacheServed").asU64(), 1u);
-}
-
-TEST_F(ServiceFixture, MalformedInputAnswersWithoutDying)
-{
-    LineChannel channel = connect();
-
-    // Broken JSON.
-    ASSERT_TRUE(channel.writeLine("{not json"));
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));
-    EXPECT_NE(line.find("error"), std::string::npos);
-
-    // Valid JSON, unknown op.
-    Json bad = Json::object();
-    bad.set("op", "explode");
-    Json response = roundTrip(channel, bad);
-    EXPECT_TRUE(response.has("error"));
-
-    // Valid op, malformed spec (unknown program) — validation runs
-    // through fatal() and must come back as an error line.
-    Json run = Json::object();
-    run.set("op", "run");
-    Json specArray = Json::array();
-    specArray.push("mode=single;scale=0.001;max=0;"
-                   "programs=doesnotexist;machine=contexts=1");
-    run.set("specs", std::move(specArray));
-    response = roundTrip(channel, run);
-    EXPECT_TRUE(response.has("error"));
-
-    // The daemon survived all of it.
-    Json ping = Json::object();
-    ping.set("op", "ping");
-    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
 }
 
 TEST_F(ServiceFixture, StatsAndClear)
@@ -2007,31 +1977,6 @@ TEST(Protocol, SubmitFastPathCarriesCanonicalBlobZeroCopy)
     std::filesystem::remove_all(dir);
 }
 
-TEST_F(ServiceFixture, HelloNegotiatesWireFormat)
-{
-    LineChannel channel = connect();
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", std::string("binary"));
-    const Json confirm = roundTrip(channel, hello);
-    EXPECT_TRUE(confirm.getBool("ok"));
-    EXPECT_TRUE(confirm.getBool("hello"));
-    EXPECT_EQ(confirm.getString("wire"), "binary");
-    EXPECT_EQ(confirm.get("protocol").asU64(),
-              static_cast<uint64_t>(serviceProtocolVersion));
-
-    // An unknown wire value is an error and the connection stays on
-    // JSON — control ops keep answering lines.
-    LineChannel other = connect();
-    Json bad = Json::object();
-    bad.set("op", "hello");
-    bad.set("wire", std::string("carrier-pigeon"));
-    EXPECT_TRUE(roundTrip(other, bad).has("error"));
-    Json ping = Json::object();
-    ping.set("op", "ping");
-    EXPECT_TRUE(roundTrip(other, ping).getBool("pong"));
-}
-
 TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
 {
     SweepRequest request;
@@ -2122,13 +2067,196 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
     EXPECT_EQ(serverDigest, jsonTally.serverDigest);
 }
 
-TEST_F(ServiceFixture, FrameOnRequestChannelAnswersBadFrame)
+// ---------------------------------------------------------------------
+// Request envelope: a node and a routing daemon in front of one node
+// answer alike, because both run on the same connection core
+// ---------------------------------------------------------------------
+
+/** The fixture's node and, for the "router" parameter, an
+ *  `mtvd --route` in front of it; front() connects to whichever
+ *  answers the test. */
+class EnvelopeFixture : public ServiceFixture,
+                        public testing::WithParamInterface<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ServiceFixture::SetUp();
+        if (!GetParam())
+            return;
+        FleetServiceOptions options;
+        options.socketPath = socketPath_ + ".router";
+        options.nodes = {socketPath_};
+        router_ = std::make_unique<FleetService>(options);
+        routerThread_ = std::thread([this] { router_->serve(); });
+    }
+
+    void
+    TearDown() override
+    {
+        if (router_) {
+            router_->stop();
+            routerThread_.join();
+            router_.reset();
+        }
+        ServiceFixture::TearDown();
+    }
+
+    LineChannel
+    front()
+    {
+        if (!router_)
+            return connect();
+        std::string error;
+        const int fd = connectToDaemon(router_->socketPath(), &error);
+        EXPECT_GE(fd, 0) << error;
+        return LineChannel(fd);
+    }
+
+    /** The thread serving front(). */
+    std::thread &
+    frontThread()
+    {
+        return router_ ? routerThread_ : serveThread_;
+    }
+
+    std::unique_ptr<FleetService> router_;
+    std::thread routerThread_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Daemons, EnvelopeFixture, testing::Bool(),
+                         [](const testing::TestParamInfo<bool> &info) {
+                             return info.param ? "router" : "node";
+                         });
+
+TEST_P(EnvelopeFixture, MalformedInputAnswersWithoutDying)
+{
+    LineChannel channel = front();
+
+    // Broken JSON.
+    ASSERT_TRUE(channel.writeLine("{not json"));
+    std::string line;
+    ASSERT_TRUE(channel.readLine(&line));
+    EXPECT_NE(line.find("error"), std::string::npos);
+
+    // Valid JSON, unknown op.
+    Json bad = Json::object();
+    bad.set("op", "explode");
+    Json response = roundTrip(channel, bad);
+    EXPECT_TRUE(response.has("error"));
+
+    // Valid op, malformed spec (unknown program) — validation runs
+    // through fatal() and must come back as an error line.
+    Json run = Json::object();
+    run.set("op", "run");
+    Json specArray = Json::array();
+    specArray.push("mode=single;scale=0.001;max=0;"
+                   "programs=doesnotexist;machine=contexts=1");
+    run.set("specs", std::move(specArray));
+    response = roundTrip(channel, run);
+    EXPECT_TRUE(response.has("error"));
+
+    // The daemon survived all of it.
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+}
+
+TEST_P(EnvelopeFixture, MalformedIdsAnswerAsIdZeroAndARunNeedsNoId)
+{
+    // One request-id rule: an id that is not an integer in [0, 2^53]
+    // answers as id 0, with the very line a node gives, and the
+    // connection stays open.
+    LineChannel channel = front();
+    LineChannel node = connect();
+    for (const char *id : {"-1", "2.5", "1e300"}) {
+        const std::string request = format(
+            "{\"op\":\"run\",\"id\":%s,\"specs\":[\"bogus\"]}", id);
+        std::string line;
+        std::string nodeLine;
+        ASSERT_TRUE(channel.writeLine(request));
+        ASSERT_TRUE(channel.readLine(&line));
+        ASSERT_TRUE(node.writeLine(request));
+        ASSERT_TRUE(node.readLine(&nodeLine));
+        EXPECT_EQ(line, nodeLine) << id;
+        Json answer;
+        std::string error;
+        ASSERT_TRUE(Json::parse(line, &answer, &error)) << error;
+        EXPECT_TRUE(answer.has("error")) << line;
+        EXPECT_EQ(answer.get("id").asU64(), 0u) << line;
+    }
+
+    // A run without an id is served, as id 0.
+    Json run = Json::object();
+    run.set("op", "run");
+    run.set("quiet", true);
+    Json specArray = Json::array();
+    specArray.push(RunSpec::single("trfd", MachineParams::reference(),
+                                   testScale)
+                       .canonical());
+    run.set("specs", std::move(specArray));
+    ASSERT_TRUE(channel.writeLine(run.dump()));
+    size_t points = 0;
+    for (;;) {
+        std::string line;
+        ASSERT_TRUE(channel.readLine(&line));
+        Json answer;
+        std::string error;
+        ASSERT_TRUE(Json::parse(line, &answer, &error)) << error;
+        ASSERT_FALSE(answer.has("error")) << line;
+        EXPECT_EQ(answer.get("id").asU64(), 0u) << line;
+        if (answer.getBool("done", false)) {
+            EXPECT_EQ(answer.get("count").asU64(), 1u);
+            break;
+        }
+        ++points;
+    }
+    EXPECT_EQ(points, 1u);
+
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+}
+
+TEST_P(EnvelopeFixture, HelloNegotiatesWireFormat)
+{
+    LineChannel channel = front();
+    Json hello = Json::object();
+    hello.set("op", "hello");
+    hello.set("wire", std::string("binary"));
+    const Json confirm = roundTrip(channel, hello);
+    EXPECT_TRUE(confirm.getBool("ok"));
+    EXPECT_TRUE(confirm.getBool("hello"));
+    EXPECT_EQ(confirm.getString("wire"), "binary");
+    EXPECT_EQ(confirm.get("protocol").asU64(),
+              static_cast<uint64_t>(serviceProtocolVersion));
+    // Both daemons report the sweep registry the node does.
+    LineChannel node = connect();
+    const std::string registry =
+        roundTrip(node, hello).getString("registry");
+    EXPECT_EQ(registry.size(), 16u);
+    EXPECT_EQ(confirm.getString("registry"), registry);
+
+    // An unknown wire value is an error and the connection stays on
+    // JSON — control ops keep answering lines.
+    LineChannel other = front();
+    Json bad = Json::object();
+    bad.set("op", "hello");
+    bad.set("wire", std::string("carrier-pigeon"));
+    EXPECT_TRUE(roundTrip(other, bad).has("error"));
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(other, ping).getBool("pong"));
+}
+
+TEST_P(EnvelopeFixture, FrameOnRequestChannelAnswersBadFrame)
 {
     // Clients never send frames; a frame marker on the request
     // channel means framing is lost. The daemon answers a structured
     // badFrame error, closes the connection, and keeps serving
     // everyone else.
-    LineChannel channel = connect();
+    LineChannel channel = front();
     std::string garbage;
     garbage.push_back(static_cast<char>(resultFrameMarker));
     garbage.append("\x03\x00\x00\x00", 4);
@@ -2149,21 +2277,21 @@ TEST_F(ServiceFixture, FrameOnRequestChannelAnswersBadFrame)
     EXPECT_FALSE(channel.readLine(&line));  // connection closed
 
     // The daemon survived.
-    LineChannel fresh = connect();
+    LineChannel fresh = front();
     Json ping = Json::object();
     ping.set("op", "ping");
     EXPECT_TRUE(roundTrip(fresh, ping).getBool("pong"));
 }
 
-TEST_F(ServiceFixture, ShutdownOpStopsServe)
+TEST_P(EnvelopeFixture, ShutdownOpStopsServe)
 {
-    LineChannel channel = connect();
+    LineChannel channel = front();
     Json request = Json::object();
     request.set("op", "shutdown");
     const Json response = roundTrip(channel, request);
     EXPECT_TRUE(response.getBool("stopping"));
-    serveThread_.join();       // serve() returns on its own
-    serveThread_ = std::thread([] {});  // keep TearDown joinable
+    frontThread().join();                   // serve() returns on its own
+    frontThread() = std::thread([] {});     // keep TearDown joinable
 }
 
 } // namespace

@@ -5,9 +5,10 @@
 #      are read back from each node's startup line);
 #   2. `mtvctl --fleet` scatters a sweep across them; its folded
 #      digest must be bit-identical to `mtvctl sweep --local`;
-#   3. a routing daemon (`mtvd --route`) in front of the same nodes
-#      serves a plain `mtvctl sweep` with the same digest, answers
-#      ping with fleet info and status with the membership table;
+#   3. a routing daemon (`mtvd --route`) in front of the same nodes,
+#      on its unix socket and an ephemeral TCP port, serves a plain
+#      `mtvctl sweep` with the same digest over both, answers ping
+#      with fleet info and status with the membership table;
 #   4. SIGKILL one node MID-SWEEP: the fleet sweep must complete with
 #      exit 0 and no client-visible error, report rerouted points and
 #      the dead node on its `fleet:` line, and its digest must STILL
@@ -96,12 +97,16 @@ echo "fleet digest $FLEET_DIGEST == --local"
 
 echo "== a routing daemon serves the same digest to a plain client =="
 "$BUILD_DIR/mtvd" --route "$FLEET" --socket "$WORK/router.sock" \
-    > "$WORK/router.log" 2>&1 &
+    --tcp-ephemeral 127.0.0.1 > "$WORK/router.log" 2>&1 &
 ROUTER_PID=$!
 disown "$ROUTER_PID"
+ROUTER_EP=""
 for _ in $(seq 1 50); do
-    if "$BUILD_DIR/mtvctl" --socket "$WORK/router.sock" ping \
-        > /dev/null 2>&1; then
+    ROUTER_EP=$(grep -oE 'listening on 127\.0\.0\.1:[0-9]+' \
+        "$WORK/router.log" 2>/dev/null \
+        | head -1 | sed 's/listening on //') || true
+    if [ -n "$ROUTER_EP" ] && "$BUILD_DIR/mtvctl" \
+        --socket "$WORK/router.sock" ping > /dev/null 2>&1; then
         break
     fi
     sleep 0.1
@@ -119,6 +124,16 @@ if [ "$ROUTED_DIGEST" != "$LOCAL_DIGEST" ]; then
     exit 1
 fi
 echo "routed digest $ROUTED_DIGEST == --local"
+[ -n "$ROUTER_EP" ] \
+    || { echo "FAIL: router logged no TCP endpoint"; exit 1; }
+ROUTED_TCP_OUT=$("$BUILD_DIR/mtvctl" --tcp "$ROUTER_EP" sweep \
+    --scale "$QUICK_SCALE")
+ROUTED_TCP_DIGEST=$(digest_of "$ROUTED_TCP_OUT")
+if [ "$ROUTED_TCP_DIGEST" != "$LOCAL_DIGEST" ]; then
+    echo "FAIL: routed TCP digest $ROUTED_TCP_DIGEST != local $LOCAL_DIGEST"
+    exit 1
+fi
+echo "routed digest over TCP ($ROUTER_EP) $ROUTED_TCP_DIGEST == --local"
 
 echo "== router metrics op aggregates per-node counters =="
 METRICS_OUT=$("$BUILD_DIR/mtvctl" --socket "$WORK/router.sock" metrics)
@@ -209,6 +224,6 @@ fi
 
 REROUTED=$(echo "$KILLED_OUT" | grep '^fleet:' \
     | grep -oE 'rerouted=[0-9]+' | cut -d= -f2)
-echo "PASS: 3-node fleet digest == routed == --local; node kill \
+echo "PASS: 3-node fleet digest == routed (unix and TCP) == --local; node kill \
 mid-sweep rerouted $REROUTED points and stayed bit-identical \
 ($KILLED_DIGEST)"

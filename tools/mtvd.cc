@@ -46,16 +46,27 @@
 namespace
 {
 
-mtv::MtvService *gService = nullptr;
-mtv::FleetService *gFleetService = nullptr;
-
-void
-onSignal(int)
+/**
+ * Serve until SIGINT/SIGTERM (stop() is async-signal-safe) or a
+ * client's shutdown request.
+ */
+template <typename Service>
+int
+serveUntilStopped(Service &service)
 {
-    if (gService)
-        gService->stop();
-    if (gFleetService)
-        gFleetService->stop();
+    static Service *running = nullptr;
+    running = &service;
+    const auto onSignal = [](int) {
+        if (running)
+            running->stop();
+    };
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+    std::signal(SIGPIPE, SIG_IGN);
+    service.serve();
+    running = nullptr;
+    mtv::inform("mtvd: stopped");
+    return 0;
 }
 
 int
@@ -167,27 +178,13 @@ main(int argc, char **argv)
                   "them on the nodes)");
         }
         FleetServiceOptions fleetOptions;
-        fleetOptions.socketPath = options.socketPath;
-        fleetOptions.tcpHost = options.tcpHost;
-        fleetOptions.tcpPort = options.tcpPort;
+        static_cast<ListenOptions &>(fleetOptions) = options;
         fleetOptions.nodes = routeNodes;
         FleetService service(fleetOptions);
-        gFleetService = &service;
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-        std::signal(SIGPIPE, SIG_IGN);
-        service.serve();
-        inform("mtvd: stopped");
-        gFleetService = nullptr;
-        return 0;
+        return serveUntilStopped(service);
     }
 
     MtvService service(options);
-    gService = &service;
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
     if (service.store()) {
         const ResultStore::Stats s = service.store()->stats();
         inform("mtvd: store '%s' warm with %llu results "
@@ -198,9 +195,5 @@ main(int argc, char **argv)
                s.shards, s.segments, s.staleSegments,
                static_cast<unsigned long long>(s.droppedRecords));
     }
-
-    service.serve();
-    inform("mtvd: stopped");
-    gService = nullptr;
-    return 0;
+    return serveUntilStopped(service);
 }
