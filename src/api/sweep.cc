@@ -1,6 +1,7 @@
 #include "src/api/sweep.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -71,13 +72,19 @@ SweepBuilder::SweepBuilder(double scale)
         fatal("sweep scale must be positive, got %g", scale);
 }
 
+void
+SweepBuilder::append(RunSpec spec)
+{
+    runs_.push_back(Run{size_, std::move(spec), {}});
+    ++size_;
+}
+
 SweepBuilder &
 SweepBuilder::addSingle(const std::string &program,
                         const MachineParams &params,
                         uint64_t maxInstructions)
 {
-    specs_.push_back(
-        RunSpec::single(program, params, scale_, maxInstructions));
+    append(RunSpec::single(program, params, scale_, maxInstructions));
     return *this;
 }
 
@@ -85,7 +92,7 @@ SweepBuilder &
 SweepBuilder::addReference(const std::string &program,
                            const MachineParams &params)
 {
-    specs_.push_back(RunSpec::reference(program, params, scale_));
+    append(RunSpec::reference(program, params, scale_));
     return *this;
 }
 
@@ -93,7 +100,7 @@ SweepBuilder &
 SweepBuilder::addGroup(const std::vector<std::string> &programs,
                        const MachineParams &params)
 {
-    specs_.push_back(RunSpec::group(programs, params, scale_));
+    append(RunSpec::group(programs, params, scale_));
     return *this;
 }
 
@@ -101,16 +108,68 @@ SweepBuilder &
 SweepBuilder::addJobQueue(const std::vector<std::string> &jobs,
                           const MachineParams &params)
 {
-    specs_.push_back(RunSpec::jobQueue(jobs, params, scale_));
+    append(RunSpec::jobQueue(jobs, params, scale_));
     return *this;
 }
 
 SweepBuilder &
-SweepBuilder::add(const RunSpec &spec)
+SweepBuilder::add(RunSpec spec)
 {
     spec.validate();
-    specs_.push_back(spec);
+    append(std::move(spec));
     return *this;
+}
+
+SweepBuilder &
+SweepBuilder::addLatencyAxis(RunSpec base,
+                             const std::vector<int> &latencies)
+{
+    if (latencies.empty())
+        return *this;
+    // Only memLatency varies along the axis, so the base at the first
+    // latency plus each latency's own check validates every point.
+    base.params.memLatency = latencies.front();
+    base.validate();
+    MachineParams p = base.params;
+    for (const int lat : latencies) {
+        p.memLatency = lat;
+        p.validate();
+    }
+    runs_.push_back(Run{size_, std::move(base), latencies});
+    size_ += latencies.size();
+    return *this;
+}
+
+RunSpec
+SweepBuilder::spec(size_t i) const
+{
+    MTV_ASSERT(i < size_);
+    // The run holding i: the last one that starts at or before it.
+    const auto run = std::prev(std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](size_t index, const Run &r) { return index < r.first; }));
+    RunSpec spec = run->base;
+    if (!run->latencies.empty())
+        spec.params.memLatency = run->latencies[i - run->first];
+    return spec;
+}
+
+const std::vector<RunSpec> &
+SweepBuilder::specs() const
+{
+    specs_.reserve(size_);
+    for (size_t i = specs_.size(); i < size_; ++i)
+        specs_.push_back(spec(i));
+    return specs_;
+}
+
+std::vector<RunSpec>
+SweepBuilder::take()
+{
+    specs();
+    std::vector<RunSpec> out = std::move(specs_);
+    specs_.clear();
+    return out;
 }
 
 SweepBuilder &
@@ -123,7 +182,7 @@ SweepBuilder::beginSlice(const std::string &label, int contexts)
     pending_ = SweepSlice{};
     pending_.label = label;
     pending_.contexts = contexts;
-    pending_.first = specs_.size();
+    pending_.first = size_;
     return *this;
 }
 
@@ -132,7 +191,7 @@ SweepBuilder::endSlice()
 {
     if (!sliceOpen_)
         fatal("endSlice() without a matching beginSlice()");
-    pending_.count = specs_.size() - pending_.first;
+    pending_.count = size_ - pending_.first;
     if (pending_.count == 0)
         fatal("slice '%s' closed empty", pending_.label.c_str());
     slices_.push_back(pending_);
@@ -147,10 +206,10 @@ SweepBuilder::addGroupings(const std::string &program, int contexts,
     SweepSlice slice;
     slice.label = findProgram(program).name;
     slice.contexts = contexts;
-    slice.first = specs_.size();
+    slice.first = size_;
     for (const auto &group : groupingsFor(program, contexts))
-        specs_.push_back(RunSpec::group(group, params, scale_));
-    slice.count = specs_.size() - slice.first;
+        append(RunSpec::group(group, params, scale_));
+    slice.count = size_ - slice.first;
     slices_.push_back(std::move(slice));
     return *this;
 }
@@ -237,8 +296,8 @@ sweepRegistryHash()
                     slice.count};
                 fold(shape, sizeof(shape));
             }
-            for (const RunSpec &spec : sweep.specs()) {
-                const uint64_t key = spec.key();
+            for (size_t i = 0; i < sweep.size(); ++i) {
+                const uint64_t key = sweep.spec(i).key();
                 fold(&key, sizeof(key));
             }
         }
@@ -369,12 +428,10 @@ expandExtDecoupled(const SweepRequest &request)
     SweepBuilder sweep(request.scale);
     for (const Design &d : designs) {
         sweep.beginSlice(d.label, d.params.contexts);
-        for (const int lat : latencies) {
-            MachineParams p = d.params;
-            p.memLatency = lat;
-            sweep.add(RunSpec::jobQueue(jobs, p, request.scale)
-                          .withExtensions(0, 0, d.decouple));
-        }
+        sweep.addLatencyAxis(RunSpec::jobQueue(jobs, d.params,
+                                               request.scale)
+                                 .withExtensions(0, 0, d.decouple),
+                             latencies);
         sweep.endSlice();
     }
     return sweep;
@@ -532,13 +589,13 @@ SweepBuilder::addLatencySweep(const std::vector<std::string> &jobs,
     SweepSlice slice;
     slice.label = label;
     slice.contexts = params.contexts;
-    slice.first = specs_.size();
-    for (const int lat : latencies) {
+    slice.first = size_;
+    if (!latencies.empty()) {
         MachineParams p = params;
-        p.memLatency = lat;
-        specs_.push_back(RunSpec::jobQueue(jobs, p, scale_));
+        p.memLatency = latencies.front();
+        addLatencyAxis(RunSpec::jobQueue(jobs, p, scale_), latencies);
     }
-    slice.count = specs_.size() - slice.first;
+    slice.count = size_ - slice.first;
     slices_.push_back(std::move(slice));
     return *this;
 }

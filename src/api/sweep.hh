@@ -6,6 +6,11 @@
  * render". The builder records where each logical slice (e.g. "all
  * groupings of tomcatv at 3 contexts") landed in the batch, so
  * results can be averaged back into figure data points.
+ *
+ * The batch is indexed: its size and slice map are known before any
+ * point of a latency axis exists, and spec(i) builds point i on
+ * demand, so a streaming consumer (the daemon's window, the fleet
+ * router's publisher) builds only the points it is about to use.
  */
 
 #ifndef MTV_API_SWEEP_HH
@@ -180,13 +185,24 @@ const std::vector<SweepFamilyInfo> &sweepFamilies();
 uint64_t sweepRegistryHash();
 
 /**
- * Expand @p request through its family into specs + slices.
- * fatal()s on an unknown family or missing/invalid parameters — the
- * daemon turns that into a protocol error for the offending client.
+ * Expand @p request through its family into an indexed batch + slices
+ * (see SweepBuilder). Every parameter, every latency included, is
+ * validated here: fatal()s on an unknown family or missing/invalid
+ * parameters — the daemon turns that into a protocol error for the
+ * offending client before it acks.
  */
 SweepBuilder expandSweep(const SweepRequest &request);
 
-/** Builds a RunSpec batch plus the slice map over it. */
+/**
+ * Builds a RunSpec batch plus the slice map over it, in indexed form.
+ * A latency axis (addLatencySweep(), addLatencyAxis()) is kept as one
+ * validated base spec plus its latency list, every latency checked
+ * when the axis is added, so an invalid sweep fails at expansion;
+ * its point i is the base with memLatency set. Every other spec is
+ * stored as appended. spec(i) builds any point by index; specs() and
+ * take() materialize the whole batch for callers that consume
+ * vectors.
+ */
 class SweepBuilder
 {
   public:
@@ -211,8 +227,8 @@ class SweepBuilder
     SweepBuilder &addJobQueue(const std::vector<std::string> &jobs,
                               const MachineParams &params);
 
-    /** Append an already-built spec verbatim. */
-    SweepBuilder &add(const RunSpec &spec);
+    /** Append a spec verbatim (validated). */
+    SweepBuilder &add(RunSpec spec);
 
     // ----- explicit slices -----
 
@@ -247,23 +263,53 @@ class SweepBuilder
                                   const std::vector<int> &latencies,
                                   const std::string &label = "");
 
+    /**
+     * Append one spec per latency: @p base with memLatency set, in
+     * @p latencies order. The base and every latency are validated
+     * here; the specs themselves are built by spec() on demand.
+     */
+    SweepBuilder &addLatencyAxis(RunSpec base,
+                                 const std::vector<int> &latencies);
+
     // ----- results -----
 
     /** Number of specs appended so far (= index of the next spec). */
-    size_t size() const { return specs_.size(); }
+    size_t size() const { return size_; }
 
-    /** The accumulated batch (builder keeps its slice map). */
-    const std::vector<RunSpec> &specs() const { return specs_; }
+    /** Spec @p i of the batch (i < size()), built on demand. Safe
+     *  to call from several threads at once. */
+    RunSpec spec(size_t i) const;
 
-    /** Move the batch out; the slice map survives for averaging. */
-    std::vector<RunSpec> take() { return std::move(specs_); }
+    /** The batch, materialized on first use (builder keeps its slice
+     *  map). Not safe to call concurrently on one builder. */
+    const std::vector<RunSpec> &specs() const;
+
+    /** Move the materialized batch out; the builder keeps its slice
+     *  map and can still build any spec by index. */
+    std::vector<RunSpec> take();
 
     /** Slices recorded by the expansion helpers, insertion order. */
     const std::vector<SweepSlice> &slices() const { return slices_; }
 
   private:
+    /** A stretch of the batch starting at index @c first: one stored
+     *  spec (no latencies), or one spec per latency built from
+     *  @c base. */
+    struct Run
+    {
+        size_t first = 0;
+        RunSpec base;
+        std::vector<int> latencies;
+    };
+
+    /** Append one already-validated spec. */
+    void append(RunSpec spec);
+
     double scale_;
-    std::vector<RunSpec> specs_;
+    std::vector<Run> runs_;
+    size_t size_ = 0;
+    /** What specs() has materialized so far: a prefix of the batch. */
+    mutable std::vector<RunSpec> specs_;
     std::vector<SweepSlice> slices_;
     bool sliceOpen_ = false;
     SweepSlice pending_;

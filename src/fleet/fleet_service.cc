@@ -19,6 +19,9 @@ namespace
  * quiet or JSON-wire client gets each point decoded and re-encoded.
  * Points coalesce into one write while the next one is already
  * parked, up to streamOutboxBytes — the daemon's streamBatch rule.
+ * Once a write to the client has failed, the next point gives the
+ * batch up (CancelledError out of the hook): the router then ends
+ * its node streams instead of draining them for nobody.
  */
 class RelayWriter
 {
@@ -34,7 +37,7 @@ class RelayWriter
     relay(size_t global, std::string &payload, bool moreReady)
     {
         if (conn_.writeFailed())
-            return;
+            throw CancelledError("the client of this batch is gone");
         if (binary_ && !quiet_) {
             setResultFrameHeader(&payload, id_, global);
             appendFramedPayload(&outbox_, payload);
@@ -286,28 +289,30 @@ FleetService::handleSweep(const Json &request, Connection &conn)
     const SweepRequest sweep = sweepRequestFromJson(request);
     RelayWriter writer(conn, id, request.getBool("quiet", false));
 
-    bool ackOk = true;
-    const FleetOutcome outcome = router_.runSweep(
-        sweep,
-        [&writer](size_t global, std::string &payload,
-                  bool moreReady) {
-            writer.relay(global, payload, moreReady);
-        },
-        [&](size_t count, const std::vector<SweepSlice> &slices) {
-            Json ack = Json::object();
-            ack.set("id", id);
-            ack.set("ack", true);
-            ack.set("count", static_cast<uint64_t>(count));
-            ack.set("total", static_cast<uint64_t>(count));
-            Json sliceArray = Json::array();
-            for (const SweepSlice &slice : slices)
-                sliceArray.push(sliceToJson(slice));
-            ack.set("slices", std::move(sliceArray));
-            ackOk = conn.writeLine(ack.dump());
-        });
-
-    // A failed write means the client vanished mid-stream.
-    return ackOk && writer.writeDone(outcome);
+    FleetOutcome outcome;
+    try {
+        outcome = router_.runSweep(
+            sweep,
+            [&writer](size_t global, std::string &payload,
+                      bool moreReady) {
+                writer.relay(global, payload, moreReady);
+            },
+            [&](size_t count, const std::vector<SweepSlice> &slices) {
+                Json ack = Json::object();
+                ack.set("id", id);
+                ack.set("ack", true);
+                ack.set("count", static_cast<uint64_t>(count));
+                ack.set("total", static_cast<uint64_t>(count));
+                Json sliceArray = Json::array();
+                for (const SweepSlice &slice : slices)
+                    sliceArray.push(sliceToJson(slice));
+                ack.set("slices", std::move(sliceArray));
+                conn.writeLine(ack.dump());
+            });
+    } catch (const CancelledError &) {
+        return false;  // the client vanished mid-stream
+    }
+    return writer.writeDone(outcome);
 }
 
 bool
@@ -316,11 +321,12 @@ FleetService::handleCompare(const Json &request, Connection &conn)
     const uint64_t id = safeRequestId(request);
     const SweepRequest sweep = sweepRequestFromJson(request);
 
-    // Comparability is checked against the local expansion before
-    // any node is contacted — the expansion is deterministic, so the
-    // router's copy and every node's copy agree.
+    // Comparability is checked from the slice map of the indexed
+    // expansion (no spec is built) before any node is contacted — the
+    // expansion is deterministic, so the router's copy and every
+    // node's copy agree.
     {
-        SweepBuilder expansion = expandSweep(sweep);
+        const SweepBuilder expansion = expandSweep(sweep);
         const std::vector<SweepSlice> &slices = expansion.slices();
         bool comparable = slices.size() >= 2;
         for (const SweepSlice &s : slices)
@@ -380,11 +386,16 @@ FleetService::handleRun(const Json &request, Connection &conn)
         fatal("run request carries no specs");
 
     RelayWriter writer(conn, id, request.getBool("quiet", false));
-    const FleetOutcome outcome = router_.runSpecs(
-        specs, [&writer](size_t global, std::string &payload,
-                         bool moreReady) {
-            writer.relay(global, payload, moreReady);
-        });
+    FleetOutcome outcome;
+    try {
+        outcome = router_.runSpecs(
+            specs, [&writer](size_t global, std::string &payload,
+                             bool moreReady) {
+                writer.relay(global, payload, moreReady);
+            });
+    } catch (const CancelledError &) {
+        return false;  // the client vanished mid-stream
+    }
     return writer.writeDone(outcome);
 }
 

@@ -78,7 +78,8 @@ canonicalKeys(const std::vector<RunSpec> &specs)
  *
  * The router's own view of the batch — each point's canonical key
  * and, for a sweep's first round, its ring owner — is published in
- * index order, by the publisher thread while the nodes stream. A
+ * index order, by the publisher thread while the nodes stream: it
+ * builds spec i of the indexed expansion and its key as it goes. A
  * reader checks a frame only once its index is published.
  *
  * Parking is bounded by credit: a reader that has
@@ -95,6 +96,11 @@ canonicalKeys(const std::vector<RunSpec> &specs)
  * cursor may then wait on its point, which only the next round
  * reroutes, while survivors wait for credit — so the first failure
  * of a round switches credit off until the round ends.
+ *
+ * A batch the drain gives up (the hook threw: the client is gone)
+ * shuts down the node sockets listed here, so every reader ends at
+ * once instead of streaming its node's share for nobody, and each
+ * node reaps its stream at its own failed write.
  */
 struct FleetRouter::Gather
 {
@@ -111,13 +117,14 @@ struct FleetRouter::Gather
     std::vector<uint32_t> owners;
     /** keys and owners are final below this index. */
     size_t published = 0;
-    /** The tables are sized: the router's expansion is in. */
-    bool expanded = false;
-    /** The batch was given up (the router's expansion failed or the
-     *  hook threw): readers waiting on the publisher stop. */
+    /** The batch was given up (the drain or the hook threw): readers
+     *  stop waiting and their node sockets are shut down. */
     bool aborted = false;
-    /** The publisher's input and thread (a sweep's first round). */
-    std::vector<RunSpec> specs;
+    /** The open node sockets of this batch (see BatchSocket). */
+    std::vector<int> fds;
+    /** A sweep's indexed expansion and the thread that publishes its
+     *  keys and owners (the first round). */
+    SweepBuilder source;
     std::thread publisher;
     /** Per global index: the point's payload has landed. */
     std::vector<char> landed;
@@ -147,52 +154,42 @@ struct FleetRouter::Gather
             publisher.join();
     }
 
-    /** Size the tables for @p n points and let readers in. Caller
-     *  holds the lock. */
+    /** Size the tables for @p n points. Before any reader starts. */
     void
-    sizeLocked(size_t n)
+    size(size_t n)
     {
         keys.resize(n);
+        owners.resize(n);
         landed.assign(n, 0);
         payloads.resize(n);
         parkedBy.resize(n);
-        expanded = true;
     }
 
     /** An explicit batch: every key is known up front. */
     void
     publishAll(std::vector<std::string> batchKeys)
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        const size_t n = batchKeys.size();
-        sizeLocked(n);
+        size(batchKeys.size());
         keys = std::move(batchKeys);
-        published = n;
+        published = keys.size();
     }
 
     /**
-     * A sweep: the router's own expansion @p batch is in. Size the
-     * tables, then build keys and @p ring owners in index order on
-     * the publisher thread, publishing every few points, while this
-     * thread goes on to drain.
+     * A sweep's first round: build spec i of @p source, its key and
+     * its @p ring owner in index order on the publisher thread,
+     * publishing every few points, while this thread goes on to
+     * drain.
      */
     void
-    startPublisher(std::vector<RunSpec> batch, HashRing ring)
+    startPublisher(HashRing ring)
     {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            sizeLocked(batch.size());
-            owners.resize(batch.size());
-        }
-        progress.notify_all();
-        specs = std::move(batch);
         publisher = std::thread([this, ring = std::move(ring)] {
             constexpr size_t chunk = 64;
-            const size_t n = specs.size();
+            const size_t n = keys.size();
             for (size_t first = 0; first < n; first += chunk) {
                 const size_t end = std::min(n, first + chunk);
                 for (size_t i = first; i < end; ++i) {
-                    keys[i] = specs[i].canonical();
+                    keys[i] = source.spec(i).canonical();
                     owners[i] = static_cast<uint32_t>(
                         ring.nodeFor(keys[i]));
                 }
@@ -204,7 +201,6 @@ struct FleetRouter::Gather
                 }
                 progress.notify_all();
             }
-            std::vector<RunSpec>().swap(specs);
         });
     }
 
@@ -216,11 +212,37 @@ struct FleetRouter::Gather
     {
         std::unique_lock<std::mutex> lock(mutex);
         progress.wait(lock, [this, upTo] {
-            return aborted ||
-                   (expanded && published >= std::min(upTo, keys.size()));
+            return aborted || published >= std::min(upTo, keys.size());
         });
         *seen = published;
         return !aborted;
+    }
+
+    /** List a node socket of this batch, shut down at once when the
+     *  batch was already given up. */
+    void
+    listSocket(int fd)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        fds.push_back(fd);
+        if (aborted)
+            ::shutdown(fd, SHUT_RDWR);
+    }
+
+    /** Unlist @p fd before its channel closes it. */
+    void
+    unlistSocket(int fd)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        fds.erase(std::find(fds.begin(), fds.end(), fd));
+    }
+
+    /** The batch was given up: a reader's failure is not its node's. */
+    bool
+    abandoned()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return aborted;
     }
 
     /** Open a scatter round and give its @p count readers fresh
@@ -281,7 +303,7 @@ struct FleetRouter::Gather
     }
 
     /** Give the batch up: release every credit and publisher wait
-     *  (the drain is gone). */
+     *  and shut down the node sockets (the drain is gone). */
     void
     abandon()
     {
@@ -289,6 +311,8 @@ struct FleetRouter::Gather
             std::lock_guard<std::mutex> lock(mutex);
             creditOff = true;
             aborted = true;
+            for (const int fd : fds)
+                ::shutdown(fd, SHUT_RDWR);
         }
         credit.notify_all();
         progress.notify_all();
@@ -557,26 +581,31 @@ FleetRouter::stopHealthMonitor()
         monitor_.join();
 }
 
-/** Lists an open batch socket in its node's batchFds while it lives,
- *  so markDead() can shut it down; declared after the socket's
- *  channel, so it is unlisted before the channel closes the fd. */
+/** Lists an open batch socket in its node's batchFds and in its
+ *  gather while it lives, so markDead() and a given-up batch can shut
+ *  it down; declared after the socket's channel, so it is unlisted
+ *  before the channel closes the fd. */
 class FleetRouter::BatchSocket
 {
   public:
-    BatchSocket(FleetRouter &router, size_t node, int fd)
-        : router_(router), node_(node), fd_(fd)
+    BatchSocket(FleetRouter &router, size_t node, Gather &gather, int fd)
+        : router_(router), node_(node), gather_(gather), fd_(fd)
     {
-        std::lock_guard<std::mutex> lock(router_.membershipMutex_);
-        Node &n = router_.nodes_[node_];
-        n.batchFds.push_back(fd_);
-        // Marked dead since the round began: fail now, not on a
-        // stream nothing would end.
-        if (!n.alive)
-            ::shutdown(fd_, SHUT_RDWR);
+        {
+            std::lock_guard<std::mutex> lock(router_.membershipMutex_);
+            Node &n = router_.nodes_[node_];
+            n.batchFds.push_back(fd_);
+            // Marked dead since the round began: fail now, not on a
+            // stream nothing would end.
+            if (!n.alive)
+                ::shutdown(fd_, SHUT_RDWR);
+        }
+        gather_.listSocket(fd_);
     }
 
     ~BatchSocket()
     {
+        gather_.unlistSocket(fd_);
         std::lock_guard<std::mutex> lock(router_.membershipMutex_);
         std::vector<int> &fds = router_.nodes_[node_].batchFds;
         fds.erase(std::find(fds.begin(), fds.end(), fd_));
@@ -588,6 +617,7 @@ class FleetRouter::BatchSocket
   private:
     FleetRouter &router_;
     size_t node_;
+    Gather &gather_;
     int fd_;
 };
 
@@ -618,7 +648,7 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
     // (cancel tokens + lane drop), so the abandoned slice stops
     // simulating for nobody.
     LineChannel channel(fd);
-    const BatchSocket listed(*this, nodeIndex, fd);
+    const BatchSocket listed(*this, nodeIndex, gather, fd);
 
     constexpr uint64_t id = 1;
     size_t &received = *served;
@@ -627,12 +657,10 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
     size_t next = 0;
     // The gather's keys and owners are final below `published`, so
     // the lock is taken only to see past it.
-    bool sized = false;
     size_t published = 0;
     const auto awaitKeys = [&](size_t upTo) {
-        if (!sized || upTo > published)
-            sized = gather.awaitPublished(upTo, &published);
-        return sized;
+        return upTo <= published ||
+               gather.awaitPublished(upTo, &published);
     };
     try {
         // ANY protocol violation is a node failure — the scatter loop
@@ -735,8 +763,6 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                               static_cast<unsigned long long>(frame.seq),
                               next);
                     }
-                    if (!awaitKeys(0))
-                        return false;
                     if (frame.seq >= gather.keys.size()) {
                         fatal("seq %llu past the %zu points of the "
                               "sweep",
@@ -788,10 +814,8 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             if (!Json::parse(message, &msg, &parseError))
                 fatal("malformed response: %s", parseError.c_str());
             if (msg.has("error")) {
-                // A request the router could not expand either was
-                // bad, not the node: the batch fails on its own.
-                if (ring && !awaitKeys(0))
-                    return false;
+                // The router expanded the same request before any
+                // node was asked, so the fault is the node's.
                 fatal("node error: %s", msg.getString("error").c_str());
             }
             if (msg.get("id").asU64() != id) {
@@ -805,8 +829,6 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
                 if (ring) {
                     // A ring share's size is known only at done; the
                     // expansion size must match now.
-                    if (!awaitKeys(0))
-                        return false;
                     if (msg.get("total").asU64() != gather.keys.size()) {
                         fatal("node expands the sweep to %llu points, "
                               "the router to %zu",
@@ -855,7 +877,9 @@ FleetRouter::streamSubset(size_t nodeIndex, uint32_t slot,
             return true;  // subset complete
         }
     } catch (const FatalError &e) {
-        markDead(nodeIndex, e.what());
+        // A given-up batch shut this socket down itself.
+        if (!gather.abandoned())
+            markDead(nodeIndex, e.what());
     }
     return false;
 }
@@ -869,7 +893,16 @@ FleetRouter::scatter(const SweepRequest *sweep,
     Gather gather;
     FleetOutcome outcome;
     outcome.digest = 0xcbf29ce484222325ull;
-    if (!sweep) {
+    if (sweep) {
+        // The indexed expansion validates the request — a bad one
+        // fails here, before any node is asked — and gives the count
+        // and slice map at once; the publisher builds each point's
+        // key by index while the nodes stream.
+        gather.source = expandSweep(*sweep);
+        outcome.count = gather.source.size();
+        outcome.slices = gather.source.slices();
+        gather.size(outcome.count);
+    } else {
         outcome.count = keys.size();
         gather.publishAll(std::move(keys));
     }
@@ -880,15 +913,15 @@ FleetRouter::scatter(const SweepRequest *sweep,
 
     // Scatter rounds. A sweep's first round sends every live node
     // the family and the ring and lets each pick its own share, while
-    // this thread expands the sweep and the publisher builds the
-    // router's keys and owners alongside. Every other round assigns
-    // each unfinished point to its ring owner by explicit list. All
-    // subsets of a round stream concurrently while this thread drains
-    // them in global order; the next round re-assigns whatever a
-    // dying node left behind. Each extra round means at least one
-    // node was newly marked dead (a successful subset lands all its
-    // points), so the loop terminates: the batch completes or the
-    // last node dies and the live-count check fatal()s.
+    // the publisher builds the router's keys and owners alongside.
+    // Every other round assigns each unfinished point to its ring
+    // owner by explicit list. All subsets of a round stream
+    // concurrently while this thread drains them in global order; the
+    // next round re-assigns whatever a dying node left behind. Each
+    // extra round means at least one node was newly marked dead (a
+    // successful subset lands all its points), so the loop
+    // terminates: the batch completes or the last node dies and the
+    // live-count check fatal()s.
     for (bool firstRound = true;; firstRound = false) {
         const bool ringRound = firstRound && sweep;
         std::vector<std::vector<size_t>> assignment(nodes_.size());
@@ -965,18 +998,14 @@ FleetRouter::scatter(const SweepRequest *sweep,
             });
             ++slot;
         }
-        // A failed expansion or a throwing hook must not leave
-        // joinable readers behind: the batch is given up, credit and
-        // publisher waits are released, and they finish before the
-        // error propagates.
+        // A throwing hook must not leave joinable readers behind: the
+        // batch is given up, credit and publisher waits are released,
+        // the node sockets are shut down, and the readers finish
+        // before the error propagates.
         std::exception_ptr error;
         try {
             if (ringRound) {
-                SweepBuilder expansion = expandSweep(*sweep);
-                outcome.count = expansion.size();
-                outcome.slices = expansion.slices();
-                gather.startPublisher(expansion.take(),
-                                      std::move(*ownerRing));
+                gather.startPublisher(std::move(*ownerRing));
                 if (onExpanded)
                     onExpanded(outcome.count, outcome.slices);
             }

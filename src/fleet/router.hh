@@ -12,9 +12,11 @@
  * the same sweep warms the same node caches. A sweep's first scatter
  * round is owner-computes: every live node receives the family
  * request plus the ring (the "sweep" op's "ring" field) and picks its
- * own share, while the router expands the family alongside and
- * publishes each point's canonical key and ring owner for the checks
- * below. Later rounds name their points explicitly ("points").
+ * own share. The router expands the family in indexed form first
+ * (validated, so a bad request never reaches a node; count and slice
+ * map at once) and publishes each point's canonical key and ring
+ * owner alongside the nodes for the checks below. Later rounds name
+ * their points explicitly ("points").
  *
  * Relay: one reader thread per node consumes that node's binary
  * result stream, checks each frame on its raw payload (request id,
@@ -175,21 +177,25 @@ class FleetRouter
      * carrying the node's request id and seq. The router is
      * done with it, so the hook may rewrite or move it. @p moreReady
      * says the next point is already parked, so a writer may hold
-     * this one back and coalesce writes.
+     * this one back and coalesce writes. A hook that throws gives the
+     * batch up: the router shuts down its node sockets (each node
+     * reaps its stream), joins the readers without marking any node
+     * dead, and rethrows — how a routing daemon stops its nodes for
+     * a client that vanished.
      */
     using PointHook = std::function<void(
         size_t globalIndex, std::string &payload, bool moreReady)>;
 
-    /** Called once when the router's own expansion of the sweep is
-     *  in (the first round's requests are already out) — the ack
-     *  data (count + slice map). */
+    /** Called once as the first round's requests go out, with the
+     *  ack data (count + slice map) of the router's own indexed
+     *  expansion of the sweep. */
     using ExpandHook = std::function<void(
         size_t count, const std::vector<SweepSlice> &slices)>;
 
     /**
      * Scatter @p request across the live nodes (each picks its ring
-     * share), expand it alongside to check what they stream, and
-     * gather the folded outcome. Retries dead nodes' unfinished
+     * share), publish its keys alongside to check what they stream,
+     * and gather the folded outcome. Retries dead nodes' unfinished
      * points on survivors until the batch completes; fatal()s only
      * when no node is left alive or the request does not expand.
      */
@@ -246,7 +252,7 @@ class FleetRouter
                       Gather &gather, size_t *served);
 
     /** The scatter/relay/reroute loop shared by runSweep (sweep op,
-     *  @p sweep non-null, expanded alongside its first round) and
+     *  @p sweep non-null, keys published alongside its first round) and
      *  runSpecs (run op, @p keys holding each spec's
      *  RunSpec::canonical()). */
     FleetOutcome scatter(const SweepRequest *sweep,

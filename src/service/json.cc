@@ -1,6 +1,7 @@
 #include "src/service/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 
@@ -199,6 +200,22 @@ class Parser
         }
         if (pos_ == start)
             return fail("expected a value");
+        // Plain integers (ids, counts, a sweep's latency list) skip
+        // the token copy and strtod: up to 15 digits are exact in a
+        // double, and the value is the one strtod would give.
+        const bool negative = text_[start] == '-';
+        const size_t digits = pos_ - start - (negative ? 1 : 0);
+        if (digits > 0 && digits <= 15) {
+            uint64_t magnitude = 0;
+            size_t i = start + (negative ? 1 : 0);
+            for (; i < pos_ && text_[i] >= '0' && text_[i] <= '9'; ++i)
+                magnitude = magnitude * 10 + (text_[i] - '0');
+            if (i == pos_) {
+                const double v = static_cast<double>(magnitude);
+                *out = Json(negative ? -v : v);
+                return true;
+            }
+        }
         char *end = nullptr;
         const std::string token = text_.substr(start, pos_ - start);
         const double v = std::strtod(token.c_str(), &end);
@@ -447,12 +464,19 @@ Json::dumpTo(std::string &out) const
         out += bool_ ? "true" : "false";
         return;
       case Type::Number: {
+        // std::to_chars prints exactly what %lld and %.17g print,
+        // without vsnprintf's two passes and a string per number.
+        char buf[40];
+        std::to_chars_result r;
         if (number_ == std::floor(number_) &&
             std::fabs(number_) < 9.007199254740992e15) {
-            out += format("%lld", static_cast<long long>(number_));
+            r = std::to_chars(buf, buf + sizeof(buf),
+                              static_cast<long long>(number_));
         } else {
-            out += format("%.17g", number_);
+            r = std::to_chars(buf, buf + sizeof(buf), number_,
+                              std::chars_format::general, 17);
         }
+        out.append(buf, static_cast<size_t>(r.ptr - buf));
         return;
       }
       case Type::String:

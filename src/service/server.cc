@@ -423,15 +423,14 @@ MtvService::handleRun(const Json &request, ClientState &client)
 
     // Validate the whole batch before running any of it: a malformed
     // spec answers with one error and no results.
-    std::vector<RunSpec> specs;
-    specs.reserve(specLines.size());
+    BatchPoints batch;
     for (const Json &text : specLines)
-        specs.push_back(RunSpec::parse(text.asString()));
+        batch.source.add(RunSpec::parse(text.asString()));
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, std::move(specs), quiet, false,
-               admittedUs, nullptr, {});
+    admitBatch(client, id, std::move(batch), quiet, false, admittedUs,
+               nullptr);
     return true;
 }
 
@@ -492,10 +491,13 @@ MtvService::handleSweep(const Json &request, ClientState &client)
         }
     }
 
-    // Server-side expansion: the ~100-byte family request becomes the
-    // full spec batch here, next to the engine, instead of being
-    // serialized by every client.
-    SweepBuilder sweep = expandSweep(sweepRequest);
+    // Server-side expansion: the ~100-byte family request becomes an
+    // indexed batch here, next to the engine. Every parameter is
+    // validated now, so a bad request errors before the ack, but no
+    // spec is built: the streaming window builds each one as it
+    // refills.
+    selection.source = expandSweep(sweepRequest);
+    const size_t total = selection.source.size();
 
     // "points" selects a subset of the expansion by global index —
     // the fleet reroute path (a router sends a survivor the points a
@@ -505,13 +507,10 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     // in ascending global order. A bad list answers a structured
     // error naming the first offending position; the connection
     // stays open.
-    std::vector<RunSpec> specs = sweep.take();
-    const size_t total = specs.size();
     if (request.has("points")) {
         const std::vector<Json> &points =
             request.get("points").asArray();
-        std::vector<RunSpec> subset;
-        subset.reserve(points.size());
+        selection.subset = true;
         selection.seqs.reserve(points.size());
         for (size_t k = 0; k < points.size(); ++k) {
             const uint64_t index = points[k].asU64();
@@ -534,10 +533,8 @@ MtvService::handleSweep(const Json &request, ClientState &client)
                 err.set("total", static_cast<uint64_t>(total));
                 return client.conn.writeLine(err.dump());
             }
-            subset.push_back(std::move(specs[index]));
             selection.seqs.push_back(index);
         }
-        specs = std::move(subset);
     }
 
     // A ring's share is known only once it has been picked, so its
@@ -545,11 +542,14 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     Json ack = Json::object();
     ack.set("id", id);
     ack.set("ack", true);
-    if (!selection.ring)
-        ack.set("count", static_cast<uint64_t>(specs.size()));
+    if (!selection.ring) {
+        ack.set("count", static_cast<uint64_t>(
+                             selection.subset ? selection.seqs.size()
+                                              : total));
+    }
     ack.set("total", static_cast<uint64_t>(total));
     Json slices = Json::array();
-    for (const SweepSlice &slice : sweep.slices())
+    for (const SweepSlice &slice : selection.source.slices())
         slices.push(sliceToJson(slice));
     ack.set("slices", std::move(slices));
     if (!client.conn.writeLine(ack.dump()))
@@ -557,8 +557,8 @@ MtvService::handleSweep(const Json &request, ClientState &client)
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, std::move(specs), quiet, true,
-               admittedUs, nullptr, std::move(selection));
+    admitBatch(client, id, std::move(selection), quiet, true,
+               admittedUs, nullptr);
     return true;
 }
 
@@ -584,14 +584,15 @@ MtvService::handleCompare(const Json &request, ClientState &client)
         return client.conn.writeLine(err.dump());
     }
 
-    SweepBuilder sweep = expandSweep(sweepRequest);
+    BatchPoints batch;
+    batch.source = expandSweep(sweepRequest);
 
     // Comparability is checked before any simulation: every slice
     // must pair row-wise against slice 0 (the baseline design).
     // Families whose slices are not design-parallel (suite-grouping,
     // groupings) answer a structured error instead of burning a
     // sweep's worth of work first.
-    const std::vector<SweepSlice> &slices = sweep.slices();
+    const std::vector<SweepSlice> &slices = batch.source.slices();
     bool comparable = slices.size() >= 2;
     for (const SweepSlice &s : slices)
         comparable = comparable && s.count == slices[0].count;
@@ -611,17 +612,16 @@ MtvService::handleCompare(const Json &request, ClientState &client)
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, sweep.take(), /*quiet=*/true,
-               /*sweep=*/true, admittedUs, std::move(compare), {});
+    admitBatch(client, id, std::move(batch), /*quiet=*/true,
+               /*sweep=*/true, admittedUs, std::move(compare));
     return true;
 }
 
 void
 MtvService::admitBatch(ClientState &client, uint64_t id,
-                       std::vector<RunSpec> specs, bool quiet,
-                       bool sweep, uint64_t admittedUs,
-                       std::shared_ptr<const CompareJob> compare,
-                       BatchPoints points)
+                       BatchPoints points, bool quiet, bool sweep,
+                       uint64_t admittedUs,
+                       std::shared_ptr<const CompareJob> compare)
 {
     client.reapRetired();
     const uint64_t streamId = client.nextStreamId++;
@@ -644,26 +644,22 @@ MtvService::admitBatch(ClientState &client, uint64_t id,
     client.streams.emplace(
         streamId,
         std::thread([this, &client, streamId, id,
-                     specs = std::move(specs), quiet, token,
+                     points = std::move(points), quiet, token,
                      batchKey, sweep, admittedUs,
-                     compare = std::move(compare),
-                     points = std::move(points)]() mutable {
-            streamBatch(client, streamId, id, std::move(specs),
-                        quiet, std::move(token), batchKey, sweep,
-                        admittedUs, std::move(compare),
-                        std::move(points));
+                     compare = std::move(compare)]() mutable {
+            streamBatch(client, streamId, id, std::move(points), quiet,
+                        std::move(token), batchKey, sweep, admittedUs,
+                        std::move(compare));
         }));
 }
 
 void
 MtvService::streamBatch(ClientState &client, uint64_t streamId,
-                        uint64_t id, std::vector<RunSpec> specs,
-                        bool quiet,
+                        uint64_t id, BatchPoints points, bool quiet,
                         std::shared_ptr<CancelToken> token,
                         uint64_t batchKey, bool sweep,
                         uint64_t admittedUs,
-                        std::shared_ptr<const CompareJob> compare,
-                        BatchPoints points)
+                        std::shared_ptr<const CompareJob> compare)
 {
     activeRequests_.fetch_add(1);
     obsInflightBatches_->add(1);
@@ -679,41 +675,42 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // most streamWindowPoints points ride the engine ahead of the
     // write cursor, refilled in one go once half of them are written
     // (one burst of submits per W/2 points, not a worker wakeup per
-    // point). Point 0 waits for one window to be submitted, not the
-    // whole batch, and only a window of results is ever alive. Each
-    // spec stays in the request vector until it moves into its task;
-    // the emptied vector goes once the last one is submitted. Every
-    // task carries the batch's cancel token and rides this
-    // connection's lane, so a cancel/reap frees the queued points and
-    // other connections are never head-of-line blocked. Identical
-    // points of other in-flight requests coalesce inside the engine.
-    // The progress hook feeds the daemon-wide completion counter the
-    // moment a point finishes, seq order or not.
+    // point). Each refill builds the specs it submits from the
+    // indexed source, so point 0 waits for one window of specs, not
+    // the whole batch, and only a window of specs and results is ever
+    // alive. Every task carries the batch's cancel token and rides
+    // this connection's lane, so a cancel/reap frees the queued
+    // points and other connections are never head-of-line blocked.
+    // Identical points of other in-flight requests coalesce inside
+    // the engine. The progress hook feeds the daemon-wide completion
+    // counter the moment a point finishes, seq order or not.
     //
-    // The batch's points are specs[0, selected), in stream order; the
-    // candidates past `scanned` are not yet picked. Only a ring batch
-    // picks as it goes: each candidate costs its canonical key and a
-    // ring lookup, an owned one moves down into the picked prefix
+    // The batch's stream positions [0, selected) are known; position
+    // k is source point seqs[k] for a subset or a ring share, else
+    // point k. Only a ring batch picks as it goes: each candidate
+    // below `scanned` has been built and keyed (its canonical key and
+    // a ring lookup), and an owned one is staged for the next submit
     // with its global index in seqs and its key in keys (reused by
-    // the engine's cache lookup), and the rest are dropped as they
-    // are passed — so point 0 waits for one window of the node's
-    // share, not all of it, and the expansion shrinks as it goes.
-    const size_t candidates = specs.size();
+    // the engine's cache lookup) — so point 0 waits for one window of
+    // the node's share, not all of it.
+    const SweepBuilder &source = points.source;
+    const size_t candidates = source.size();
     std::vector<uint64_t> seqs = std::move(points.seqs);
+    std::vector<RunSpec> staged;
     std::vector<std::string> keys;
-    size_t selected = points.ring ? 0 : candidates;
-    size_t scanned = selected;
+    size_t selected = points.ring     ? 0
+                      : points.subset ? seqs.size()
+                                      : candidates;
+    size_t scanned = points.ring ? 0 : candidates;
     const auto pick = [&](size_t want) {
         while (selected < want && scanned < candidates) {
-            std::string key = specs[scanned].canonical();
+            RunSpec spec = source.spec(scanned);
+            std::string key = spec.canonical();
             if (points.ring->nodeFor(key) == points.self) {
-                if (selected != scanned)
-                    specs[selected] = std::move(specs[scanned]);
+                staged.push_back(std::move(spec));
                 keys.push_back(std::move(key));
                 seqs.push_back(scanned);
                 ++selected;
-            } else {
-                RunSpec dropped = std::move(specs[scanned]);
             }
             ++scanned;
         }
@@ -726,27 +723,26 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         if (submitted - cursor > streamWindowPoints / 2)
             return;
         const size_t want = cursor + streamWindowPoints;
-        if (points.ring)
+        if (points.ring) {
             pick(want);
-        const size_t burst = std::min(selected, want) - submitted;
+        } else {
+            for (size_t k = submitted; k < std::min(selected, want); ++k)
+                staged.push_back(source.spec(points.subset ? seqs[k] : k));
+        }
+        const size_t burst = staged.size();
         if (burst == 0)
             return;
         pointsInFlight_.fetch_add(burst);
         obsPointsInFlight_->add(static_cast<int64_t>(burst));
         for (auto &future :
-             engine_->submitAll(specs, submitted, burst, progress,
-                                token, client.lane,
+             engine_->submitAll(staged, 0, burst, progress, token,
+                                client.lane,
                                 points.ring ? &keys : nullptr)) {
             window.push_back(std::move(future));
         }
-        for (size_t k = submitted; points.ring && k < submitted + burst;
-             ++k)
-            std::string().swap(keys[k]);
+        staged.clear();
+        keys.clear();
         submitted += burst;
-        if (submitted == selected && scanned == candidates) {
-            std::vector<RunSpec>().swap(specs);
-            std::vector<std::string>().swap(keys);
-        }
     };
 
     uint64_t simulated = 0;
@@ -758,7 +754,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     size_t completed = 0;
     std::vector<RunResult> collected;
     if (compare)
-        collected.reserve(candidates);
+        collected.reserve(selected);
     // Encoded points waiting for one coalesced write. A point is
     // held back only while the NEXT future is already settled (a
     // warm sweep draining the cache), so a trickling stream still

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/api/engine.hh"
+#include "src/api/sweep.hh"
 #include "src/service/connection_core.hh"
 #include "src/service/protocol.hh"
 #include "src/store/result_store.hh"
@@ -171,16 +172,17 @@ class MtvService
     };
 
     /**
-     * Which of a batch's specs stream, and under which seq. By
-     * default every spec, seq = its position. With @c seqs the specs
-     * were already picked out of a sweep's expansion and seqs[k] is
-     * spec k's global index. With @c ring the specs are the whole
-     * expansion and the batch streams the share the ring assigns
-     * node @c self, picked as its window refills; seq is the global
-     * index.
+     * What a batch streams, and under which seq. Its points come from
+     * @c source by index, each spec built as the window refills. By
+     * default every point of the source, seq = its index. With
+     * @c subset the points source[seqs[k]] (seq = the global index).
+     * With @c ring the share of the source the ring assigns node
+     * @c self, picked as the window refills; seq is the global index.
      */
     struct BatchPoints
     {
+        SweepBuilder source;
+        bool subset = false;
         std::vector<uint64_t> seqs;
         std::shared_ptr<const HashRing> ring;
         size_t self = 0;
@@ -190,23 +192,23 @@ class MtvService
     ConnectionCore::Service coreService();
     /** Validate a "run" batch and start its streaming thread. */
     bool handleRun(const Json &request, ClientState &client);
-    /** Expand a "sweep" request server-side, ack it, and start its
+    /** Expand a "sweep" request server-side (indexed: no spec is
+     *  built yet), ack it from its count and slices, and start its
      *  streaming thread. */
     bool handleSweep(const Json &request, ClientState &client);
     /** Expand a "compare" request, check the family is design-
      *  parallel, and start its streaming thread in compare mode. */
     bool handleCompare(const Json &request, ClientState &client);
-    /** Admit the validated batch @p specs: take a slot, register its
-     *  cancel token, and start its streaming thread. @p sweep tags
-     *  the op's latency series; @p admittedUs is the request's
-     *  arrival timestamp (monotonicMicros()). A non-null @p compare
-     *  switches the stream to the one-line aggregated answer;
-     *  @p points picks the streamed subset. */
+    /** Admit the validated batch @p points: register its cancel
+     *  token and start its streaming thread (the caller holds a
+     *  slot). @p sweep tags the op's latency series; @p admittedUs is
+     *  the request's arrival timestamp (monotonicMicros()). A
+     *  non-null @p compare switches the stream to the one-line
+     *  aggregated answer. */
     void admitBatch(ClientState &client, uint64_t id,
-                    std::vector<RunSpec> specs, bool quiet,
-                    bool sweep, uint64_t admittedUs,
-                    std::shared_ptr<const CompareJob> compare,
-                    BatchPoints points);
+                    BatchPoints points, bool quiet, bool sweep,
+                    uint64_t admittedUs,
+                    std::shared_ptr<const CompareJob> compare);
     /** Cancel every in-flight batch tagged @p requestId, on any
      *  connection; returns how many were hit. */
     uint64_t cancelBatches(uint64_t requestId);
@@ -220,17 +222,16 @@ class MtvService
     /** Block until the connection has a free batch slot (the
      *  protocol's backpressure); false when shutting down. */
     bool acquireSlot(ClientState &client);
-    /** Submit the @p points of @p specs in a window of
+    /** Build and submit the @p points in a window of
      *  streamWindowPoints and stream id-tagged results in submission
      *  order; runs on the dedicated connection-stream thread keyed by
      *  @p streamId (retired for reaping when done). */
     void streamBatch(ClientState &client, uint64_t streamId,
-                     uint64_t id, std::vector<RunSpec> specs,
-                     bool quiet, std::shared_ptr<CancelToken> token,
+                     uint64_t id, BatchPoints points, bool quiet,
+                     std::shared_ptr<CancelToken> token,
                      uint64_t batchKey, bool sweep,
                      uint64_t admittedUs,
-                     std::shared_ptr<const CompareJob> compare,
-                     BatchPoints points);
+                     std::shared_ptr<const CompareJob> compare);
 
     std::shared_ptr<ResultStore> store_;
     std::unique_ptr<ExperimentEngine> engine_;

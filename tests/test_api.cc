@@ -925,6 +925,124 @@ TEST(SweepRegistry, GroupingsAndLatencyFamilies)
     EXPECT_EQ(fig10.specs()[0].params.contexts, 4);
 }
 
+/** Spec i built by index and the materialized batch agree byte for
+ *  byte, point by point. */
+void
+expectIndexedMatchesMaterialized(const SweepBuilder &sweep)
+{
+    const std::vector<RunSpec> &specs = sweep.specs();
+    ASSERT_EQ(specs.size(), sweep.size());
+    for (size_t i = 0; i < sweep.size(); ++i)
+        ASSERT_EQ(sweep.spec(i).canonical(), specs[i].canonical()) << i;
+}
+
+TEST(SweepRegistry, IndexedExpansionMatchesEveryRegisteredFamily)
+{
+    // The registry hash folds every family's slices and point keys at
+    // its representative request; this is its value from before the
+    // expansion became indexed, so every family still expands to
+    // exactly the same points.
+    EXPECT_EQ(sweepRegistryHash(), 0xec9550e3c34afa31ull);
+    for (const SweepFamilyInfo &family : sweepFamilies()) {
+        SweepRequest request;
+        request.family = family.name;
+        if (family.name == "groupings") {
+            request.program = "trfd";
+            request.contexts = 2;
+        }
+        SCOPED_TRACE(family.name);
+        expectIndexedMatchesMaterialized(expandSweep(request));
+    }
+}
+
+TEST(SweepRegistry, IndexedLatencyAxesMatchTheEagerExpansion)
+{
+    // A 20000-point latency sweep: one base spec plus the latency
+    // list, point i the job queue at latency i — as building every
+    // spec through RunSpec::jobQueue() would give it.
+    SweepRequest latency;
+    latency.family = "latency";
+    latency.scale = testScale;
+    for (int i = 1; i <= 20000; ++i)
+        latency.latencies.push_back(1000 + i);
+    const SweepBuilder lats = expandSweep(latency);
+    ASSERT_EQ(lats.size(), 20000u);
+    ASSERT_EQ(lats.slices().size(), 1u);
+    EXPECT_EQ(lats.slices()[0].count, 20000u);
+    for (size_t i = 0; i < lats.size(); ++i) {
+        MachineParams p = MachineParams::multithreaded(4);
+        p.memLatency = latency.latencies[i];
+        ASSERT_EQ(lats.spec(i).canonical(),
+                  RunSpec::jobQueue(jobQueueOrder(), p, testScale)
+                      .canonical())
+            << i;
+    }
+    expectIndexedMatchesMaterialized(lats);
+
+    // ext-decoupled with custom latencies: four design slices, each
+    // its own latency axis with the design's extension axes.
+    SweepRequest decoupled;
+    decoupled.family = "ext-decoupled";
+    decoupled.scale = testScale;
+    decoupled.contexts = 3;
+    decoupled.jobs = {"trfd", "flo52"};
+    decoupled.latencies = {7, 1, 300, 42};
+    const SweepBuilder designs = expandSweep(decoupled);
+    const struct
+    {
+        MachineParams params;
+        int decouple;
+    } expected[] = {
+        {MachineParams::reference(), 0},
+        {MachineParams::reference(), 4},
+        {MachineParams::multithreaded(3), 0},
+        {MachineParams::multithreaded(3), 4},
+    };
+    ASSERT_EQ(designs.size(), 16u);
+    ASSERT_EQ(designs.slices().size(), 4u);
+    size_t i = 0;
+    for (const auto &design : expected) {
+        for (const int lat : decoupled.latencies) {
+            MachineParams p = design.params;
+            p.memLatency = lat;
+            EXPECT_EQ(designs.spec(i).canonical(),
+                      RunSpec::jobQueue(decoupled.jobs, p, testScale)
+                          .withExtensions(0, 0, design.decouple)
+                          .canonical())
+                << i;
+            ++i;
+        }
+    }
+    expectIndexedMatchesMaterialized(designs);
+
+    // take() moves the materialized batch out; indexing still works.
+    SweepBuilder taken = expandSweep(decoupled);
+    const std::vector<RunSpec> moved = taken.take();
+    ASSERT_EQ(moved.size(), 16u);
+    EXPECT_EQ(moved[5].canonical(), taken.spec(5).canonical());
+}
+
+TEST(SweepRegistryDeath, InvalidLatencyFailsTheExpansion)
+{
+    // Every latency is checked when the axis is added, the last one
+    // too, though no spec is built for it yet.
+    SweepRequest latency;
+    latency.family = "latency";
+    latency.latencies = {20, 50, 0};
+    EXPECT_EXIT(expandSweep(latency), testing::ExitedWithCode(1),
+                "sweep latency must be positive, got 0");
+    SweepRequest decoupled;
+    decoupled.family = "ext-decoupled";
+    decoupled.latencies = {1, -5};
+    EXPECT_EXIT(expandSweep(decoupled), testing::ExitedWithCode(1),
+                "sweep latency must be positive, got -5");
+    SweepBuilder direct(testScale);
+    EXPECT_EXIT(direct.addLatencySweep({"trfd"},
+                                       MachineParams::reference(),
+                                       {30, 0}),
+                testing::ExitedWithCode(1), "memLatency must be >= 1");
+}
+
 TEST(SweepRegistryDeath, UnknownFamilyAndMissingParamsRejected)
 {
     SweepRequest bogus;

@@ -1492,6 +1492,98 @@ TEST_F(FleetFixture, RouterCreditWaitEndsWhenANodeDies)
     serveThread.join();
 }
 
+TEST_F(FleetFixture, RouterReapsItsNodeStreamsWhenTheClientVanishes)
+{
+    // A client of the routing daemon reads the ack and a few points
+    // of a long cold sweep, then hangs up. The router's next write to
+    // it fails, so it gives the batch up and shuts down its node
+    // sockets, and each node reaps its stream: the nodes stop within
+    // about a window each, instead of simulating the whole sweep for
+    // nobody — and no node is blamed for it.
+    SweepRequest sweep;
+    sweep.family = "latency";
+    sweep.scale = testScale;
+    sweep.contexts = 2;
+    sweep.jobs = {"trfd"};
+    const size_t total = 16 * streamWindowPoints;
+    for (size_t i = 0; i < total; ++i)
+        sweep.latencies.push_back(static_cast<int>(20 + i));
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    const auto completed = [this] {
+        uint64_t points = 0;
+        for (const auto &service : services_)
+            points += service->completedPoints();
+        return points;
+    };
+    {
+        Watchdog watchdog("a sweep its client abandoned", 120);
+        {
+            std::string error;
+            const int fd = connectToEndpoint(
+                parseEndpoint(fleet.socketPath()), &error);
+            ASSERT_GE(fd, 0) << error;
+            LineChannel channel(fd);
+            Json request = sweepRequestToJson(sweep);
+            request.set("op", "sweep");
+            request.set("id", 70);
+            request.set("quiet", false);
+            ASSERT_TRUE(channel.writeLine(request.dump()));
+            std::string line;
+            ASSERT_TRUE(channel.readLine(&line));
+            EXPECT_NE(line.find("\"ack\""), std::string::npos) << line;
+            for (int k = 0; k < 3; ++k) {
+                ASSERT_TRUE(channel.readLine(&line));
+                EXPECT_NE(line.find("\"seq\""), std::string::npos)
+                    << line;
+            }
+        }  // the client hangs up
+        // The nodes settle once no point has completed for 0.5 s.
+        uint64_t last = completed();
+        for (int still = 0; still < 5;) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            const uint64_t now = completed();
+            still = now == last ? still + 1 : 0;
+            last = now;
+        }
+    }
+    // Each node completes at most its window plus what its stream had
+    // written ahead of the router; far from the whole sweep.
+    EXPECT_LT(completed(), endpoints_.size() * 2 * streamWindowPoints);
+    uint64_t reaped = 0;
+    for (const auto &service : services_)
+        reaped += service->reapedBatches();
+    EXPECT_GE(reaped, 1u);
+    for (const FleetNodeStatus &node : fleet.router().status())
+        EXPECT_TRUE(node.alive) << node.name << ": " << node.lastError;
+
+    // The fleet serves the next client as before.
+    SweepRequest next;
+    next.family = "groupings";
+    next.program = "trfd";
+    next.contexts = 2;
+    next.scale = testScale;
+    const LocalFold expected = localFold(expandSweep(next).specs());
+    Json request = sweepRequestToJson(next);
+    request.set("op", "sweep");
+    request.set("id", 71);
+    request.set("quiet", false);
+    const BinaryStream stream = streamBinary(fleet.socketPath(), request);
+    expectGlobalOrder(stream, expected.results.size());
+    EXPECT_EQ(stream.fold, expected.digest);
+    EXPECT_EQ(stream.done.getString("digest"),
+              format("%016llx", static_cast<unsigned long long>(
+                                    expected.digest)));
+
+    fleet.stop();
+    serveThread.join();
+}
+
 TEST_F(FleetFixture, PingAllRevivesARestartedNode)
 {
     FleetRouter router(endpoints_);

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <thread>
@@ -65,6 +67,37 @@ TEST(Json, DumpParseRoundTrip)
     EXPECT_FALSE(back.get("list").asArray()[2].asBool());
     // Canonical re-dump.
     EXPECT_EQ(back.dump(), obj.dump());
+}
+
+TEST(Json, NumbersDumpAsPrintfAndParseAsStrtod)
+{
+    // Numbers print as %lld (integral, below 2^53) or %.17g, and
+    // parse to the value strtod gives, on every path.
+    for (const double v : {0.0, -0.0, 42.0, -42.0, 9.007199254740991e15,
+                           9.007199254740992e15, -9.5e15, 1.5, 0.1,
+                           1e300, -1e-300, 123456789.125}) {
+        const std::string expected =
+            v == std::floor(v) && std::fabs(v) < 9.007199254740992e15
+                ? format("%lld", static_cast<long long>(v))
+                : format("%.17g", v);
+        EXPECT_EQ(Json(v).dump(), expected);
+    }
+    for (const char *text :
+         {"0", "-0", "7", "-42", "007", "123456789012345",
+          "-123456789012345", "1234567890123456", "9007199254740993",
+          "1.5", "-2.25e3", "1e300", "+5"}) {
+        Json out;
+        std::string error;
+        ASSERT_TRUE(Json::parse(text, &out, &error)) << text << error;
+        const double expected = std::strtod(text, nullptr);
+        EXPECT_EQ(out.asNumber(), expected) << text;
+        EXPECT_EQ(std::signbit(out.asNumber()), std::signbit(expected))
+            << text;
+    }
+    Json out;
+    std::string error;
+    EXPECT_FALSE(Json::parse("12-3", &out, &error));
+    EXPECT_FALSE(Json::parse("-", &out, &error));
 }
 
 TEST(Json, StringEscapes)
@@ -2217,6 +2250,44 @@ TEST_P(EnvelopeFixture, MalformedIdsAnswerAsIdZeroAndARunNeedsNoId)
     Json ping = Json::object();
     ping.set("op", "ping");
     EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+}
+
+TEST_P(EnvelopeFixture, SweepWithAZeroLastLatencyErrorsBeforeTheAck)
+{
+    // The expansion is indexed, yet every latency is still checked
+    // before the ack: a sweep whose last latency is 0 answers one
+    // error line for its id — the very line a node gives — and no
+    // ack, no point runs, and the connection stays open.
+    LineChannel channel = front();
+    LineChannel node = connect();
+    SweepRequest bad;
+    bad.family = "latency";
+    bad.scale = testScale;
+    bad.jobs = {"trfd"};
+    bad.latencies = {20, 50, 0};
+    Json request = sweepRequestToJson(bad);
+    request.set("op", "sweep");
+    request.set("id", 31);
+    std::string line;
+    std::string nodeLine;
+    ASSERT_TRUE(channel.writeLine(request.dump()));
+    ASSERT_TRUE(channel.readLine(&line));
+    ASSERT_TRUE(node.writeLine(request.dump()));
+    ASSERT_TRUE(node.readLine(&nodeLine));
+    EXPECT_EQ(line, nodeLine);
+    Json answer;
+    std::string error;
+    ASSERT_TRUE(Json::parse(line, &answer, &error)) << error;
+    EXPECT_FALSE(answer.getBool("ack", false)) << line;
+    EXPECT_EQ(answer.getString("error"),
+              "sweep latency must be positive, got 0");
+    EXPECT_EQ(answer.get("id").asU64(), 31u);
+
+    Json ping = Json::object();
+    ping.set("op", "ping");
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
+    EXPECT_TRUE(roundTrip(node, ping).getBool("pong"));
+    EXPECT_EQ(service_->completedPoints(), 0u);
 }
 
 TEST_P(EnvelopeFixture, HelloNegotiatesWireFormat)
