@@ -13,10 +13,10 @@ namespace
 {
 
 /**
- * Relays the router's global-order point stream to one client. On a
- * binary connection the node's payload goes out verbatim: only its
- * id/seq header is rewritten and the trailer checksum recomputed. A
- * quiet or JSON-wire client gets each point decoded and re-encoded.
+ * Relays the router's global-order point stream to one client. The
+ * node's payload goes out verbatim: only its id/seq header is
+ * rewritten, a quiet client's copy loses its blob in place, and the
+ * trailer checksum is recomputed — the relay never decodes a point.
  * Points coalesce into one write while the next one is already
  * parked, up to streamOutboxBytes — the daemon's streamBatch rule.
  * Once a write to the client has failed, the next point gives the
@@ -27,8 +27,7 @@ class RelayWriter
 {
   public:
     RelayWriter(Connection &conn, uint64_t id, bool quiet)
-        : conn_(conn), id_(id), quiet_(quiet),
-          binary_(conn.wire() == WireFormat::Binary)
+        : conn_(conn), id_(id), quiet_(quiet)
     {
     }
 
@@ -38,22 +37,10 @@ class RelayWriter
     {
         if (conn_.writeFailed())
             throw CancelledError("the client of this batch is gone");
-        if (binary_ && !quiet_) {
-            setResultFrameHeader(&payload, id_, global);
-            appendFramedPayload(&outbox_, payload);
-        } else {
-            std::string blob;
-            const RunResult result = resultFromPayload(payload, &blob);
-            if (binary_) {
-                appendResultFrame(&outbox_, result, id_, global,
-                                  nullptr);
-            } else {
-                outbox_ += resultToJson(result, id_, global,
-                                        /*includeBlob=*/!quiet_, &blob)
-                               .dump();
-                outbox_.push_back('\n');
-            }
-        }
+        setResultFrameHeader(&payload, id_, global);
+        if (quiet_)
+            stripResultFrameBlob(&payload);
+        appendFramedPayload(&outbox_, payload);
         if (!moreReady || outbox_.size() >= streamOutboxBytes)
             flush();
     }
@@ -95,7 +82,6 @@ class RelayWriter
     Connection &conn_;
     uint64_t id_;
     bool quiet_;
-    bool binary_;
     std::string outbox_;
 };
 

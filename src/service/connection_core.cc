@@ -330,24 +330,23 @@ ConnectionCore::handleRequest(const Json &request, Connection &conn)
 bool
 ConnectionCore::hello(const Json &request, Connection &conn)
 {
-    // Wire negotiation (protocol v6): the client picks its result-
-    // point encoding; everything else stays JSON lines. An unknown
-    // value answers an error and leaves the connection on JSON.
-    const std::string wanted =
-        request.has("wire") ? request.getString("wire") : "json";
-    if (wanted != "json" && wanted != "binary") {
-        return conn.writeLine(errorJson("unknown wire format '" + wanted +
-                                        "' (expected json or binary)")
-                                  .dump());
+    // A handshake: result points are binary frames on every
+    // connection, so the only wire a client may name is "binary".
+    // Anything else answers an error and the connection stays open.
+    const std::string wire =
+        request.has("wire") ? request.getString("wire") : "binary";
+    if (wire != "binary") {
+        Json error = errorJson("unknown wire format '" + wire +
+                               "' (result points are binary frames)");
+        error.set("badWire", wire);
+        return conn.writeLine(error.dump());
     }
-    conn.wire_.store(wanted == "binary" ? WireFormat::Binary
-                                        : WireFormat::Json);
     static const std::string registry = format(
         "%016llx", static_cast<unsigned long long>(sweepRegistryHash()));
     Json ok = Json::object();
     ok.set("ok", true);
     ok.set("hello", true);
-    ok.set("wire", wanted);
+    ok.set("wire", "binary");
     ok.set("protocol", serviceProtocolVersion);
     ok.set("registry", registry);
     return conn.writeLine(ok.dump());

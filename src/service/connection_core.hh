@@ -13,7 +13,7 @@
  *  - the read loop (badFrame, JSON parse errors, empty lines);
  *  - the write funnel of each connection (one write mutex, a sticky
  *    write failure, byte and write-stall accounting);
- *  - the request envelope: "hello" wire negotiation, "shutdown",
+ *  - the request envelope: "hello" handshake, "shutdown",
  *    unknown or missing ops, and ScopedFatalAsException turning a
  *    fatal() into an error line under one request-id rule.
  *
@@ -98,9 +98,6 @@ class Connection
      *  connection admits no more work. */
     bool live() const;
 
-    /** The result-point wire this connection negotiated ("hello"). */
-    WireFormat wire() const { return wire_.load(); }
-
     /** The socket (for socket options; writes go through write*()). */
     int fd() const { return channel_.fd(); }
 
@@ -123,7 +120,6 @@ class Connection
     std::atomic<bool> writeFailed_{false};
     /** channel_.bytesWritten() already counted (under writeMutex_). */
     uint64_t lastBytesSent_ = 0;
-    std::atomic<WireFormat> wire_{WireFormat::Json};
 };
 
 /** Listener, accept loop, connection threads and request envelope. */

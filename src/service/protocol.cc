@@ -211,62 +211,6 @@ parseEndpoint(const std::string &text)
     return Endpoint::tcp(hp.host, hp.port);
 }
 
-Json
-resultToJson(const RunResult &result, uint64_t id, size_t seq,
-             bool includeBlob, const std::string *serialized)
-{
-    Json line = Json::object();
-    line.set("id", id);
-    line.set("seq", static_cast<uint64_t>(seq));
-    line.set("spec", result.specCanonical.empty()
-                         ? result.spec.canonical()
-                         : result.specCanonical);
-    line.set("cached", result.cached);
-    line.set("store", result.fromStore);
-    // Headline numbers for human consumption; the blob is the source
-    // of truth (JSON doubles cannot carry full 64-bit counters).
-    line.set("cycles", result.stats.cycles);
-    line.set("dispatches", result.stats.dispatches);
-    if (result.spec.mode == SpecMode::Group) {
-        line.set("speedup", result.speedup);
-        line.set("mthOccupation", result.mthOccupation);
-        line.set("refOccupation", result.refOccupation);
-        line.set("mthVopc", result.mthVopc);
-        line.set("refVopc", result.refVopc);
-    }
-    if (includeBlob) {
-        line.set("blob",
-                 hexEncode(serialized
-                               ? *serialized
-                               : serializeSimStats(result.stats)));
-    }
-    return line;
-}
-
-RunResult
-resultFromJson(const Json &line, std::string *blob)
-{
-    RunResult result;
-    result.specCanonical = line.getString("spec");
-    result.spec = RunSpec::parse(result.specCanonical);
-    result.cached = line.getBool("cached");
-    result.fromStore = line.getBool("store");
-    result.stats.cycles = line.get("cycles").asU64();
-    result.stats.dispatches = line.get("dispatches").asU64();
-    result.speedup = line.getNumber("speedup");
-    result.mthOccupation = line.getNumber("mthOccupation");
-    result.refOccupation = line.getNumber("refOccupation");
-    result.mthVopc = line.getNumber("mthVopc");
-    result.refVopc = line.getNumber("refVopc");
-    if (line.has("blob")) {
-        const std::string bytes = hexDecode(line.getString("blob"));
-        result.stats = deserializeSimStats(bytes);
-        if (blob)
-            *blob = bytes;
-    }
-    return result;
-}
-
 std::string
 encodeResultFrame(const ResultFrame &frame)
 {
@@ -427,6 +371,18 @@ setResultFrameHeader(std::string *payload, uint64_t id, uint64_t seq)
 }
 
 void
+stripResultFrameBlob(std::string *payload)
+{
+    uint8_t *raw = reinterpret_cast<uint8_t *>(payload->data());
+    const uint8_t flags = raw[16];
+    const size_t blobLenAt = 8 + 8 + 1 + 4 + readLe32(raw + 17) +
+                             ((flags & frameFlagGroupExtras) ? 40 : 0);
+    raw[16] = static_cast<uint8_t>(flags & ~frameFlagHasBlob);
+    writeLe32(raw + blobLenAt, 0);
+    payload->resize(blobLenAt + 4);
+}
+
+void
 appendFramedPayload(std::string *out, const std::string &payload)
 {
     out->push_back(static_cast<char>(resultFrameMarker));
@@ -436,16 +392,13 @@ appendFramedPayload(std::string *out, const std::string &payload)
 }
 
 RunResult
-resultFromPayload(const std::string &payload, std::string *blob)
+resultFromPayload(const std::string &payload)
 {
     ResultFrame frame;
     std::string error;
     if (!decodeResultFrame(payload, &frame, &error))
         fatal("bad result frame: %s", error.c_str());
-    RunResult result = resultFromFrame(frame);
-    if (blob)
-        *blob = std::move(frame.blob);
-    return result;
+    return resultFromFrame(frame);
 }
 
 ResultFrame
@@ -480,8 +433,8 @@ resultFromFrame(const ResultFrame &frame)
 {
     RunResult result;
     result.spec = RunSpec::parse(frame.spec);
-    // Keep the wire string: re-encoders (a router's quiet or JSON
-    // client) forward it verbatim instead of recanonicalizing.
+    // Keep the wire string: consumers read the canonical key without
+    // recanonicalizing.
     result.specCanonical = frame.spec;
     result.cached = frame.cached;
     result.fromStore = frame.fromStore;

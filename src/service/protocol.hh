@@ -64,18 +64,16 @@
  *     — cancel every in-flight batch tagged with request id n, on
  *     ANY connection (cancellation is cooperative: queued points are
  *     skipped, points already simulating finish and stay cached).
- *   {"op":"hello","wire":"json"|"binary"}
- *     — v6: per-connection content negotiation. The answer
- *     {"ok":true,"hello":true,"wire":w,"protocol":6,"registry":h}
- *     confirms the wire format this connection's streamed RESULT
- *     POINTS will use from then on; h is sweepRegistryHash() in hex,
- *     which a fleet router requires to match its own. "binary" switches result lines to length-
- *     prefixed canonical SimStats frames (see ResultFrame below);
- *     every control message (requests, acks, done lines, errors,
- *     compare answers) stays a JSON line in either mode. A client
- *     that never sends hello gets pure v5-style JSON — old clients
- *     keep working unchanged. An unknown "wire" value answers an
- *     error and leaves the connection on JSON.
+ *   {"op":"hello"} or {"op":"hello","wire":"binary"}
+ *     — a handshake, optional: the answer
+ *     {"ok":true,"hello":true,"wire":"binary","protocol":7,
+ *      "registry":h} names the protocol revision and, as h,
+ *     sweepRegistryHash() in hex, which a fleet router requires to
+ *     match its own. Result points are binary frames on every
+ *     connection from its first request (v7; see ResultFrame), so
+ *     hello changes nothing about the stream. Any other "wire" value
+ *     ("json" included) answers an error and the connection stays
+ *     open.
  *   {"op":"clear"}
  *   {"op":"shutdown"}
  *
@@ -87,14 +85,12 @@
  *     to figure bars):
  *       {"id":n,"ack":true,"count":c,
  *        "slices":[{"label":s,"contexts":k,"first":i,"count":m},...]}
- *   run / sweep result, one line per spec as results finish:
- *       {"id":n,"seq":i,"spec":"...","cached":b,"store":b,
- *        "cycles":x,"dispatches":x,"speedup":x,...,"blob":"<hex>"}
- *     ("blob" is the full hex-encoded serializeSimStats() record and
- *     is omitted for quiet requests). On a connection negotiated to
- *     wire=binary the same points arrive as ResultFrame frames
- *     instead — raw canonical blob bytes, no hex, no JSON — and the
- *     two encodings fold to bit-identical digests. Then a terminator
+ *   run / sweep result, one binary ResultFrame per spec as results
+ *     finish (see ResultFrame below: id, seq, spec, flags, group
+ *     extras and the raw canonical serializeSimStats() blob, which a
+ *     quiet request leaves out). Every control message (acks, done
+ *     lines, errors, compare answers) stays a JSON line. Then a
+ *     terminator
  *       {"id":n,"done":true,"count":c,"simulated":a,"cacheServed":b,
  *        "storeServed":c2,"digest":"<16 hex>"}
  *     where "digest" is FNV-1a folded over the canonical stats blobs
@@ -166,7 +162,7 @@ namespace mtv
 {
 
 /** Protocol revision spoken by this build (bump on changes). */
-constexpr int serviceProtocolVersion = 6;
+constexpr int serviceProtocolVersion = 7;
 
 /** Batch requests one connection may keep streaming concurrently;
  *  further requests are not read until a slot frees (backpressure). */
@@ -188,14 +184,6 @@ constexpr size_t streamOutboxBytes = 256u * 1024;
  */
 constexpr size_t streamWindowPoints = 256;
 
-/** Wire format of a connection's streamed result points (v6). The
- *  default — and the only format v5 clients ever see — is Json. */
-enum class WireFormat : uint8_t
-{
-    Json,
-    Binary
-};
-
 /**
  * First byte of every binary result frame. Deliberately NOT a byte a
  * JSON line can start with ('{' is 0x7b), so a reader can tell the
@@ -205,8 +193,8 @@ enum class WireFormat : uint8_t
 constexpr uint8_t resultFrameMarker = 0xBF;
 
 /**
- * One streamed result point on a wire=binary connection — the binary
- * twin of a resultToJson() line. On the wire:
+ * One streamed result point — the only encoding of a run or sweep
+ * point (v7). On the wire:
  *
  *     [0xBF][u32 payloadLen][payload][u64 frameChecksum(payload)]
  *
@@ -300,6 +288,13 @@ bool viewResultFrame(const std::string &payload, ResultFrameView *out,
 void setResultFrameHeader(std::string *payload, uint64_t id,
                           uint64_t seq);
 
+/** Drop a payload's blob in place — how a router serves a quiet
+ *  client: clear the has-blob flag and cut the payload after its
+ *  blob length word, now 0. The result is byte-equal to the payload
+ *  appendResultFrame() builds with a null blob. @p payload must be
+ *  well-formed (viewResultFrame() accepts it). */
+void stripResultFrameBlob(std::string *payload);
+
 /** Append @p payload's full wire frame to @p out: marker, length
  *  prefix, payload, frameChecksum() trailer. */
 void appendFramedPayload(std::string *out, const std::string &payload);
@@ -307,16 +302,13 @@ void appendFramedPayload(std::string *out, const std::string &payload);
 /**
  * Decode a frame payload all the way to a RunResult — the one path
  * for a relay's consumers that want results rather than bytes
- * (compare, `mtvctl --fleet`, a JSON-wire or quiet router client).
- * @p blob, if non-null, receives the raw blob. fatal()s on a
- * malformed payload or blob.
+ * (compare, `mtvctl --fleet`). fatal()s on a malformed payload or
+ * blob.
  */
-RunResult resultFromPayload(const std::string &payload,
-                            std::string *blob = nullptr);
+RunResult resultFromPayload(const std::string &payload);
 
-/** Build the frame for one result (the binary twin of
- *  resultToJson()). @p blob carries the canonical stats bytes, or
- *  null for a quiet stream. */
+/** Build the frame for one result. @p blob carries the canonical
+ *  stats bytes, or null for a quiet stream. */
 ResultFrame resultToFrame(const RunResult &result, uint64_t id,
                           uint64_t seq, const std::string *blob);
 
@@ -377,25 +369,6 @@ struct Endpoint
  * else is a unix socket path.
  */
 Endpoint parseEndpoint(const std::string &text);
-
-/**
- * One result line of a streamed response. @p includeBlob attaches the
- * hex serializeSimStats() blob (lossless; JSON numbers alone could
- * not round-trip 64-bit counters); a caller that already serialized
- * the stats (the daemon folds the digest over the same bytes) passes
- * them as @p serialized to skip re-encoding.
- */
-Json resultToJson(const RunResult &result, uint64_t id, size_t seq,
-                  bool includeBlob,
-                  const std::string *serialized = nullptr);
-
-/**
- * Inverse of resultToJson(): decode one streamed result line. When
- * the line carries a blob, the stats are decoded losslessly from it
- * and @p blob (if non-null) receives the raw blob bytes — the digest
- * fold input. fatal()s on malformed lines.
- */
-RunResult resultFromJson(const Json &line, std::string *blob = nullptr);
 
 /** Encode a named-sweep request ("op","id","quiet" added by caller). */
 Json sweepRequestToJson(const SweepRequest &request);
@@ -501,7 +474,7 @@ class LineChannel
     bool readLine(std::string *line);
 
     /**
-     * Read the next message of a v6 stream, whichever kind it is: a
+     * Read the next message of a stream, whichever kind it is: a
      * peek at the first byte dispatches between a JSON line (any
      * byte but the frame marker) and a binary result frame. For
      * Frame, @p out receives the verified payload (feed it to

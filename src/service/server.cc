@@ -133,13 +133,9 @@ MtvService::MtvService(ServiceOptions options)
         reg.histogram("service_first_point_us{op=\"sweep\"}");
     obsDoneUs_[0] = reg.histogram("service_done_us{op=\"run\"}");
     obsDoneUs_[1] = reg.histogram("service_done_us{op=\"sweep\"}");
-    obsEncodeUs_[0][0] = reg.histogram(
-        "service_encode_us{op=\"run\",wire=\"json\"}");
-    obsEncodeUs_[0][1] = reg.histogram(
+    obsEncodeUs_[0] = reg.histogram(
         "service_encode_us{op=\"run\",wire=\"binary\"}");
-    obsEncodeUs_[1][0] = reg.histogram(
-        "service_encode_us{op=\"sweep\",wire=\"json\"}");
-    obsEncodeUs_[1][1] = reg.histogram(
+    obsEncodeUs_[1] = reg.histogram(
         "service_encode_us{op=\"sweep\",wire=\"binary\"}");
     obsInflightBatches_ = reg.gauge("service_inflight_batches");
     obsPointsInFlight_ = reg.gauge("service_points_in_flight");
@@ -664,12 +660,6 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     activeRequests_.fetch_add(1);
     obsInflightBatches_->add(1);
 
-    // The wire format is sampled once per batch: a hello racing an
-    // in-flight stream must not flip the encoding mid-stream (the
-    // ack's ordering guarantee is per-request, not per-connection).
-    const bool binary =
-        client.conn.wire() == WireFormat::Binary && !compare;
-
     // Submit in a bounded window, then consume the futures in
     // submission order, writing each point as its result lands: at
     // most streamWindowPoints points ride the engine ahead of the
@@ -836,19 +826,10 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             continue;
         }
         const size_t seq = seqs.empty() ? i : seqs[i];
-        if (binary) {
-            const uint64_t encodeStartUs = monotonicMicros();
-            appendResultFrame(&outbox, result, id, seq,
-                              quiet ? nullptr : blob);
-            obsEncodeUs_[sweep][1]->observe(monotonicMicros() -
-                                            encodeStartUs);
-        } else {
-            const uint64_t encodeStartUs = monotonicMicros();
-            outbox += resultToJson(result, id, seq, !quiet, blob).dump();
-            outbox.push_back('\n');
-            obsEncodeUs_[sweep][0]->observe(monotonicMicros() -
-                                            encodeStartUs);
-        }
+        const uint64_t encodeStartUs = monotonicMicros();
+        appendResultFrame(&outbox, result, id, seq,
+                          quiet ? nullptr : blob);
+        obsEncodeUs_[sweep]->observe(monotonicMicros() - encodeStartUs);
         const bool nextReady =
             !window.empty() &&
             window.front().wait_for(std::chrono::seconds(0)) ==

@@ -254,9 +254,8 @@ class MtvService
     // time and window occupancy.
     Histogram *obsFirstPointUs_[2] = {nullptr, nullptr}; ///< [sweep]
     Histogram *obsDoneUs_[2] = {nullptr, nullptr};       ///< [sweep]
-    /** Per-point result encode latency, [sweep][binary wire]. */
-    Histogram *obsEncodeUs_[2][2] = {{nullptr, nullptr},
-                                     {nullptr, nullptr}};
+    /** Per-point result frame encode latency, [sweep]. */
+    Histogram *obsEncodeUs_[2] = {nullptr, nullptr};
     Gauge *obsInflightBatches_ = nullptr;
     Gauge *obsPointsInFlight_ = nullptr;
     Counter *obsUnsubmittedPoints_ = nullptr;

@@ -23,6 +23,7 @@
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
 #include "src/service/connection_core.hh"
+#include "tests/stream_reader.hh"
 
 namespace mtv
 {
@@ -171,18 +172,38 @@ TEST(ConnectionCore, HooksFrameEveryConnectionAndOpsSeeTheirState)
 
 TEST(ConnectionCore, EnvelopeAnswersHelloUnknownOpsAndShutdown)
 {
+    // The fake "point" op streams one result frame and a done line,
+    // as a daemon's batch does: frames with or without a hello.
     ConnectionCore::Service service;
-    service.ops["wire"] = [](const Json &, Connection &conn) {
-        Json ok = Json::object();
-        ok.set("binary", conn.wire() == WireFormat::Binary);
-        return conn.writeLine(ok.dump());
+    service.ops["point"] = [](const Json &request, Connection &conn) {
+        RunResult result;
+        result.specCanonical = "fake";
+        const std::string blob = "stats";
+        std::string frame;
+        appendResultFrame(&frame, result, request.get("id").asU64(), 0,
+                          &blob);
+        Json done = Json::object();
+        done.set("id", request.get("id").asU64());
+        done.set("done", true);
+        return conn.writeBytes(frame) && conn.writeLine(done.dump());
     };
     ListenOptions listen;
     listen.socketPath = tempSocket("envelope");
     CoreRunner runner(listen, std::move(service));
     LineChannel channel = runner.connectUnix();
+    const auto expectPoint = [&channel](uint64_t id) {
+        ASSERT_TRUE(channel.writeLine(
+            format("{\"op\":\"point\",\"id\":%llu}",
+                   static_cast<unsigned long long>(id))));
+        ResultFrame point;
+        ASSERT_TRUE(readFrame(channel, &point));
+        EXPECT_EQ(point.id, id);
+        EXPECT_EQ(point.spec, "fake");
+        EXPECT_EQ(point.blob, "stats");
+        ASSERT_TRUE(readUntilDone(channel));
+    };
 
-    EXPECT_FALSE(roundTrip(channel, "{\"op\":\"wire\"}").getBool("binary"));
+    expectPoint(1);
     const Json hello =
         roundTrip(channel, "{\"op\":\"hello\",\"wire\":\"binary\"}");
     EXPECT_TRUE(hello.getBool("hello"));
@@ -192,12 +213,19 @@ TEST(ConnectionCore, EnvelopeAnswersHelloUnknownOpsAndShutdown)
     EXPECT_EQ(hello.getString("registry"),
               format("%016llx", static_cast<unsigned long long>(
                                     sweepRegistryHash())));
-    EXPECT_TRUE(roundTrip(channel, "{\"op\":\"wire\"}").getBool("binary"));
-    // An unknown wire is an error and changes nothing.
-    EXPECT_TRUE(
-        roundTrip(channel, "{\"op\":\"hello\",\"wire\":\"morse\"}")
-            .has("error"));
-    EXPECT_TRUE(roundTrip(channel, "{\"op\":\"wire\"}").getBool("binary"));
+    EXPECT_EQ(roundTrip(channel, "{\"op\":\"hello\"}").getString("wire"),
+              "binary");
+    expectPoint(2);
+    // Any other wire is an error and changes nothing.
+    for (const char *wire : {"json", "morse"}) {
+        const Json refused = roundTrip(
+            channel,
+            format("{\"op\":\"hello\",\"wire\":\"%s\"}", wire));
+        EXPECT_TRUE(refused.has("error")) << wire;
+        EXPECT_EQ(refused.getString("badWire"), wire);
+        EXPECT_FALSE(refused.has("hello")) << wire;
+        expectPoint(3);
+    }
 
     EXPECT_EQ(roundTrip(channel, "{\"op\":\"explode\"}").getString("error"),
               "unknown op 'explode'");

@@ -36,6 +36,7 @@
 #include "src/service/json.hh"
 #include "src/service/server.hh"
 #include "src/store/stats_codec.hh"
+#include "tests/stream_reader.hh"
 
 namespace mtv
 {
@@ -563,7 +564,7 @@ class FakeNode
         ok.set("wire", std::string(mode_ == FakeMode::JsonOnly
                                        ? "json"
                                        : "binary"));
-        ok.set("protocol", static_cast<uint64_t>(6));
+        ok.set("protocol", serviceProtocolVersion);
         ok.set("registry",
                mode_ == FakeMode::ForeignRegistry
                    ? std::string("0123456789abcdef")
@@ -993,14 +994,7 @@ TEST_F(FleetFixture, RoutingDaemonOverTcpAnswersWarmSweepsPromptly)
             request.set("quiet", true);
             const auto start = std::chrono::steady_clock::now();
             EXPECT_TRUE(channel.writeLine(request.dump()));
-            std::string line;
-            while (channel.readLine(&line)) {
-                Json answer;
-                EXPECT_TRUE(Json::parse(line, &answer, &error)) << error;
-                EXPECT_FALSE(answer.has("error")) << line;
-                if (answer.has("error") || answer.getBool("done", false))
-                    break;
-            }
+            EXPECT_TRUE(readUntilDone(channel));
             return std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                 .count();
@@ -1132,7 +1126,7 @@ TEST_F(FleetFixture, NodeSilentAfterItsAckIsEndedByTheHealthMonitor)
     EXPECT_EQ(status[2].pointsServed, 0u);
 }
 
-/** What a binary client read off one streamed request. */
+/** What a client read off one streamed request. */
 struct BinaryStream
 {
     /** Frame payloads in arrival order. */
@@ -1141,12 +1135,13 @@ struct BinaryStream
     std::vector<uint64_t> seqs;
     /** FNV-1a over the frames' blobs in arrival order. */
     uint64_t fold = 0xcbf29ce484222325ull;
+    /** Frames that carried a blob. */
+    size_t blobs = 0;
     Json done;
 };
 
-/** Negotiate the binary wire at @p endpoint, send @p request and read
- *  its stream up to the done line, pausing @p perFrame after each
- *  frame (a slow client). */
+/** Send @p request to @p endpoint and read its stream up to the done
+ *  line, pausing @p perFrame after each frame (a slow client). */
 BinaryStream
 streamBinary(const std::string &endpoint, const Json &request,
              std::chrono::microseconds perFrame = {})
@@ -1158,44 +1153,34 @@ streamBinary(const std::string &endpoint, const Json &request,
     if (fd < 0)
         return out;
     LineChannel channel(fd);
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", "binary");
-    std::string line;
-    EXPECT_TRUE(channel.writeLine(hello.dump()));
-    EXPECT_TRUE(channel.readLine(&line));
-    EXPECT_NE(line.find("\"binary\""), std::string::npos) << line;
     EXPECT_TRUE(channel.writeLine(request.dump()));
     const uint64_t id = request.get("id").asU64();
-    std::string message;
     for (;;) {
-        const LineChannel::MessageKind kind =
-            channel.readMessage(&message);
-        if (kind == LineChannel::MessageKind::Frame) {
-            ResultFrameView frame;
-            EXPECT_TRUE(viewResultFrame(message, &frame, &error))
-                << error;
+        StreamMessage message;
+        const testing::AssertionResult read =
+            readStreamMessage(channel, &message);
+        if (!read) {
+            ADD_FAILURE() << "stream broke: " << read.message();
+            return out;
+        }
+        if (message.isFrame) {
+            const ResultFrame &frame = message.frame;
             EXPECT_EQ(frame.id, id);
             out.fold = fnv1a64(frame.blob.data(), frame.blob.size(),
                                out.fold);
+            out.blobs += frame.hasBlob ? 1 : 0;
             out.seqs.push_back(frame.seq);
-            out.payloads.push_back(std::move(message));
+            out.payloads.push_back(std::move(message.raw));
             if (perFrame.count() > 0)
                 std::this_thread::sleep_for(perFrame);
             continue;
         }
-        if (kind != LineChannel::MessageKind::Line) {
-            ADD_FAILURE() << "stream broke";
+        if (message.line.has("error")) {
+            ADD_FAILURE() << message.line.getString("error");
             return out;
         }
-        Json msg;
-        EXPECT_TRUE(Json::parse(message, &msg, &error)) << error;
-        if (msg.has("error")) {
-            ADD_FAILURE() << msg.getString("error");
-            return out;
-        }
-        if (msg.getBool("done", false)) {
-            out.done = msg;
+        if (message.line.getBool("done", false)) {
+            out.done = message.line;
             return out;
         }
     }
@@ -1208,6 +1193,43 @@ expectGlobalOrder(const BinaryStream &stream, size_t n)
     ASSERT_EQ(stream.seqs.size(), n);
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(stream.seqs[i], i);
+}
+
+/** Each point's frame payload as the node that owns it streams it
+ *  when asked directly, by global index: one "points" subset per
+ *  node, on @p fleet's ring. */
+std::vector<std::string>
+nodeFrames(FleetService &fleet,
+           const std::vector<std::string> &endpoints,
+           const SweepRequest &sweep, SweepBuilder &reference, bool quiet)
+{
+    const size_t n = reference.size();
+    std::vector<std::string> direct(n);
+    std::vector<std::vector<size_t>> owned(endpoints.size());
+    for (size_t i = 0; i < n; ++i) {
+        owned[fleet.router().nodeForKey(
+                  reference.specs()[i].canonical())]
+            .push_back(i);
+    }
+    for (size_t node = 0; node < owned.size(); ++node) {
+        if (owned[node].empty())
+            continue;  // ring placement varies with the ports
+        Json subset = sweepRequestToJson(sweep);
+        subset.set("op", "sweep");
+        subset.set("id", 50 + node);
+        subset.set("quiet", quiet);
+        Json points = Json::array();
+        for (const size_t global : owned[node])
+            points.push(static_cast<uint64_t>(global));
+        subset.set("points", std::move(points));
+        const BinaryStream stream = streamBinary(endpoints[node], subset);
+        EXPECT_EQ(stream.payloads.size(), owned[node].size());
+        for (size_t k = 0;
+             k < std::min(owned[node].size(), stream.payloads.size());
+             ++k)
+            direct[owned[node][k]] = stream.payloads[k];
+    }
+    return direct;
 }
 
 TEST_F(FleetFixture, RouterRelaysNodeFramesVerbatimInGlobalOrder)
@@ -1232,64 +1254,18 @@ TEST_F(FleetFixture, RouterRelaysNodeFramesVerbatimInGlobalOrder)
     Json request = sweepRequestToJson(sweep);
     request.set("op", "sweep");
     request.set("quiet", false);
-    {
-        // A JSON-wire client gets decoded, re-encoded points with
-        // the same digest. This pass also warms every node's cache,
-        // so the passes below serve identical cached points.
-        std::string error;
-        const int fd = connectToDaemon(fleet.socketPath(), &error);
-        ASSERT_GE(fd, 0) << error;
-        LineChannel channel(fd);
-        request.set("id", 40);
-        ASSERT_TRUE(channel.writeLine(request.dump()));
-        uint64_t fold = 0xcbf29ce484222325ull;
-        size_t points = 0;
-        std::string line;
-        while (channel.readLine(&line)) {
-            Json msg;
-            ASSERT_TRUE(Json::parse(line, &msg, &error)) << error;
-            ASSERT_FALSE(msg.has("error")) << msg.getString("error");
-            if (msg.getBool("ack", false))
-                continue;
-            if (msg.getBool("done", false)) {
-                EXPECT_EQ(msg.getString("digest"), digestHex);
-                break;
-            }
-            EXPECT_EQ(msg.get("seq").asU64(), points);
-            std::string blob;
-            resultFromJson(msg, &blob);
-            fold = fnv1a64(blob.data(), blob.size(), fold);
-            ++points;
-        }
-        EXPECT_EQ(points, n);
-        EXPECT_EQ(fold, expected.digest);
-    }
+    // A client that never says hello gets the same frames with the
+    // same digest. This pass also warms every node's cache, so the
+    // passes below serve identical cached points.
+    request.set("id", 40);
+    const BinaryStream warm = streamBinary(fleet.socketPath(), request);
+    expectGlobalOrder(warm, n);
+    EXPECT_EQ(warm.fold, expected.digest);
+    EXPECT_EQ(warm.done.getString("digest"), digestHex);
 
     // Each node's own frames for the points it owns, straight from it.
-    std::vector<std::string> direct(n);
-    std::vector<std::vector<size_t>> owned(endpoints_.size());
-    for (size_t i = 0; i < n; ++i) {
-        owned[fleet.router().nodeForKey(
-                  reference.specs()[i].canonical())]
-            .push_back(i);
-    }
-    for (size_t node = 0; node < owned.size(); ++node) {
-        if (owned[node].empty())
-            continue;  // ring placement varies with the ports
-        Json subset = sweepRequestToJson(sweep);
-        subset.set("op", "sweep");
-        subset.set("id", 50 + node);
-        subset.set("quiet", false);
-        Json points = Json::array();
-        for (const size_t global : owned[node])
-            points.push(static_cast<uint64_t>(global));
-        subset.set("points", std::move(points));
-        const BinaryStream stream =
-            streamBinary(endpoints_[node], subset);
-        ASSERT_EQ(stream.payloads.size(), owned[node].size());
-        for (size_t k = 0; k < owned[node].size(); ++k)
-            direct[owned[node][k]] = stream.payloads[k];
-    }
+    const std::vector<std::string> direct =
+        nodeFrames(fleet, endpoints_, sweep, reference, /*quiet=*/false);
 
     // Through the router: global seq, once each, and every payload
     // past its 16-byte id/seq header byte-equal to the node's own.
@@ -1306,6 +1282,56 @@ TEST_F(FleetFixture, RouterRelaysNodeFramesVerbatimInGlobalOrder)
     EXPECT_EQ(relayed.done.getString("digest"), digestHex);
     EXPECT_EQ(relayed.done.get("count").asU64(), n);
     EXPECT_EQ(relayed.done.get("rerouted").asU64(), 0u);
+
+    fleet.stop();
+    serveThread.join();
+}
+
+TEST_F(FleetFixture, RouterStripsBlobsInPlaceForAQuietClient)
+{
+    // A quiet client of the routing daemon gets each node frame with
+    // its blob cut off in place: past the 16-byte id/seq header, byte-
+    // equal to the quiet frame the owning node sends itself.
+    SweepRequest sweep;
+    sweep.family = "groupings";
+    sweep.program = "swm256";
+    sweep.contexts = 2;
+    sweep.scale = testScale;
+    SweepBuilder reference = expandSweep(sweep);
+    const LocalFold expected = localFold(reference.specs());
+    const size_t n = expected.results.size();
+
+    FleetServiceOptions options;
+    options.socketPath = tempPath(9);
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    Json request = sweepRequestToJson(sweep);
+    request.set("op", "sweep");
+    request.set("quiet", true);
+    // The first pass warms every node's cache, so the node's own
+    // frames below and the relayed ones carry the same flags.
+    request.set("id", 60);
+    streamBinary(fleet.socketPath(), request);
+    const std::vector<std::string> direct =
+        nodeFrames(fleet, endpoints_, sweep, reference, /*quiet=*/true);
+
+    request.set("id", 61);
+    const BinaryStream relayed =
+        streamBinary(fleet.socketPath(), request);
+    expectGlobalOrder(relayed, n);
+    ASSERT_EQ(relayed.payloads.size(), n);
+    EXPECT_EQ(relayed.blobs, 0u);
+    for (size_t i = 0; i < n; ++i) {
+        ASSERT_GT(direct[i].size(), 16u) << "point " << i;
+        EXPECT_EQ(relayed.payloads[i].substr(16), direct[i].substr(16))
+            << "point " << i;
+    }
+    EXPECT_EQ(relayed.done.getString("digest"),
+              format("%016llx", static_cast<unsigned long long>(
+                                    expected.digest)));
+    EXPECT_EQ(relayed.done.get("count").asU64(), n);
 
     fleet.stop();
     serveThread.join();
@@ -1537,10 +1563,10 @@ TEST_F(FleetFixture, RouterReapsItsNodeStreamsWhenTheClientVanishes)
             std::string line;
             ASSERT_TRUE(channel.readLine(&line));
             EXPECT_NE(line.find("\"ack\""), std::string::npos) << line;
-            for (int k = 0; k < 3; ++k) {
-                ASSERT_TRUE(channel.readLine(&line));
-                EXPECT_NE(line.find("\"seq\""), std::string::npos)
-                    << line;
+            for (uint64_t k = 0; k < 3; ++k) {
+                ResultFrame point;
+                ASSERT_TRUE(readFrame(channel, &point));
+                EXPECT_EQ(point.seq, k);
             }
         }  // the client hangs up
         // The nodes settle once no point has completed for 0.5 s.

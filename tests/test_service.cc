@@ -30,6 +30,7 @@
 #include "src/service/server.hh"
 #include "src/store/stats_codec.hh"
 #include "src/workload/suite.hh"
+#include "tests/stream_reader.hh"
 
 namespace mtv
 {
@@ -156,30 +157,6 @@ TEST(FatalScopeDeath, FatalStillExitsOutsideScope)
 }
 
 // ---------------------------------------------------------------------
-// Protocol encoding
-// ---------------------------------------------------------------------
-
-TEST(Protocol, ResultLineCarriesLosslessBlob)
-{
-    ExperimentEngine engine;
-    const RunSpec spec = RunSpec::single(
-        "trfd", MachineParams::reference(), testScale);
-    const RunResult result = engine.run(spec);
-    const Json line = resultToJson(result, 7, 3, /*includeBlob=*/true);
-    EXPECT_EQ(line.get("id").asU64(), 7u);
-    EXPECT_EQ(line.get("seq").asU64(), 3u);
-    EXPECT_EQ(line.getString("spec"), spec.canonical());
-    const SimStats decoded =
-        deserializeSimStats(hexDecode(line.getString("blob")));
-    EXPECT_EQ(serializeSimStats(decoded),
-              serializeSimStats(result.stats));
-
-    const Json quiet =
-        resultToJson(result, 0, 0, /*includeBlob=*/false);
-    EXPECT_FALSE(quiet.has("blob"));
-}
-
-// ---------------------------------------------------------------------
 // Live daemon loopback
 // ---------------------------------------------------------------------
 
@@ -278,22 +255,15 @@ TEST_F(ServiceFixture, RunBatchStreamsInOrderAndBitIdentical)
     ASSERT_TRUE(channel.writeLine(request.dump()));
 
     for (size_t i = 0; i < specs.size(); ++i) {
-        std::string line;
-        ASSERT_TRUE(channel.readLine(&line));
-        Json result;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
-        ASSERT_FALSE(result.has("error"))
-            << result.getString("error");
-        EXPECT_EQ(result.get("seq").asU64(), i);
-        EXPECT_EQ(result.getString("spec"), specs[i].canonical());
-        const SimStats stats =
-            deserializeSimStats(hexDecode(result.getString("blob")));
+        ResultFrame result;
+        ASSERT_TRUE(readFrame(channel, &result));
+        EXPECT_EQ(result.seq, i);
+        EXPECT_EQ(result.spec, specs[i].canonical());
+        const SimStats stats = deserializeSimStats(result.blob);
         EXPECT_EQ(serializeSimStats(stats),
                   serializeSimStats(expected[i].stats));
         if (specs[i].mode == SpecMode::Group) {
-            EXPECT_DOUBLE_EQ(result.getNumber("speedup"),
-                             expected[i].speedup);
+            EXPECT_DOUBLE_EQ(result.speedup, expected[i].speedup);
         }
     }
     std::string line;
@@ -319,9 +289,9 @@ TEST_F(ServiceFixture, StatsAndClear)
     run.set("specs", std::move(specArray));
     run.set("quiet", true);
     ASSERT_TRUE(channel.writeLine(run.dump()));
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));  // the result line
-    ASSERT_TRUE(channel.readLine(&line));  // the done line
+    ResultFrame point;
+    ASSERT_TRUE(readFrame(channel, &point));
+    ASSERT_TRUE(readUntilDone(channel));
 
     Json statsRequest = Json::object();
     statsRequest.set("op", "stats");
@@ -349,15 +319,10 @@ TEST_F(ServiceFixture, ConcurrentClientsShareOneEngine)
         specArray.push(spec.canonical());
         request.set("specs", std::move(specArray));
         ASSERT_TRUE(channel.writeLine(request.dump()));
-        std::string line;
-        ASSERT_TRUE(channel.readLine(&line));
-        Json result;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
-        EXPECT_EQ(
-            deserializeSimStats(hexDecode(result.getString("blob")))
-                .cycles,
-            ExperimentEngine().run(spec).stats.cycles);
+        ResultFrame result;
+        ASSERT_TRUE(readFrame(channel, &result));
+        EXPECT_EQ(deserializeSimStats(result.blob).cycles,
+                  ExperimentEngine().run(spec).stats.cycles);
     };
     std::thread a(clientRun), b(clientRun), c(clientRun);
     a.join();
@@ -430,8 +395,8 @@ sendSweep(LineChannel &channel, uint64_t id,
 }
 
 /**
- * Read response lines, demultiplexing by id, until every stream in
- * @p tallies is done. Verifies per-id seq ordering as it goes.
+ * Read response messages, demultiplexing by id, until every stream
+ * in @p tallies is done. Verifies per-id seq ordering as it goes.
  */
 void
 demux(LineChannel &channel,
@@ -445,11 +410,22 @@ demux(LineChannel &channel,
         return true;
     };
     while (!allDone()) {
-        std::string text;
-        ASSERT_TRUE(channel.readLine(&text));
-        Json line;
-        std::string error;
-        ASSERT_TRUE(Json::parse(text, &line, &error)) << error;
+        StreamMessage message;
+        ASSERT_TRUE(readStreamMessage(channel, &message));
+        if (message.isFrame) {
+            // A result point: in submission order within its stream.
+            const ResultFrame &frame = message.frame;
+            ASSERT_TRUE(tallies.count(frame.id))
+                << "unknown stream " << frame.id;
+            StreamTally &tally = tallies[frame.id];
+            EXPECT_EQ(frame.seq, tally.results);
+            tally.clientDigest = fnv1a64(
+                frame.blob.data(), frame.blob.size(), tally.clientDigest);
+            tally.blobs.push_back(frame.blob);
+            ++tally.results;
+            continue;
+        }
+        const Json &line = message.line;
         ASSERT_FALSE(line.has("error")) << line.getString("error");
         const uint64_t id = line.get("id").asU64();
         ASSERT_TRUE(tallies.count(id)) << "unknown stream " << id;
@@ -459,19 +435,10 @@ demux(LineChannel &channel,
             tally.slices = line.get("slices").asArray().size();
             continue;
         }
-        if (line.getBool("done", false)) {
-            EXPECT_EQ(line.get("count").asU64(), tally.expected);
-            tally.serverDigest = line.getString("digest");
-            tally.done = true;
-            continue;
-        }
-        // A result line: in submission order within its stream.
-        EXPECT_EQ(line.get("seq").asU64(), tally.results);
-        const std::string blob = hexDecode(line.getString("blob"));
-        tally.clientDigest =
-            fnv1a64(blob.data(), blob.size(), tally.clientDigest);
-        tally.blobs.push_back(blob);
-        ++tally.results;
+        ASSERT_TRUE(line.getBool("done", false)) << message.raw;
+        EXPECT_EQ(line.get("count").asU64(), tally.expected);
+        tally.serverDigest = line.getString("digest");
+        tally.done = true;
     }
 }
 
@@ -676,16 +643,12 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
     EXPECT_EQ(ack.get("total").asU64(), expected.size());
 
     for (size_t i = 0; i < subset.size(); ++i) {
-        ASSERT_TRUE(channel.readLine(&text));
-        Json result;
-        ASSERT_TRUE(Json::parse(text, &result, &error)) << error;
-        ASSERT_FALSE(result.has("error"))
-            << result.getString("error");
-        // The i-th line of the stream is global point subset[i].
-        EXPECT_EQ(result.get("seq").asU64(), subset[i]);
-        EXPECT_EQ(result.getString("spec"),
-                  local.specs()[subset[i]].canonical());
-        EXPECT_EQ(hexDecode(result.getString("blob")),
+        ResultFrame result;
+        ASSERT_TRUE(readFrame(channel, &result));
+        // The i-th point of the stream is global point subset[i].
+        EXPECT_EQ(result.seq, subset[i]);
+        EXPECT_EQ(result.spec, local.specs()[subset[i]].canonical());
+        EXPECT_EQ(result.blob,
                   serializeSimStats(expected[subset[i]].stats));
     }
     ASSERT_TRUE(channel.readLine(&text));
@@ -824,15 +787,11 @@ TEST_F(ServiceFixture, SweepRingStreamsTheNodesShareWithGlobalSeq)
     EXPECT_FALSE(ack.has("count"));
     EXPECT_EQ(ack.get("total").asU64(), expected.size());
     for (const uint64_t global : share) {
-        ASSERT_TRUE(channel.readLine(&text));
-        Json result;
-        ASSERT_TRUE(Json::parse(text, &result, &error)) << error;
-        ASSERT_FALSE(result.has("error")) << text;
-        EXPECT_EQ(result.get("seq").asU64(), global);
-        EXPECT_EQ(result.getString("spec"),
-                  local.specs()[global].canonical());
-        EXPECT_EQ(hexDecode(result.getString("blob")),
-                  serializeSimStats(expected[global].stats));
+        ResultFrame result;
+        ASSERT_TRUE(readFrame(channel, &result));
+        EXPECT_EQ(result.seq, global);
+        EXPECT_EQ(result.spec, local.specs()[global].canonical());
+        EXPECT_EQ(result.blob, serializeSimStats(expected[global].stats));
     }
     ASSERT_TRUE(channel.readLine(&text));
     Json done;
@@ -1100,13 +1059,10 @@ TEST(TcpTransport, ServesTheSameProtocolAsTheUnixSocket)
     specs.push(spec.canonical());
     request.set("specs", std::move(specs));
     ASSERT_TRUE(channel.writeLine(request.dump()));
-    ASSERT_TRUE(channel.readLine(&line));
-    Json result;
-    ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
-    ASSERT_FALSE(result.has("error")) << result.getString("error");
-    EXPECT_EQ(
-        hexDecode(result.getString("blob")),
-        serializeSimStats(ExperimentEngine().run(spec).stats));
+    ResultFrame result;
+    ASSERT_TRUE(readFrame(channel, &result));
+    EXPECT_EQ(result.blob,
+              serializeSimStats(ExperimentEngine().run(spec).stats));
 
     service.stop();
     serveThread.join();
@@ -1158,8 +1114,8 @@ TEST_F(ServiceFixture, CancelOpStopsInFlightBatch)
     LineChannel victim = connect();
     ASSERT_TRUE(victim.writeLine(runRequest(11, specs, true).dump()));
     // ...streaming for sure (first result arrived)...
-    std::string line;
-    ASSERT_TRUE(victim.readLine(&line));
+    ResultFrame first;
+    ASSERT_TRUE(readFrame(victim, &first));
 
     // ...is cancelled BY REQUEST ID from a different connection.
     LineChannel canceller = connect();
@@ -1172,14 +1128,7 @@ TEST_F(ServiceFixture, CancelOpStopsInFlightBatch)
 
     // The victim's stream terminates with a cancelled done line.
     Json done;
-    for (;;) {
-        ASSERT_TRUE(victim.readLine(&line));
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
-        ASSERT_FALSE(done.has("error")) << done.getString("error");
-        if (done.getBool("done", false))
-            break;
-    }
+    ASSERT_TRUE(readUntilDone(victim, &done));
     EXPECT_TRUE(done.getBool("cancelled"));
     EXPECT_LT(done.get("completed").asU64(), specs.size());
 
@@ -1215,8 +1164,8 @@ TEST_F(ServiceFixture, DisconnectMidSweepFreesQueuedPoints)
         // One result proves the batch is streaming; then the client
         // dies without so much as a goodbye (socket closed by the
         // LineChannel destructor).
-        std::string line;
-        ASSERT_TRUE(victim.readLine(&line));
+        ResultFrame first;
+        ASSERT_TRUE(readFrame(victim, &first));
     }
 
     // A live client's sweep, concurrent with the reaping.
@@ -1353,10 +1302,6 @@ TEST_F(ServiceFixture, SlowClientKeepsAtMostAWindowInFlight)
         MetricsRegistry::instance().gauge("service_points_in_flight");
     LineChannel channel = connect();
     LineChannel observer = connect();
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", std::string("binary"));
-    ASSERT_TRUE(roundTrip(channel, hello).getBool("ok"));
     sendSweep(channel, 2, request);
     Json status = Json::object();
     status.set("op", "status");
@@ -1413,8 +1358,8 @@ TEST_F(ServiceFixture, CancelledBatchSimulatesAtMostCompletedPlusWindow)
     const auto specs = distinctSpecs(static_cast<int>(count), 12000);
     LineChannel victim = connect();
     ASSERT_TRUE(victim.writeLine(runRequest(31, specs, true).dump()));
-    std::string line;
-    ASSERT_TRUE(victim.readLine(&line));  // streaming for sure
+    ResultFrame first;
+    ASSERT_TRUE(readFrame(victim, &first));  // streaming for sure
 
     LineChannel canceller = connect();
     Json cancel = Json::object();
@@ -1423,14 +1368,8 @@ TEST_F(ServiceFixture, CancelledBatchSimulatesAtMostCompletedPlusWindow)
     EXPECT_EQ(roundTrip(canceller, cancel).get("cancelled").asU64(),
               1u);
     Json done;
-    for (;;) {
-        ASSERT_TRUE(victim.readLine(&line));
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
-        if (done.getBool("done", false))
-            break;
-    }
-    ASSERT_TRUE(done.getBool("cancelled", false)) << line;
+    ASSERT_TRUE(readUntilDone(victim, &done));
+    ASSERT_TRUE(done.getBool("cancelled", false)) << done.dump();
     const uint64_t completed = done.get("completed").asU64();
     waitForSettle(*service_);
 
@@ -1445,7 +1384,7 @@ TEST_F(ServiceFixture, CancelledBatchSimulatesAtMostCompletedPlusWindow)
 
 TEST_F(ServiceFixture, ReapedBatchLeavesItsUnsubmittedPointsInStatus)
 {
-    // A non-quiet batch to a reader that takes one line and vanishes:
+    // A non-quiet batch to a reader that takes one point and vanishes:
     // the daemon writes until the socket buffer is full, its window
     // drains, and the reap must not submit the rest.
     const size_t count = 4 * streamWindowPoints;
@@ -1454,8 +1393,8 @@ TEST_F(ServiceFixture, ReapedBatchLeavesItsUnsubmittedPointsInStatus)
         LineChannel victim = connect();
         ASSERT_TRUE(
             victim.writeLine(runRequest(32, specs, false).dump()));
-        std::string line;
-        ASSERT_TRUE(victim.readLine(&line));
+        ResultFrame first;
+        ASSERT_TRUE(readFrame(victim, &first));
     }
     waitForSettle(*service_);
     EXPECT_EQ(service_->reapedBatches(), 1u);
@@ -1464,7 +1403,7 @@ TEST_F(ServiceFixture, ReapedBatchLeavesItsUnsubmittedPointsInStatus)
     const Json settled = settledStatus(observer, count);
     // Every simulated point was submitted, and a submitted point is
     // at most a window ahead of the written ones: with the socket
-    // buffer holding far fewer than 2 windows of non-quiet lines,
+    // buffer holding far fewer than 2 windows of non-quiet frames,
     // over half the batch never reached the engine.
     EXPECT_GT(settled.get("counters").get("unsubmittedPoints").asU64(),
               count - 2 * streamWindowPoints);
@@ -1481,8 +1420,8 @@ TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)
     const auto bulk = distinctSpecs(400, 6000);
     LineChannel sweeper = connect();
     ASSERT_TRUE(sweeper.writeLine(runRequest(7, bulk, true).dump()));
-    std::string line;
-    ASSERT_TRUE(sweeper.readLine(&line));  // the sweep is streaming
+    ResultFrame first;
+    ASSERT_TRUE(readFrame(sweeper, &first));  // the sweep is streaming
 
     const std::vector<RunSpec> one = {RunSpec::single(
         "dyfesm", MachineParams::reference(), testScale)};
@@ -1490,27 +1429,13 @@ TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)
     ASSERT_TRUE(
         interactive.writeLine(runRequest(8, one, false).dump()));
     Json done;
-    for (;;) {
-        ASSERT_TRUE(interactive.readLine(&line));
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
-        ASSERT_FALSE(done.has("error")) << done.getString("error");
-        if (done.getBool("done", false))
-            break;
-    }
+    ASSERT_TRUE(readUntilDone(interactive, &done));
     EXPECT_EQ(done.get("count").asU64(), 1u);
     // The big sweep is still going: the interactive run overtook it.
     EXPECT_GE(service_->activeRequests(), 1u);
 
     // Drain the sweep so teardown is orderly.
-    for (;;) {
-        ASSERT_TRUE(sweeper.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
-        if (parsed.getBool("done", false))
-            break;
-    }
+    ASSERT_TRUE(readUntilDone(sweeper));
 }
 
 TEST_F(ServiceFixture, StatusOpReportsLifecycle)
@@ -1528,26 +1453,28 @@ TEST_F(ServiceFixture, StatusOpReportsLifecycle)
     EXPECT_EQ(counters.get("reapedBatches").asU64(), 0u);
 
     // With a batch in flight the connection shows up, id and all.
-    const auto specs = distinctSpecs(60, 9000);
+    // The batch is held in flight by backpressure, not by simulation
+    // time: it streams non-quiet frames of far more bytes than the
+    // socket buffer holds to a client that has read only the first,
+    // so it cannot finish before the status round trip.
+    const auto specs =
+        distinctSpecs(static_cast<int>(4 * streamWindowPoints), 9000);
     LineChannel runner = connect();
-    ASSERT_TRUE(runner.writeLine(runRequest(21, specs, true).dump()));
-    std::string line;
-    ASSERT_TRUE(runner.readLine(&line));
+    ASSERT_TRUE(runner.writeLine(runRequest(21, specs, false).dump()));
+    ResultFrame first;
+    ASSERT_TRUE(readFrame(runner, &first));
     const Json busy = roundTrip(channel, status);
     ASSERT_EQ(busy.get("connections").asArray().size(), 1u);
     const Json &conn = busy.get("connections").asArray()[0];
     EXPECT_EQ(conn.get("inflight").asU64(), 1u);
     EXPECT_EQ(conn.get("requests").asArray()[0].asU64(), 21u);
 
-    // Drain so teardown is orderly.
-    for (;;) {
-        ASSERT_TRUE(runner.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
-        if (parsed.getBool("done", false))
-            break;
-    }
+    // Cancel and drain so teardown is orderly.
+    Json cancel = Json::object();
+    cancel.set("op", "cancel");
+    cancel.set("id", 21);
+    EXPECT_EQ(roundTrip(channel, cancel).get("cancelled").asU64(), 1u);
+    ASSERT_TRUE(readUntilDone(runner));
 }
 
 TEST_F(ServiceFixture, StatusOpReportsPerLaneDepths)
@@ -1571,15 +1498,7 @@ TEST_F(ServiceFixture, MetricsOpReportsRegistryAndProm)
     const auto specs = distinctSpecs(3, 12000);
     LineChannel runner = connect();
     ASSERT_TRUE(runner.writeLine(runRequest(31, specs, true).dump()));
-    std::string line;
-    for (;;) {
-        ASSERT_TRUE(runner.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
-        if (parsed.getBool("done", false))
-            break;
-    }
+    ASSERT_TRUE(readUntilDone(runner));
 
     LineChannel channel = connect();
     Json request = Json::object();
@@ -1646,14 +1565,8 @@ TEST(ServiceStore, StatusReportsPerShardStoreCounters)
         const auto specs = distinctSpecs(6, 20000);
         ASSERT_TRUE(
             channel.writeLine(runRequest(41, specs, true).dump()));
+        ASSERT_TRUE(readUntilDone(channel));
         std::string line;
-        for (;;) {
-            ASSERT_TRUE(channel.readLine(&line));
-            Json parsed;
-            ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
-            if (parsed.getBool("done", false))
-                break;
-        }
 
         Json status = Json::object();
         status.set("op", "status");
@@ -2021,17 +1934,18 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
     const auto expected =
         localEngine.runAll(expandSweep(request).specs());
 
-    // The v5-style JSON stream of the same sweep, for comparison.
-    LineChannel jsonChannel = connect();
-    sendSweep(jsonChannel, 1, request);
+    // The same sweep on a connection that never says hello, for
+    // comparison.
+    LineChannel plainChannel = connect();
+    sendSweep(plainChannel, 1, request);
     std::unordered_map<uint64_t, StreamTally> tallies;
     tallies[1] = StreamTally();
-    demux(jsonChannel, tallies);
-    const StreamTally &jsonTally = tallies[1];
-    ASSERT_EQ(jsonTally.blobs.size(), expected.size());
+    demux(plainChannel, tallies);
+    const StreamTally &plainTally = tallies[1];
+    ASSERT_EQ(plainTally.blobs.size(), expected.size());
 
-    // Binary side: negotiate, then the points arrive as frames while
-    // the ack and done lines stay JSON.
+    // After a hello the points arrive as the same frames while the
+    // ack and done lines stay JSON.
     LineChannel channel = connect();
     Json hello = Json::object();
     hello.set("op", "hello");
@@ -2089,15 +2003,45 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
 
     EXPECT_TRUE(sawAck);
     ASSERT_EQ(blobs.size(), expected.size());
-    // Frame blobs byte-identical to the JSON stream's hex blobs and
-    // to the in-process run; both wires fold to one digest.
+    // Frame blobs byte-identical with and without hello and to the
+    // in-process run; both streams fold to one digest.
     for (size_t i = 0; i < blobs.size(); ++i) {
-        EXPECT_EQ(blobs[i], jsonTally.blobs[i]) << "point " << i;
+        EXPECT_EQ(blobs[i], plainTally.blobs[i]) << "point " << i;
         EXPECT_EQ(blobs[i], serializeSimStats(expected[i].stats))
             << "point " << i;
     }
     EXPECT_EQ(serverDigest, digestHex(clientDigest));
-    EXPECT_EQ(serverDigest, jsonTally.serverDigest);
+    EXPECT_EQ(serverDigest, plainTally.serverDigest);
+}
+
+TEST_F(ServiceFixture, ClientWithoutHelloReceivesFrames)
+{
+    // Frames are the only point encoding: a connection's first
+    // request streams them, with no hello, quiet or not.
+    const auto specs = distinctSpecs(2, 13000);
+    LineChannel channel = connect();
+    for (const bool quiet : {false, true}) {
+        const uint64_t id = quiet ? 2 : 1;
+        ASSERT_TRUE(
+            channel.writeLine(runRequest(id, specs, quiet).dump()));
+        for (size_t i = 0; i < specs.size(); ++i) {
+            ResultFrame point;
+            ASSERT_TRUE(readFrame(channel, &point)) << "quiet " << quiet;
+            EXPECT_EQ(point.id, id);
+            EXPECT_EQ(point.seq, i);
+            EXPECT_EQ(point.spec, specs[i].canonical());
+            EXPECT_EQ(point.hasBlob, !quiet);
+            if (!quiet) {
+                EXPECT_EQ(point.blob, serializeSimStats(
+                                          ExperimentEngine()
+                                              .run(specs[i])
+                                              .stats));
+            }
+        }
+        Json done;
+        ASSERT_TRUE(readUntilDone(channel, &done));
+        EXPECT_EQ(done.get("count").asU64(), specs.size());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2232,18 +2176,19 @@ TEST_P(EnvelopeFixture, MalformedIdsAnswerAsIdZeroAndARunNeedsNoId)
     ASSERT_TRUE(channel.writeLine(run.dump()));
     size_t points = 0;
     for (;;) {
-        std::string line;
-        ASSERT_TRUE(channel.readLine(&line));
-        Json answer;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &answer, &error)) << error;
-        ASSERT_FALSE(answer.has("error")) << line;
-        EXPECT_EQ(answer.get("id").asU64(), 0u) << line;
-        if (answer.getBool("done", false)) {
-            EXPECT_EQ(answer.get("count").asU64(), 1u);
-            break;
+        StreamMessage message;
+        ASSERT_TRUE(readStreamMessage(channel, &message));
+        if (message.isFrame) {
+            EXPECT_EQ(message.frame.id, 0u);
+            ++points;
+            continue;
         }
-        ++points;
+        const Json &answer = message.line;
+        ASSERT_FALSE(answer.has("error")) << message.raw;
+        EXPECT_EQ(answer.get("id").asU64(), 0u) << message.raw;
+        ASSERT_TRUE(answer.getBool("done", false)) << message.raw;
+        EXPECT_EQ(answer.get("count").asU64(), 1u);
+        break;
     }
     EXPECT_EQ(points, 1u);
 
@@ -2292,6 +2237,8 @@ TEST_P(EnvelopeFixture, SweepWithAZeroLastLatencyErrorsBeforeTheAck)
 
 TEST_P(EnvelopeFixture, HelloNegotiatesWireFormat)
 {
+    // hello is a handshake: with no wire, or the binary one, it
+    // names the one wire there is, the protocol and the registry.
     LineChannel channel = front();
     Json hello = Json::object();
     hello.set("op", "hello");
@@ -2302,6 +2249,11 @@ TEST_P(EnvelopeFixture, HelloNegotiatesWireFormat)
     EXPECT_EQ(confirm.getString("wire"), "binary");
     EXPECT_EQ(confirm.get("protocol").asU64(),
               static_cast<uint64_t>(serviceProtocolVersion));
+    Json bare = Json::object();
+    bare.set("op", "hello");
+    const Json bareConfirm = roundTrip(channel, bare);
+    EXPECT_TRUE(bareConfirm.getBool("ok"));
+    EXPECT_EQ(bareConfirm.getString("wire"), "binary");
     // Both daemons report the sweep registry the node does.
     LineChannel node = connect();
     const std::string registry =
@@ -2309,16 +2261,35 @@ TEST_P(EnvelopeFixture, HelloNegotiatesWireFormat)
     EXPECT_EQ(registry.size(), 16u);
     EXPECT_EQ(confirm.getString("registry"), registry);
 
-    // An unknown wire value is an error and the connection stays on
-    // JSON — control ops keep answering lines.
-    LineChannel other = front();
-    Json bad = Json::object();
-    bad.set("op", "hello");
-    bad.set("wire", std::string("carrier-pigeon"));
-    EXPECT_TRUE(roundTrip(other, bad).has("error"));
-    Json ping = Json::object();
-    ping.set("op", "ping");
-    EXPECT_TRUE(roundTrip(other, ping).getBool("pong"));
+    // Any other wire, JSON included, is a structured error, and the
+    // connection keeps working: control ops answer lines and a run
+    // streams frames.
+    for (const char *wire : {"json", "carrier-pigeon"}) {
+        LineChannel other = front();
+        Json bad = Json::object();
+        bad.set("op", "hello");
+        bad.set("wire", std::string(wire));
+        const Json refused = roundTrip(other, bad);
+        EXPECT_EQ(refused.getString("badWire"), wire) << refused.dump();
+        EXPECT_FALSE(refused.getBool("ok", false)) << wire;
+        Json ping = Json::object();
+        ping.set("op", "ping");
+        EXPECT_TRUE(roundTrip(other, ping).getBool("pong")) << wire;
+        Json run = Json::object();
+        run.set("op", "run");
+        run.set("id", 5);
+        Json specs = Json::array();
+        specs.push(RunSpec::single("trfd", MachineParams::reference(),
+                                   testScale)
+                       .canonical());
+        run.set("specs", std::move(specs));
+        ASSERT_TRUE(other.writeLine(run.dump()));
+        ResultFrame point;
+        ASSERT_TRUE(readFrame(other, &point)) << wire;
+        EXPECT_EQ(point.id, 5u);
+        EXPECT_TRUE(point.hasBlob);
+        ASSERT_TRUE(readUntilDone(other)) << wire;
+    }
 }
 
 TEST_P(EnvelopeFixture, FrameOnRequestChannelAnswersBadFrame)

@@ -23,9 +23,14 @@
  *                                       arrives (in submission
  *                                       order, --fleet included: the
  *                                       router relays points in
- *                                       global order); --local runs the
- *                                       identical sweep in-process
- *                                       (no daemon) for comparison.
+ *                                       global order) as one line
+ *                                       naming its programs,
+ *                                       contexts, memory latency,
+ *                                       cycles and dispatches;
+ *                                       --local runs the identical
+ *                                       sweep in-process (no daemon)
+ *                                       for comparison, --follow
+ *                                       included.
  *   mtvctl compare [--scale S] [--family F] [--contexts N] [--local]
  *                                       cross-design comparison: the
  *                                       daemon expands a design-
@@ -113,8 +118,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: mtvctl [--socket PATH | --tcp HOST:PORT | "
-        "--fleet EP1,EP2,...] [--wire binary|json] <command> "
-        "[options]\n"
+        "--fleet EP1,EP2,...] <command> [options]\n"
         "  ping | stats | status | clear | shutdown\n"
         "  run <program> [--contexts N] [--scale S]\n"
         "  sweep [--scale S] [--family F] [--program P] "
@@ -124,45 +128,8 @@ usage()
         "  warm [--scale S] [--family F]\n"
         "  cancel <request-id>\n"
         "  metrics [--prom]\n"
-        "(--fleet applies to sweep, compare, warm and metrics;\n"
-        " --wire picks the result-point encoding — binary "
-        "negotiates\n"
-        " the v6 frame wire and falls back to json on old "
-        "daemons)\n");
+        "(--fleet applies to sweep, compare, warm and metrics)\n");
     return 2;
-}
-
-/** Result-point wire the client asks for (global --wire flag).
- *  Binary is the default; negotiation falls back to JSON against a
- *  daemon that does not speak it. */
-WireFormat requestedWire = WireFormat::Binary;
-
-/**
- * Negotiate the result-point wire on a fresh connection (streaming
- * commands only — one-line answers have no result points). Returns
- * true when the daemon confirmed binary frames; false means the
- * connection stays on JSON — either by request (--wire json) or
- * because an old daemon answered "unknown op" (the v5 fallback).
- */
-bool
-negotiateWire(LineChannel &channel)
-{
-    if (requestedWire != WireFormat::Binary)
-        return false;
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", "binary");
-    if (!channel.writeLine(hello.dump()))
-        fatal("cannot send hello (daemon gone?)");
-    std::string line;
-    if (!channel.readLine(&line))
-        fatal("daemon closed the connection during hello");
-    Json response;
-    std::string error;
-    if (!Json::parse(line, &response, &error))
-        fatal("malformed hello response: %s", error.c_str());
-    return response.getBool("ok", false) &&
-           response.getString("wire", "") == "binary";
 }
 
 /** Outcome of one streamed batch (run or sweep) from the daemon. */
@@ -216,13 +183,13 @@ connectChannel(const Endpoint &endpoint)
     return LineChannel(fd);
 }
 
-/** Called per result line, in submission order. */
+/** Called per result point, in submission order. */
 using PointHook =
     std::function<void(const RunResult &result, size_t seq)>;
 
 /**
  * Consume the streamed response of request @p id until its done
- * line: result lines are decoded (blob and all), the digest folded,
+ * line: result frames are decoded (blob and all), the digest folded,
  * and @p hook invoked per point. @p expected is the point count from
  * the request (run) or the ack (sweep).
  */
@@ -235,9 +202,8 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
     outcome.results.reserve(expected);
     bool sawBlobs = false;
     for (;;) {
-        // A v6 stream interleaves two message kinds: binary result
-        // frames (wire=binary points) and JSON lines (every point of
-        // a JSON stream, plus acks/done/errors in either mode).
+        // Points arrive as binary frames; the done line (or an
+        // error) is a JSON line.
         std::string msg;
         const LineChannel::MessageKind kind =
             channel.readMessage(&msg);
@@ -257,8 +223,6 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
             if (seq != outcome.results.size() || seq >= expected)
                 fatal("result stream out of order (seq %zu)", seq);
             if (frame.hasBlob) {
-                // Same fold as the JSON path: raw canonical bytes,
-                // here straight from the frame — no hex decode.
                 outcome.digest = fnv1a64(frame.blob.data(),
                                          frame.blob.size(),
                                          outcome.digest);
@@ -281,44 +245,28 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
             fatal("response for unknown request id %llu",
                   static_cast<unsigned long long>(
                       line.get("id").asU64()));
-        if (line.getBool("done", false) &&
-            line.getBool("cancelled", false)) {
+        if (!line.getBool("done", false))
+            fatal("expected a result frame or the done line, got: %s",
+                  msg.c_str());
+        if (line.getBool("cancelled", false)) {
             outcome.cancelled = true;
             break;
         }
-        if (line.getBool("done", false)) {
-            outcome.simulated = line.get("simulated").asU64();
-            outcome.cacheServed = line.get("cacheServed").asU64();
-            outcome.storeServed = line.get("storeServed").asU64();
-            const std::string server = line.getString("digest");
-            if (!sawBlobs) {
-                // Quiet batch: adopt the server-folded digest.
-                outcome.digest =
-                    std::strtoull(server.c_str(), nullptr, 16);
-            } else if (server !=
-                       format("%016llx",
-                              static_cast<unsigned long long>(
-                                  outcome.digest))) {
-                fatal("server digest %s != client digest %016llx",
-                      server.c_str(),
-                      static_cast<unsigned long long>(
-                          outcome.digest));
-            }
-            break;
+        outcome.simulated = line.get("simulated").asU64();
+        outcome.cacheServed = line.get("cacheServed").asU64();
+        outcome.storeServed = line.get("storeServed").asU64();
+        const std::string server = line.getString("digest");
+        if (!sawBlobs) {
+            // Quiet batch: adopt the server-folded digest.
+            outcome.digest = std::strtoull(server.c_str(), nullptr, 16);
+        } else if (server !=
+                   format("%016llx", static_cast<unsigned long long>(
+                                         outcome.digest))) {
+            fatal("server digest %s != client digest %016llx",
+                  server.c_str(),
+                  static_cast<unsigned long long>(outcome.digest));
         }
-        const size_t seq = line.get("seq").asU64();
-        if (seq != outcome.results.size() || seq >= expected)
-            fatal("result stream out of order (seq %zu)", seq);
-        std::string blob;
-        RunResult result = resultFromJson(line, &blob);
-        if (!blob.empty()) {
-            outcome.digest =
-                fnv1a64(blob.data(), blob.size(), outcome.digest);
-            sawBlobs = true;
-        }
-        if (hook)
-            hook(result, seq);
-        outcome.results.push_back(std::move(result));
+        break;
     }
     if (!outcome.cancelled && outcome.results.size() != expected)
         fatal("daemon returned %zu of %zu results",
@@ -367,13 +315,20 @@ printDigest(uint64_t digest)
                 static_cast<unsigned long long>(digest));
 }
 
-/** The --follow per-point line. */
+/** The --follow per-point line: the point's programs, machine and
+ *  headline numbers, one readable line per streamed frame. */
 void
 printPoint(const RunResult &r, size_t seq, size_t total)
 {
-    std::printf("point %zu/%zu %s: %llu cycles%s%s\n", seq + 1,
-                total, r.spec.programs[0].c_str(),
+    std::string programs;
+    for (const std::string &program : r.spec.programs)
+        programs += (programs.empty() ? "" : ",") + program;
+    std::printf("point %zu/%zu %s contexts=%d latency=%d: %llu cycles, "
+                "%llu dispatches%s%s\n",
+                seq + 1, total, programs.c_str(),
+                r.spec.params.contexts, r.spec.params.memLatency,
                 static_cast<unsigned long long>(r.stats.cycles),
+                static_cast<unsigned long long>(r.stats.dispatches),
                 r.spec.mode == SpecMode::Group
                     ? format(", speedup %.3f", r.speedup).c_str()
                     : "",
@@ -504,7 +459,7 @@ cmdCompareFleet(const std::vector<std::string> &fleetNodes,
 }
 
 int
-cmdSweepLocal(const SweepRequest &request)
+cmdSweepLocal(const SweepRequest &request, bool follow)
 {
     SweepBuilder sweep = expandSweep(request);
     ExperimentEngine engine;
@@ -519,7 +474,10 @@ cmdSweepLocal(const SweepRequest &request)
     uint64_t digest = 0xcbf29ce484222325ull;
     uint64_t simulated = 0;
     uint64_t cacheServed = 0;
-    for (const RunResult &r : results) {
+    for (size_t i = 0; i < results.size(); ++i) {
+        const RunResult &r = results[i];
+        if (follow)
+            printPoint(r, i, results.size());
         const std::string blob = serializeSimStats(r.stats);
         digest = fnv1a64(blob.data(), blob.size(), digest);
         if (r.cached)
@@ -540,7 +498,6 @@ cmdSweep(const Endpoint &endpoint, const SweepRequest &request,
          bool quiet, bool follow)
 {
     LineChannel channel = connectChannel(endpoint);
-    const bool binaryWire = negotiateWire(channel);
     constexpr uint64_t id = 1;
     Json line = sweepRequestToJson(request);
     line.set("op", "sweep");
@@ -583,15 +540,6 @@ cmdSweep(const Endpoint &endpoint, const SweepRequest &request,
     std::printf("sweep: %zu points in %.2fs (family %s)\n",
                 outcome.results.size(), seconds,
                 request.family.c_str());
-    // The stream's wire throughput, client-side: every byte the
-    // daemon sent this connection (results AND control lines).
-    std::printf("wire: %s received=%llu bytes (%.1f MB/s)\n",
-                binaryWire ? "binary" : "json",
-                static_cast<unsigned long long>(channel.bytesRead()),
-                seconds > 0
-                    ? static_cast<double>(channel.bytesRead()) /
-                          seconds / 1e6
-                    : 0.0);
     printServed(outcome.simulated, outcome.cacheServed,
                 outcome.storeServed);
     printDigest(outcome.digest);
@@ -672,7 +620,6 @@ cmdRun(const Endpoint &endpoint, const std::string &program,
                       : MachineParams::multithreaded(contexts);
     const RunSpec spec = RunSpec::single(program, params, scale);
     LineChannel channel = connectChannel(endpoint);
-    negotiateWire(channel);
     Json request = Json::object();
     request.set("op", "run");
     request.set("id", 1);
@@ -967,16 +914,6 @@ main(int argc, char **argv)
             if (fleetNodes.empty())
                 fatal("--fleet expects a comma-separated node list");
             i += 2;
-        } else if (std::strcmp(argv[i], "--wire") == 0) {
-            const std::string wanted = argv[i + 1];
-            if (wanted == "json")
-                requestedWire = WireFormat::Json;
-            else if (wanted == "binary")
-                requestedWire = WireFormat::Binary;
-            else
-                fatal("--wire expects json or binary, got '%s'",
-                      wanted.c_str());
-            i += 2;
         } else {
             break;
         }
@@ -1080,7 +1017,7 @@ main(int argc, char **argv)
     }
     if (command == "sweep") {
         if (local)
-            return cmdSweepLocal(sweepRequest);
+            return cmdSweepLocal(sweepRequest, follow);
         return fleetNodes.empty()
                    ? cmdSweep(endpoint, sweepRequest,
                               /*quiet=*/false, follow)

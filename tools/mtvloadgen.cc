@@ -15,7 +15,7 @@
  *   mtvloadgen [--socket PATH | --tcp HOST:PORT]
  *              [--clients N] [--requests N] [--rps R] [--scale S]
  *              [--spec-space M] [--sweep-points N]
- *              [--wire binary|json] [--stream-bench N] [--json]
+ *              [--stream-bench N] [--json]
  *
  * Defaults: 8 clients x 50 requests, unpaced, scale 2e-5, 32
  * distinct specs per client, no background sweep. Each client draws
@@ -23,20 +23,19 @@
  * simulation, the memory cache and (when the daemon has one) the
  * store rather than one endlessly-cached point.
  *
- * --wire picks the v6 result-point encoding (binary negotiates the
- * frame wire, falling back to JSON on old daemons); the report then
- * carries the received byte count and MB/s.
+ * The report carries the received byte count and MB/s.
  *
  * --stream-bench N replaces the closed-loop run with a streaming
  * throughput measurement: warm an N-point sweep once (quiet), then
- * stream it non-quiet twice — once per wire format — and report
- * points/s for each. With --json the output is bench-shaped
+ * stream it three times with blobs and three times quiet, and report
+ * the best points/s of each. With --json the output is bench-shaped
  * ({"benchmarks":[{"name":"stream_binary","sim_cycles/s":p},...]}),
- * so tools/perf_gate.py --min-ratio can ratchet binary >= k x JSON
- * in CI. Two more rows carry the best binary pass's time to its
- * first point and its whole time as reciprocals
- * (stream_binary_first_point, stream_binary_pass), so the same gate
- * can ratchet how early a warm stream starts.
+ * so tools/perf_gate.py --min-ratio can ratchet the full stream
+ * against the quiet one (stream_binary_quiet: the same frames
+ * without their stats blobs) in CI. Two more rows carry the best
+ * full pass's time to its first point and its whole time as
+ * reciprocals (stream_binary_first_point, stream_binary_pass), so
+ * the same gate can ratchet how early a warm stream starts.
  *
  * Exit status: 0 on success, 1 when any request failed or nothing
  * completed (the smoke job treats that as a hard failure).
@@ -75,36 +74,9 @@ usage()
         "usage: mtvloadgen [--socket PATH | --tcp HOST:PORT]\n"
         "                  [--clients N] [--requests N] [--rps R]\n"
         "                  [--scale S] [--spec-space M]\n"
-        "                  [--sweep-points N] [--wire binary|json]\n"
-        "                  [--stream-bench N] [--json]\n");
+        "                  [--sweep-points N] [--stream-bench N] "
+        "[--json]\n");
     return 2;
-}
-
-/** Result-point wire the clients ask for (--wire). */
-WireFormat requestedWire = WireFormat::Binary;
-
-/** Send the v6 hello on a fresh connection when binary was
- *  requested; false = the stream stays JSON (explicit --wire json,
- *  or an old daemon answered "unknown op"). */
-bool
-negotiateWire(LineChannel &channel, bool binary)
-{
-    if (!binary)
-        return false;
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", "binary");
-    std::string line;
-    if (!channel.writeLine(hello.dump()) ||
-        !channel.readLine(&line)) {
-        return false;
-    }
-    Json response;
-    std::string parseError;
-    if (!Json::parse(line, &response, &parseError))
-        return false;
-    return response.getBool("ok", false) &&
-           response.getString("wire", "") == "binary";
 }
 
 /** One client thread's tally, merged after the run. */
@@ -135,7 +107,6 @@ runClient(const Endpoint &endpoint, int index, int requests,
         return tally;
     }
     LineChannel channel(fd);
-    negotiateWire(channel, requestedWire == WireFormat::Binary);
     tally.latenciesUs.reserve(requests);
 
     const uint64_t startUs = monotonicMicros();
@@ -182,8 +153,8 @@ runClient(const Endpoint &endpoint, int index, int requests,
                 break;
             }
             if (kind == LineChannel::MessageKind::Frame) {
-                // A binary result point; "done" is a JSON line in
-                // either wire mode, so just keep reading.
+                // A result point; "done" is a JSON line, so just
+                // keep reading.
                 continue;
             }
             Json response;
@@ -233,7 +204,7 @@ benchSweep(int points, double scale)
     // three times over — so every result hauls a realistically full
     // set of job records. The bench measures result *streaming*, and
     // a near-empty payload would mostly measure per-point fixed
-    // overhead that both wires share.
+    // overhead that the full and quiet passes share.
     for (int rep = 0; rep < 3; ++rep)
         for (const auto &job : jobQueueOrder())
             sweep.jobs.push_back(job);
@@ -246,7 +217,6 @@ benchSweep(int points, double scale)
 struct StreamPass
 {
     bool ok = false;
-    bool binary = false;  ///< what the connection actually negotiated
     uint64_t points = 0;
     uint64_t bytes = 0;
     double seconds = 0;
@@ -255,14 +225,13 @@ struct StreamPass
 };
 
 /**
- * Stream @p sweep once on a fresh connection negotiated to the
- * requested wire, timing ack -> done. Non-quiet unless @p quiet, so
- * the measured passes carry the full per-point stats payload — the
- * thing the two wire formats encode differently.
+ * Stream @p sweep once on a fresh connection, timing request ->
+ * done. Non-quiet unless @p quiet, so a full pass carries the whole
+ * per-point stats blob and a quiet pass the same frames without it.
  */
 StreamPass
 streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
-           bool binary, bool quiet)
+           bool quiet)
 {
     StreamPass pass;
     std::string error;
@@ -272,11 +241,6 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         return pass;
     }
     LineChannel channel(fd);
-    pass.binary = negotiateWire(channel, binary);
-    if (binary && !pass.binary) {
-        warn("stream bench: daemon refused the binary wire");
-        return pass;
-    }
     Json request = sweepRequestToJson(sweep);
     request.set("op", "sweep");
     request.set("id", static_cast<uint64_t>(1));
@@ -286,12 +250,6 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         return pass;
     }
     const uint64_t startUs = monotonicMicros();
-    const auto countPoint = [&] {
-        if (pass.points++ == 0) {
-            pass.firstPointSeconds =
-                static_cast<double>(monotonicMicros() - startUs) / 1e6;
-        }
-    };
     std::string message;
     for (;;) {
         const LineChannel::MessageKind kind =
@@ -303,7 +261,11 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
             return pass;
         }
         if (kind == LineChannel::MessageKind::Frame) {
-            countPoint();
+            if (pass.points++ == 0) {
+                pass.firstPointSeconds =
+                    static_cast<double>(monotonicMicros() - startUs) /
+                    1e6;
+            }
             continue;
         }
         Json response;
@@ -320,12 +282,12 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         }
         if (response.getBool("ack", false))
             continue;
-        if (response.getBool("done", false)) {
-            if (response.getBool("cancelled", false))
-                return pass;
-            break;
+        if (!response.getBool("done", false) ||
+            response.getBool("cancelled", false)) {
+            warn("stream bench: unexpected line: %s", message.c_str());
+            return pass;
         }
-        countPoint();
+        break;
     }
     pass.seconds =
         static_cast<double>(monotonicMicros() - startUs) / 1e6;
@@ -335,53 +297,49 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
 }
 
 /**
- * The --stream-bench mode: warm the sweep once (quiet, JSON — the
- * results land in cache/store so the measured passes stream finished
- * points and the wire is the only variable), then stream it
- * non-quiet once per wire format and report points/s for each.
+ * The --stream-bench mode: warm the sweep once (quiet — the results
+ * land in cache/store so the measured passes stream finished points
+ * and streaming is the only cost), then stream it with blobs and
+ * quiet, alternating, and report the best points/s of each.
  */
 int
 runStreamBench(const Endpoint &endpoint, int points, double scale,
                bool json)
 {
     const SweepRequest sweep = benchSweep(points, scale);
-    const StreamPass warm =
-        streamOnce(endpoint, sweep, /*binary=*/false, /*quiet=*/true);
+    const StreamPass warm = streamOnce(endpoint, sweep, /*quiet=*/true);
     if (!warm.ok)
         return 1;
-    // Best of three alternating passes per wire: every point is a
-    // warm cache hit, so pass time is pure streaming cost and the
-    // fastest pass is the least scheduler-perturbed sample.
+    // Best of three alternating passes each: every point is a warm
+    // cache hit, so pass time is pure streaming cost and the fastest
+    // pass is the least scheduler-perturbed sample.
     constexpr int benchPasses = 3;
-    StreamPass jsonPass{};
-    StreamPass binaryPass{};
+    StreamPass fullPass{};
+    StreamPass quietPass{};
     for (int pass = 0; pass < benchPasses; ++pass) {
-        const StreamPass j = streamOnce(
-            endpoint, sweep, /*binary=*/false, /*quiet=*/false);
-        if (!j.ok)
+        const StreamPass f = streamOnce(endpoint, sweep, /*quiet=*/false);
+        if (!f.ok)
             return 1;
-        if (!jsonPass.ok || j.seconds < jsonPass.seconds)
-            jsonPass = j;
-        const StreamPass b = streamOnce(
-            endpoint, sweep, /*binary=*/true, /*quiet=*/false);
-        if (!b.ok || !b.binary)
+        if (!fullPass.ok || f.seconds < fullPass.seconds)
+            fullPass = f;
+        const StreamPass q = streamOnce(endpoint, sweep, /*quiet=*/true);
+        if (!q.ok)
             return 1;
-        if (!binaryPass.ok || b.seconds < binaryPass.seconds)
-            binaryPass = b;
+        if (!quietPass.ok || q.seconds < quietPass.seconds)
+            quietPass = q;
     }
-    const double jsonRate = static_cast<double>(jsonPass.points) /
-                            std::max(jsonPass.seconds, 1e-9);
-    const double binaryRate =
-        static_cast<double>(binaryPass.points) /
-        std::max(binaryPass.seconds, 1e-9);
+    const double fullRate = static_cast<double>(fullPass.points) /
+                            std::max(fullPass.seconds, 1e-9);
+    const double quietRate = static_cast<double>(quietPass.points) /
+                             std::max(quietPass.seconds, 1e-9);
     if (json) {
         // Bench-shaped on purpose: perf_gate.py --min-ratio reads
         // benchmarks[].{name, sim_cycles/s} (here points/s — the
-        // gate only ever compares the two rates to each other).
+        // gate only ever compares the rates to each other).
         Json out = Json::object();
         Json benches = Json::array();
-        // The first-point rows are reciprocal times of the best
-        // binary pass, so --min-ratio
+        // The first-point rows are reciprocal times of the best full
+        // pass, so --min-ratio
         // "stream_binary_first_point:stream_binary_pass=R" requires
         // the pass to take >= R x its time to the first point.
         const struct
@@ -389,12 +347,12 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
             const char *name;
             double rate;
         } rows[] = {
-            {"stream_binary", binaryRate},
-            {"stream_json", jsonRate},
+            {"stream_binary", fullRate},
+            {"stream_binary_quiet", quietRate},
             {"stream_binary_first_point",
-             1.0 / std::max(binaryPass.firstPointSeconds, 1e-9)},
+             1.0 / std::max(fullPass.firstPointSeconds, 1e-9)},
             {"stream_binary_pass",
-             1.0 / std::max(binaryPass.seconds, 1e-9)}};
+             1.0 / std::max(fullPass.seconds, 1e-9)}};
         for (const auto &row : rows) {
             Json bench = Json::object();
             bench.set("name", std::string(row.name));
@@ -407,24 +365,21 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
         std::printf("stream bench: %llu warmed points on %s\n",
                     static_cast<unsigned long long>(warm.points),
                     endpoint.describe().c_str());
-        std::printf("json:   %.0f points/s (%llu bytes, %.1f MB/s)\n",
-                    jsonRate,
-                    static_cast<unsigned long long>(jsonPass.bytes),
-                    static_cast<double>(jsonPass.bytes) /
-                        std::max(jsonPass.seconds, 1e-9) / 1e6);
-        std::printf("binary: %.0f points/s (%llu bytes, %.1f MB/s), "
-                    "%.2fx json\n",
-                    binaryRate,
-                    static_cast<unsigned long long>(binaryPass.bytes),
-                    static_cast<double>(binaryPass.bytes) /
-                        std::max(binaryPass.seconds, 1e-9) / 1e6,
-                    binaryRate / std::max(jsonRate, 1e-9));
-        std::printf("binary first point: %.2f ms of a %.2f ms pass "
+        std::printf("full:   %.0f points/s (%llu bytes, %.1f MB/s), "
+                    "%.2fx quiet\n",
+                    fullRate,
+                    static_cast<unsigned long long>(fullPass.bytes),
+                    static_cast<double>(fullPass.bytes) /
+                        std::max(fullPass.seconds, 1e-9) / 1e6,
+                    fullRate / std::max(quietRate, 1e-9));
+        std::printf("quiet:  %.0f points/s (%llu bytes)\n", quietRate,
+                    static_cast<unsigned long long>(quietPass.bytes));
+        std::printf("full first point: %.2f ms of a %.2f ms pass "
                     "(pass/first %.1fx)\n",
-                    binaryPass.firstPointSeconds * 1e3,
-                    binaryPass.seconds * 1e3,
-                    binaryPass.seconds /
-                        std::max(binaryPass.firstPointSeconds, 1e-9));
+                    fullPass.firstPointSeconds * 1e3,
+                    fullPass.seconds * 1e3,
+                    fullPass.seconds /
+                        std::max(fullPass.firstPointSeconds, 1e-9));
     }
     return 0;
 }
@@ -489,15 +444,6 @@ main(int argc, char **argv)
         } else if (arg == "--sweep-points") {
             sweepPoints = static_cast<int>(
                 parseIntFlag(value(), "--sweep-points", 0, 10000000));
-        } else if (arg == "--wire") {
-            const std::string wanted = value();
-            if (wanted == "json")
-                requestedWire = WireFormat::Json;
-            else if (wanted == "binary")
-                requestedWire = WireFormat::Binary;
-            else
-                fatal("--wire expects json or binary, got '%s'",
-                      wanted.c_str());
         } else if (arg == "--stream-bench") {
             streamBench = static_cast<int>(
                 parseIntFlag(value(), "--stream-bench", 1, 10000000));
@@ -549,7 +495,15 @@ main(int argc, char **argv)
 
         sweepThread = std::thread([&sweepTally, &sweepChannel] {
             std::string line;
-            while (sweepChannel->readLine(&line)) {
+            for (;;) {
+                const LineChannel::MessageKind kind =
+                    sweepChannel->readMessage(&line);
+                if (kind == LineChannel::MessageKind::Frame) {
+                    ++sweepTally.pointsStreamed;
+                    continue;
+                }
+                if (kind != LineChannel::MessageKind::Line)
+                    break;
                 Json response;
                 std::string parseError;
                 if (!Json::parse(line, &response, &parseError)) {
@@ -570,7 +524,6 @@ main(int argc, char **argv)
                     sweepTally.sawTerminator = true;
                     return;
                 }
-                ++sweepTally.pointsStreamed;
             }
             sweepTally.requestFailed = true;
         });
@@ -662,9 +615,6 @@ main(int argc, char **argv)
         out.set("maxMs", completed
                              ? static_cast<double>(merged.back()) / 1e3
                              : 0.0);
-        out.set("wire", std::string(requestedWire == WireFormat::Binary
-                                        ? "binary"
-                                        : "json"));
         out.set("bytesRead", bytesRead);
         out.set("mbPerS", durationS > 0
                               ? static_cast<double>(bytesRead) /
@@ -690,9 +640,7 @@ main(int argc, char **argv)
                     completed
                         ? static_cast<double>(merged.back()) / 1e3
                         : 0.0);
-        std::printf("wire: %s received=%llu bytes (%.1f MB/s)\n",
-                    requestedWire == WireFormat::Binary ? "binary"
-                                                        : "json",
+        std::printf("received: %llu bytes (%.1f MB/s)\n",
                     static_cast<unsigned long long>(bytesRead),
                     durationS > 0 ? static_cast<double>(bytesRead) /
                                         durationS / 1e6
